@@ -17,13 +17,10 @@ from .model import (
     value,
 )
 from .polytope import (
-    CliqueDecomposition,
     Face,
-    clique_decompose,
     enumerate_decompositions,
     minkowski_contains,
     nested_chain_point,
-    padberg_check,
     vertex_sum_contains,
     vertices_P,
 )
@@ -36,8 +33,7 @@ from .demand import (
     verify_pe,
     walrasian_exists,
 )
-from .assignment import FlowNetwork, label_faces, max_flow_integral
-from .linprog import LinearProgram, LPResult, lp_solve
+from .linprog import InternalError, LinearProgram, LPResult, lp_solve
 from .pricing import (
     CEResult,
     FOUND,

@@ -3,7 +3,8 @@
 Machine-readable JSON goes to stdout, human-readable tables to stderr,
 so output can be piped. Exit codes are a stable contract: 0 when the
 requested object exists / the verification passes, 1 on input errors,
-2 when nonexistence or failure is certified.
+2 when nonexistence or failure is certified, 3 when an internal guard on
+a verdict fails.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from .instances import (
     print_instance,
     print_price,
 )
+from .linprog import InternalError
 from .model import GPoint, ValueGraph, char_vector
 from .polytope import enumerate_decompositions
 from .pricing import (
@@ -37,12 +39,12 @@ from .pricing import (
     optimal_ce,
 )
 
-EXIT_OK, EXIT_INPUT, EXIT_NOT_FOUND = 0, 1, 2
+EXIT_OK, EXIT_INPUT, EXIT_NOT_FOUND, EXIT_INTERNAL = 0, 1, 2, 3
 
 
-def _err(msg: str) -> int:
+def _err(msg: str, code: int = EXIT_INPUT) -> int:
     print(f"error: {msg}", file=sys.stderr)
-    return EXIT_INPUT
+    return code
 
 
 def _table(lines: list[tuple[str, str]]) -> None:
@@ -145,8 +147,7 @@ def cmd_solve(args) -> int:
         )
     else:
         res = optimal_ce(
-            inst.valuations, inst.supply, walrasian=walrasian, caps=caps,
-            jobs=args.jobs,
+            inst.valuations, inst.supply, walrasian=walrasian, caps=caps
         )
     if res.status != FOUND and walrasian:
         print("no Walrasian equilibrium", file=sys.stderr)
@@ -262,8 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--walrasian", action="store_true",
                    help="restrict to linear pricing (edge prices zero)")
     p.add_argument("--point", help="comma-separated aggregate point to price at")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="evaluate candidate points concurrently")
     common(p)
     p.set_defaults(func=cmd_solve)
 
@@ -304,7 +303,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _err(f"{exc} (raise with --max-n/--max-m)")
     except ValueError as exc:
         return _err(str(exc))
+    except InternalError as exc:
+        return _err(f"internal: {exc}", EXIT_INTERNAL)
 
 
 def entrypoint() -> None:  # console script
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -53,6 +53,8 @@ def _edge_key(e: tuple[int, int]) -> str:
 
 
 def _parse_edge_key(key: str, n: int, where: str) -> tuple[int, int]:
+    if not isinstance(key, str):
+        raise ParseError(f"{where}: bad edge key {key!r}, expected 'i-j'")
     try:
         i_s, j_s = key.split("-")
         i, j = int(i_s) - 1, int(j_s) - 1
@@ -89,6 +91,8 @@ def parse_instance(doc: dict) -> InstanceFile:
     if n < 1:
         raise ParseError("field 'n': must be at least 1")
     if "edges" in doc:
+        if not isinstance(doc["edges"], list):
+            raise ParseError("field 'edges': need a list of 'i-j' keys")
         edges = tuple(
             _parse_edge_key(k, n, "field 'edges'") for k in doc["edges"]
         )
@@ -99,14 +103,21 @@ def parse_instance(doc: dict) -> InstanceFile:
     else:
         graph = ValueGraph.complete(n)
 
+    agents = doc.get("agents", [])
+    if not isinstance(agents, list):
+        raise ParseError("field 'agents': need a list of objects")
     vals = []
-    for b, agent in enumerate(doc.get("agents", [])):
+    for b, agent in enumerate(agents):
         where = f"agents[{b}]"
+        if not isinstance(agent, dict):
+            raise ParseError(f"{where}: need an object")
         vw = agent.get("vertex_weights")
         if not isinstance(vw, list) or len(vw) != n:
             raise ParseError(f"{where}.vertex_weights: need a list of {n} entries")
         weights = [_weight(x, f"{where}.vertex_weights[{i}]") for i, x in enumerate(vw)]
         ew = agent.get("edge_weights", {})
+        if not isinstance(ew, dict):
+            raise ParseError(f"{where}.edge_weights: need an object keyed by 'i-j'")
         by_edge = {
             _parse_edge_key(k, n, f"{where}.edge_weights"): _weight(
                 x, f"{where}.edge_weights[{k}]"
@@ -142,6 +153,8 @@ def parse_instance(doc: dict) -> InstanceFile:
 
     faces = None
     if "faces" in doc:
+        if not isinstance(doc["faces"], list):
+            raise ParseError("field 'faces': need a list of faces")
         parsed = []
         for k, bundles in enumerate(doc["faces"]):
             where = f"faces[{k}]"

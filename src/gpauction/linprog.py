@@ -24,6 +24,11 @@ _RELATIONS = (LE, GE, EQ)
 OPTIMAL, INFEASIBLE, UNBOUNDED = "optimal", "infeasible", "unbounded"
 
 
+class InternalError(RuntimeError):
+    """A guard on a certified result failed: a defect in the solver, not
+    in its input. Raised by explicit checks so it survives ``python -O``."""
+
+
 def _to_fraction(q) -> Fraction:
     if isinstance(q, Fraction):
         return q
@@ -211,8 +216,8 @@ def lp_solve(lp: LinearProgram) -> LPResult:
         for i, bj in enumerate(basis):
             if bj in art_set:
                 obj[:] = [a + b for a, b in zip(obj, rows[i])]
-        status = _bland(rows, obj, basis, allowed)
-        assert status == OPTIMAL  # phase-1 objective is bounded above by 0
+        if _bland(rows, obj, basis, allowed) != OPTIMAL:
+            raise InternalError("phase 1 unbounded although its objective is at most 0")
         if obj[-1] != 0:
             return LPResult(INFEASIBLE)
         # Drive leftover zero-valued artificials out of the basis.

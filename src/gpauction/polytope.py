@@ -4,9 +4,9 @@ characteristic vectors a_S.
 P(K_n) is the correlation (boolean quadric) polytope; no full facet
 description is known for n >= 4, so faces are always handled
 extensionally through their vertex lists. The module provides the
-classical linear-relaxation inequalities as an oracle, two constructive
-decompositions of special integer points of the dilate m*P, exhaustive
-decomposition enumeration, and exact Minkowski-sum membership tests.
+nested-chain decomposition of lifted supply points, exhaustive
+decomposition enumeration of integer points of the dilate m*P, and exact
+Minkowski-sum membership tests.
 """
 from __future__ import annotations
 
@@ -38,132 +38,14 @@ def vertices_P(graph: ValueGraph, cap: int = VERTEX_CAP) -> list[GPoint]:
     return list(_vertex_table(graph))
 
 
-@dataclass(frozen=True)
-class PadbergViolation:
-    tag: str  # one of "(i)".."(v)"
-    indices: tuple[int, ...]
-    value: int  # the violated left-hand side
-
-
-def padberg_check(a: GPoint, m: int) -> list[PadbergViolation]:
-    """Check the linear-relaxation inequalities of m*P(K_n).
-
-    (i)  x_ij >= 0            (ii) x_i - x_ij >= 0
-    (iii) x_i + x_j - x_ij <= m
-    (iv) x_i + x_jk - x_ij - x_ik >= 0
-    (v)  x_i + x_j + x_k - x_ij - x_ik - x_jk <= m
-    over all vertex triples. Empty result iff all hold.
-    """
-    g = a.graph
-    if not g.is_complete():
-        raise ValueError("the inequality system is defined over complete graphs")
-    out = []
-    c = a.coords
-    e = g.edge_coord
-    for i, j in g.edges:
-        if c[e(i, j)] < 0:
-            out.append(PadbergViolation("(i)", (i, j), c[e(i, j)]))
-        for k in (i, j):
-            if c[k] - c[e(i, j)] < 0:
-                out.append(PadbergViolation("(ii)", (k, i, j), c[k] - c[e(i, j)]))
-        if c[i] + c[j] - c[e(i, j)] > m:
-            out.append(PadbergViolation("(iii)", (i, j), c[i] + c[j] - c[e(i, j)]))
-    for j, k in g.edges:
-        for i in range(g.n):
-            if i == j or i == k:
-                continue
-            lhs = c[i] + c[e(j, k)] - c[e(i, j)] - c[e(i, k)]
-            if lhs < 0:
-                out.append(PadbergViolation("(iv)", (i, j, k), lhs))
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            for k in range(j + 1, g.n):
-                lhs = (
-                    c[i] + c[j] + c[k]
-                    - c[e(i, j)] - c[e(i, k)] - c[e(j, k)]
-                )
-                if lhs > m:
-                    out.append(PadbergViolation("(v)", (i, j, k), lhs))
-    return out
-
-
-@dataclass(frozen=True)
-class CliqueDecomposition:
-    """a = sum of multiplicity * char_vector(clique) over the parts."""
-
-    graph: ValueGraph
-    parts: tuple[tuple[int, Bundle], ...]
-
-    def point(self) -> GPoint:
-        total = GPoint.zero(self.graph)
-        for mult, clique in self.parts:
-            total = total + char_vector(clique, self.graph).scale(mult)
-        return total
-
-    def expand(self) -> list[Bundle]:
-        """One bundle per copy, multiplicities unrolled."""
-        out: list[Bundle] = []
-        for mult, clique in self.parts:
-            out.extend([clique] * mult)
-        return out
-
-
-def clique_decompose(a: GPoint, r: int) -> CliqueDecomposition:
-    """Split a point with entries in {0, r} into r copies each of pairwise
-    disjoint cliques (the components of the 0/1 pattern a/r, which must all
-    be complete)."""
-    g = a.graph
-    if not g.is_complete():
-        raise ValueError("clique decomposition is defined over complete graphs")
-    if r < 1:
-        raise ValueError("multiplicity r must be positive")
-    for k, c in enumerate(a.coords):
-        if c not in (0, r):
-            raise ValueError(f"coordinate {k} has value {c}, not in {{0, {r}}}")
-    verts = {i for i in range(g.n) if a.coords[i] == r}
-    pairs = {(i, j) for i, j in g.edges if a.coords[g.edge_coord(i, j)] == r}
-    for i, j in pairs:
-        if i not in verts or j not in verts:
-            raise ValueError(
-                f"edge ({i},{j}) is set but an endpoint is not: fails (ii)"
-            )
-    # Connected components of the pattern graph.
-    comp: dict[int, int] = {}
-    for i in sorted(verts):
-        if i in comp:
-            continue
-        stack, comp[i] = [i], i
-        while stack:
-            u = stack.pop()
-            for x, y in pairs:
-                w = y if x == u else x if y == u else None
-                if w is not None and w not in comp:
-                    comp[w] = i
-                    stack.append(w)
-    groups: dict[int, set[int]] = {}
-    for v, root in comp.items():
-        groups.setdefault(root, set()).add(v)
-    parts = []
-    for root in sorted(groups):
-        members = groups[root]
-        for i in sorted(members):
-            for j in sorted(members):
-                if i < j and (i, j) not in pairs:
-                    raise ValueError(
-                        f"component {sorted(members)} is not a clique "
-                        f"(missing edge ({i},{j})): fails (iv)"
-                    )
-        parts.append((r, frozenset(members)))
-    return CliqueDecomposition(g, tuple(parts))
-
-
 def nested_chain_point(
     bundle: Iterable[int], m: int, graph: ValueGraph
-) -> tuple[GPoint, CliqueDecomposition]:
+) -> tuple[GPoint, tuple[Bundle, ...]]:
     """Lift a supply bundle to the point with edge entries min(b_i, b_j),
-    together with its decomposition into a chain of nested cliques: level
-    t contributes the clique {i : b_i >= t}. Pads with an empty part so the
-    multiplicities sum to m."""
+    together with one split of it into m bundles: a chain of nested cliques
+    where level t contributes the clique {i : b_i >= t}, padded with empty
+    bundles. The split is in the canonical order that
+    enumerate_decompositions yields."""
     if not graph.is_complete():
         raise ValueError("nested chain construction is defined over complete graphs")
     b = tuple(bundle)
@@ -175,15 +57,11 @@ def nested_chain_point(
     coords = list(b)
     coords.extend(min(b[i], b[j]) for i, j in graph.edges)
     point = GPoint(graph, tuple(coords))
-    levels = sorted({x for x in b if x > 0})
-    parts = []
-    prev = 0
-    for t in levels:
-        parts.append((t - prev, frozenset(i for i in range(graph.n) if b[i] >= t)))
-        prev = t
-    if m > prev:
-        parts.append((m - prev, EMPTY_BUNDLE))
-    return point, CliqueDecomposition(graph, tuple(parts))
+    top = max(b, default=0)
+    parts = tuple(
+        frozenset(i for i in range(graph.n) if b[i] >= t) for t in range(1, top + 1)
+    )
+    return point, parts + (EMPTY_BUNDLE,) * (m - top)
 
 
 def enumerate_decompositions(

@@ -18,7 +18,9 @@ from typing import Optional, Sequence
 
 from .caps import DEFAULT_CAPS, Caps
 from .demand import candidate_points, max_welfare, verify_ce
-from .linprog import EQ, GE, INFEASIBLE, LE, LinearProgram, OPTIMAL, lp_solve
+from .linprog import (
+    EQ, GE, INFEASIBLE, LE, InternalError, LinearProgram, OPTIMAL, lp_solve,
+)
 from .model import (
     Allocation,
     Bundle,
@@ -66,39 +68,6 @@ def substitute_neg_inf(v: Valuation, M: Fraction) -> Valuation:
     return Valuation(v.graph, tuple(w if is_finite(w) else -M for w in v.weights))
 
 
-def build_ce_lp(
-    vs: Sequence[Valuation],
-    alloc: Allocation,
-    point: GPoint,
-    walrasian: bool = False,
-) -> LinearProgram:
-    """The full revenue-maximization LP at a point: variables are the d
-    price coordinates; for every agent and every bundle T of finite value,
-    <p, a_T - a_b> >= v_b(T) - v_b(S_b). Walrasian mode pins the edge
-    coordinates to zero."""
-    g = point.graph
-    verts = vertices_P(g)
-    rows = []
-    for b, S in enumerate(alloc):
-        ab = char_vector(S, g)
-        vb = value(vs[b], S)
-        if not is_finite(vb):
-            raise ValueError(f"agent {b} is assigned a bundle of value -inf")
-        for q in verts:
-            if q.coords == ab.coords:
-                continue
-            vq = value(vs[b], q.as_bundle())
-            if not is_finite(vq):
-                continue  # never competes: dominated by the empty bundle
-            coeffs = tuple(Fraction(x - y) for x, y in zip(q.coords, ab.coords))
-            rows.append((coeffs, GE, vq - vb))
-    fixings = (
-        {g.n + k: Fraction(0) for k in range(len(g.edges))} if walrasian else None
-    )
-    objective = tuple(Fraction(c) for c in point.coords)
-    return LinearProgram(objective, tuple(rows), fixings=fixings)
-
-
 def _solve_ce_lp_lazy(
     vs: Sequence[Valuation],
     alloc: Allocation,
@@ -107,8 +76,12 @@ def _solve_ce_lp_lazy(
     strict_masks: Optional[Sequence[frozenset[int]]] = None,
     revenue_pin: Optional[Fraction] = None,
 ) -> Optional[tuple[PriceVector, Fraction, Optional[Fraction]]]:
-    """Row generation for the LP of build_ce_lp: solve with a small active
-    set, scan all bundles exactly for violated demand constraints, repeat.
+    """Row generation for the revenue-maximization LP at a point: the
+    variables are the d price coordinates, and for every agent b and every
+    bundle T of finite value, <p, a_T - a_{S_b}> >= v_b(T) - v_b(S_b);
+    Walrasian mode pins the edge coordinates to zero. Solve with a small
+    active set, scan all bundles exactly for violated demand constraints,
+    repeat.
     The returned price satisfies every constraint and attains the full
     LP's optimum; None certifies infeasibility (a relaxation already is).
 
@@ -170,7 +143,10 @@ def _solve_ce_lp_lazy(
         res = lp_solve(LinearProgram(objective, tuple(rows), fixings=fixings))
         if res.status == INFEASIBLE:
             return None
-        assert res.status == OPTIMAL, "the objective is bounded"
+        if res.status != OPTIMAL:
+            raise InternalError(
+                f"pricing LP ended {res.status} although its objective is bounded"
+            )
         p = res.x[:d]
         t = res.x[d] if strict else zero
         clean = True
@@ -197,6 +173,14 @@ def _solve_ce_lp_lazy(
             price = PriceVector(g, tuple(p), linear_only=walrasian)
             revenue = revenue_pin if strict else res.value
             return price, revenue, (res.value if strict else None)
+
+
+def _check_verified(
+    vs: Sequence[Valuation], alloc: Allocation, price: PriceVector, caps: Caps
+) -> None:
+    """Certify a constructed CE against the full demand-set scan."""
+    if not verify_ce(vs, alloc, price, caps).ok:
+        raise InternalError("constructed price fails the exact CE verification")
 
 
 def ce_price_at_point(
@@ -227,9 +211,8 @@ def ce_price_at_point(
     if sol is None:
         return CEResult(INFEASIBLE_AT_POINT, point=point)
     price, revenue, _ = sol
-    result = CEResult(FOUND, point, alloc, price, revenue)
-    assert verify_ce(vs, alloc, price, caps).ok
-    return result
+    _check_verified(vs, alloc, price, caps)
+    return CEResult(FOUND, point, alloc, price, revenue)
 
 
 def optimal_ce(
@@ -238,13 +221,11 @@ def optimal_ce(
     *,
     walrasian: bool = False,
     caps: Caps = DEFAULT_CAPS,
-    jobs: Optional[int] = None,
 ) -> CEResult:
     """Revenue-maximal CE over every decomposable point projecting onto
     the supply. Ties go to the lexicographically smallest point (and the
     witness allocation is the lexicographically least welfare-maximal
-    one). ``jobs`` evaluates candidate points concurrently; the reduction
-    is order-deterministic, so results never depend on it."""
+    one)."""
     if not vs:
         raise ValueError("need at least one valuation")
     m = len(vs)
@@ -257,27 +238,16 @@ def optimal_ce(
     if any(not 0 <= s <= m for s in supply):
         raise ValueError("supply entries must lie in 0..m")
 
-    def at_point(a: GPoint) -> CEResult:
-        return ce_price_at_point(vs, a, walrasian=walrasian, caps=caps)
-
-    points = list(candidate_points(g, supply))
-    if jobs and jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(at_point, points))
-    else:
-        results = map(at_point, points)
-
     best: Optional[CEResult] = None
-    for res in results:
+    for a in candidate_points(g, supply):
+        res = ce_price_at_point(vs, a, walrasian=walrasian, caps=caps)
         if res.status != FOUND:
             continue
         if best is None or res.revenue > best.revenue:
             best = res
     if best is None:
         if g.is_complete() and not walrasian:
-            raise AssertionError(
+            raise InternalError(
                 "no CE point over a complete graph: contradicts the nested-chain guarantee"
             )
         return CEResult(NO_POINT_FOUND)
@@ -376,16 +346,18 @@ def ce_for_covering(
                     tilde, alloc, a, walrasian=False,
                     strict_masks=strays, revenue_pin=revenue,
                 )
-                assert sol is not None  # the stage-1 optimum stays feasible
+                if sol is None:
+                    raise InternalError(
+                        "margin LP infeasible although the stage-1 optimum satisfies it"
+                    )
                 price, revenue, margin = sol
                 demanded_ok = margin > 0
             else:
                 demanded_ok = True
             if demanded_ok:
-                res = CEResult(FOUND, a, alloc, price, revenue)
-                assert verify_ce(vs, alloc, price, caps).ok
-                return res
+                _check_verified(vs, alloc, price, caps)
+                return CEResult(FOUND, a, alloc, price, revenue)
         M *= 2
-    raise AssertionError(
+    raise InternalError(
         "covering CE not reached by M escalation despite exact feasibility"
     )

@@ -3,14 +3,59 @@
 Enumerates every ordered allocation (bundle per agent) whose aggregate
 projects onto the supply, decides CE-supportability of each by solving
 the full constraint system (one row per agent and bundle), and maximizes
-the revenue objective over the supportable ones.
+the revenue objective over the supportable ones. The full LP is built
+here rather than imported, so the reference stays independent of the
+row-generation LP in ``gpauction.pricing`` that it checks.
 """
 import itertools
+from fractions import Fraction
 from typing import Optional, Sequence
 
-from gpauction.linprog import OPTIMAL, lp_solve
-from gpauction.model import Valuation, aggregate, project
-from gpauction.pricing import build_ce_lp
+from gpauction.linprog import GE, OPTIMAL, LinearProgram, lp_solve
+from gpauction.model import (
+    Allocation,
+    GPoint,
+    Valuation,
+    aggregate,
+    char_vector,
+    is_finite,
+    project,
+    value,
+)
+from gpauction.polytope import vertices_P
+
+
+def build_ce_lp(
+    vs: Sequence[Valuation],
+    alloc: Allocation,
+    point: GPoint,
+    walrasian: bool = False,
+) -> LinearProgram:
+    """The full revenue-maximization LP at a point: variables are the d
+    price coordinates; for every agent and every bundle T of finite value,
+    <p, a_T - a_b> >= v_b(T) - v_b(S_b). Walrasian mode pins the edge
+    coordinates to zero."""
+    g = point.graph
+    verts = vertices_P(g)
+    rows = []
+    for b, S in enumerate(alloc):
+        ab = char_vector(S, g)
+        vb = value(vs[b], S)
+        if not is_finite(vb):
+            raise ValueError(f"agent {b} is assigned a bundle of value -inf")
+        for q in verts:
+            if q.coords == ab.coords:
+                continue
+            vq = value(vs[b], q.as_bundle())
+            if not is_finite(vq):
+                continue  # never competes: dominated by the empty bundle
+            coeffs = tuple(Fraction(x - y) for x, y in zip(q.coords, ab.coords))
+            rows.append((coeffs, GE, vq - vb))
+    fixings = (
+        {g.n + k: Fraction(0) for k in range(len(g.edges))} if walrasian else None
+    )
+    objective = tuple(Fraction(c) for c in point.coords)
+    return LinearProgram(objective, tuple(rows), fixings=fixings)
 
 
 def oracle_optimal_revenue(

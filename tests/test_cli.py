@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from gpauction import pricing
 from gpauction.cli import main
+from gpauction.demand import CEVerdict
 from gpauction.instances import corpus_instance, parse_instance, print_instance
 
 
@@ -69,11 +76,23 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["revenue"] == "0"
 
-    def test_jobs_matches_serial(self, tmp_path, capsys):
+    def test_jobs_flag_is_rejected(self, tmp_path, capsys):
         path = write_corpus(tmp_path, "cutlery")
-        _, out1, _ = run(capsys, ["solve", path])
-        _, out2, _ = run(capsys, ["solve", path, "--jobs", "3"])
-        assert json.loads(out1) == json.loads(out2)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", path, "--jobs", "2"])
+        assert exc.value.code != 0
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_failed_verification_is_internal_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(
+            pricing, "verify_ce", lambda *a, **k: CEVerdict(False, Fraction(0), ())
+        )
+        path = write_corpus(tmp_path, "cutlery")
+        code, out, err = run(capsys, ["solve", path, "--point", "1,1,1,1,0,0"])
+        assert code == 3 and out == ""
+        assert err.startswith("error: internal:") and len(err.splitlines()) == 1
 
     def test_missing_file_is_input_error(self, capsys):
         code, _, err = run(capsys, ["solve", "/nonexistent.json"])
@@ -233,3 +252,39 @@ class TestCaps:
         code, _, err = run(capsys, ["solve", str(path), "--max-n", "7"])
         assert code == 0
         assert "warning" in err
+
+
+VALID_AGENT = {"vertex_weights": ["1", "2"], "edge_weights": {}}
+
+
+@pytest.mark.parametrize(
+    "patch, field",
+    [
+        ({"agents": [5]}, "agents[0]"),
+        ({"agents": {"a": 1}}, "agents"),
+        ({"agents": [{"vertex_weights": ["1", "2"], "edge_weights": ["1"]}]},
+         "agents[0].edge_weights"),
+        ({"edges": 3}, "edges"),
+        ({"faces": 5}, "faces"),
+    ],
+)
+def test_malformed_instance_is_input_error(tmp_path, capsys, patch, field):
+    doc = {"n": 2, "agents": [VALID_AGENT], "supply": [1, 1], **patch}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["solve", str(path)])
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and field in err
+
+
+def test_module_entry_point(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gpauction.cli", "corpus", "cutlery"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["name"] == "cutlery"

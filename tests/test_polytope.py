@@ -4,14 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gpauction.caps import CapExceededError
-from gpauction.model import GPoint, ValueGraph, char_vector, project
+from gpauction.model import GPoint, ValueGraph, aggregate, char_vector, project
 from gpauction.polytope import (
     Face,
-    clique_decompose,
     enumerate_decompositions,
     minkowski_contains,
     nested_chain_point,
-    padberg_check,
     vertex_sum_contains,
     vertices_P,
 )
@@ -78,131 +76,41 @@ class TestVerticesP:
             vertices_P(ValueGraph.complete(17))
 
 
-class TestPadberg:
-    def test_idp_point_clean_at_m4(self):
-        assert padberg_check(IDP_POINT, 4) == []
-
-    def test_every_vertex_clean_at_m1(self):
-        for v in vertices_P(K3):
-            assert padberg_check(v, 1) == []
-
-    def test_two_path_violates_iv(self):
-        a = GPoint(K3, (1, 1, 1, 1, 1, 0))
-        violations = padberg_check(a, 1)
-        assert any(
-            v.tag == "(iv)" and v.indices == (0, 1, 2) and v.value == -1
-            for v in violations
-        )
-
-    def test_requires_complete_graph(self):
-        g = ValueGraph(3, ((0, 1),))
-        with pytest.raises(ValueError):
-            padberg_check(GPoint.zero(g), 1)
-
-    @given(st.data())
-    @settings(max_examples=60)
-    def test_sums_of_vertices_pass(self, data):
-        n = data.draw(st.integers(2, 4))
-        m = data.draw(st.integers(1, 4))
-        g = ValueGraph.complete(n)
-        verts = vertices_P(g)
-        total = GPoint.zero(g)
-        for _ in range(m):
-            total = total + data.draw(st.sampled_from(verts))
-        assert padberg_check(total, m) == []
-
-
-class TestCliqueDecompose:
-    def test_three_singletons(self):
-        dec = clique_decompose(GPoint(K3, (1, 1, 1, 0, 0, 0)), 1)
-        assert dec.parts == (
-            (1, frozenset({0})),
-            (1, frozenset({1})),
-            (1, frozenset({2})),
-        )
-
-    def test_full_clique(self):
-        dec = clique_decompose(GPoint(K3, (1, 1, 1, 1, 1, 1)), 1)
-        assert dec.parts == ((1, frozenset({0, 1, 2})),)
-
-    def test_doubled_edge(self):
-        a = char_vector([0, 1], K4).scale(2)
-        dec = clique_decompose(a, 2)
-        assert dec.parts == ((2, frozenset({0, 1})),)
-        assert dec.point() == a
-
-    def test_rejects_entries_outside_0_r(self):
-        with pytest.raises(ValueError):
-            clique_decompose(GPoint(K3, (2, 1, 0, 0, 0, 0)), 2)
-
-    def test_two_path_is_not_clique(self):
-        with pytest.raises(ValueError, match="clique"):
-            clique_decompose(GPoint(K3, (1, 1, 1, 1, 1, 0)), 1)
-
-    @given(st.data())
-    @settings(max_examples=60)
-    def test_reconstruction_on_random_disjoint_cliques(self, data):
-        n = data.draw(st.integers(1, 6))
-        r = data.draw(st.integers(1, 3))
-        g = ValueGraph.complete(n)
-        verts = list(range(n))
-        blocks = []
-        while verts and data.draw(st.booleans()):
-            size = data.draw(st.integers(1, len(verts)))
-            blocks.append(frozenset(verts[:size]))
-            verts = verts[size:]
-        a = GPoint.zero(g)
-        for B in blocks:
-            a = a + char_vector(B, g).scale(r)
-        dec = clique_decompose(a, r)
-        assert dec.point() == a
-        assert len(dec.parts) <= n
-        covered = set()
-        for mult, clique in dec.parts:
-            assert mult == r
-            assert not (clique & covered)
-            covered |= clique
-
-
 class TestNestedChain:
     def test_two_one_zero(self):
-        point, dec = nested_chain_point((2, 1, 0), 3, K3)
+        point, parts = nested_chain_point((2, 1, 0), 3, K3)
         assert point.coords == (2, 1, 0, 1, 0, 0)
-        assert dec.parts == (
-            (1, frozenset({0, 1})),
-            (1, frozenset({0})),
-            (1, frozenset()),
-        )
-        assert dec.point() == point
+        assert parts == (frozenset({0, 1}), frozenset({0}), frozenset())
+        assert aggregate(K3, parts) == point
 
     def test_zero_bundle(self):
-        point, dec = nested_chain_point((0, 0, 0), 3, K3)
+        point, parts = nested_chain_point((0, 0, 0), 3, K3)
         assert point == GPoint.zero(K3)
-        assert dec.parts == ((3, frozenset()),)
+        assert parts == (frozenset(),) * 3
 
     def test_all_ones(self):
-        point, dec = nested_chain_point((1, 1, 1), 2, K3)
+        point, parts = nested_chain_point((1, 1, 1), 2, K3)
         assert point.coords == (1, 1, 1, 1, 1, 1)
-        assert dec.parts[0] == (1, frozenset({0, 1, 2}))
+        assert parts == (frozenset({0, 1, 2}), frozenset())
 
     def test_entry_above_m(self):
         with pytest.raises(ValueError):
             nested_chain_point((3, 0, 0), 2, K3)
 
     @given(st.data())
-    @settings(max_examples=60)
+    @settings(max_examples=60, deadline=None)
     def test_chain_structure_and_projection(self, data):
         n = data.draw(st.integers(1, 5))
         m = data.draw(st.integers(1, 5))
         g = ValueGraph.complete(n)
         bundle = tuple(data.draw(st.integers(0, m)) for _ in range(n))
-        point, dec = nested_chain_point(bundle, m, g)
+        point, parts = nested_chain_point(bundle, m, g)
         assert project(point) == bundle
-        assert dec.point() == point
-        assert sum(mult for mult, _ in dec.parts) == m
-        cliques = [c for _, c in dec.parts]
-        for big, small in zip(cliques, cliques[1:]):
-            assert small < big  # strictly nested
+        assert len(parts) == m
+        assert aggregate(g, parts) == point
+        assert parts in enumerate_decompositions(point, m)
+        for big, small in zip(parts, parts[1:]):
+            assert small <= big  # nested, empties last
 
 
 class TestEnumerateDecompositions:

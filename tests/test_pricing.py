@@ -3,9 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from gpauction import pricing
 from gpauction.caps import CapExceededError
-from gpauction.demand import demand_set, verify_ce
-from gpauction.linprog import OPTIMAL, GE, lp_solve
+from gpauction.demand import CEVerdict, demand_set, verify_ce
+from gpauction.linprog import OPTIMAL, GE, InternalError, lp_solve
 from gpauction.model import (
     GPoint,
     NEG_INF,
@@ -20,7 +21,6 @@ from gpauction.pricing import (
     INFEASIBLE_AT_POINT,
     NO_POINT_FOUND,
     big_M,
-    build_ce_lp,
     ce_for_covering,
     ce_price_at_point,
     check_covering,
@@ -33,6 +33,8 @@ from gpauction.randgen import (
     disjoint_clique_instance,
 )
 from gpauction.instances import corpus_instance
+
+from .oracle import build_ce_lp
 
 K3 = ValueGraph.complete(3)
 K4 = ValueGraph.complete(4)
@@ -138,16 +140,6 @@ class TestOptimalCe:
         assert res.status == FOUND and res.revenue == 0
         assert res.point.coords == (1, 1, 0, 0, 0, 0)
 
-    def test_jobs_flag_does_not_change_result(self):
-        seq = optimal_ce(SHIFTED, (1, 1, 1))
-        par = optimal_ce(SHIFTED, (1, 1, 1), jobs=4)
-        assert (seq.revenue, seq.point, seq.allocation, seq.price) == (
-            par.revenue,
-            par.point,
-            par.allocation,
-            par.price,
-        )
-
     def test_supply_above_m_rejected(self):
         with pytest.raises(ValueError, match="supply"):
             optimal_ce([Valuation.zero(K3)], (2, 0, 0))
@@ -225,6 +217,28 @@ class TestCeForCovering:
         w = (F(1), F(1), F(1), NEG_INF, F(0), F(0))
         with pytest.raises(CoveringError, match="inside the support"):
             check_covering([Valuation(K3, w)])
+
+
+def fail_verification(monkeypatch):
+    monkeypatch.setattr(
+        pricing, "verify_ce", lambda *args, **kwargs: CEVerdict(False, F(0), ())
+    )
+
+
+class TestVerificationGuard:
+    def test_point_pricing_raises_internal_error(self, monkeypatch):
+        fail_verification(monkeypatch)
+        with pytest.raises(InternalError, match="verification"):
+            ce_price_at_point(CUTLERY, GPoint(K3, (1, 1, 1, 1, 0, 0)))
+
+    def test_covering_raises_internal_error(self, monkeypatch):
+        fail_verification(monkeypatch)
+        w1 = (F(2), F(3), NEG_INF, F(1), NEG_INF, NEG_INF)
+        w2 = (NEG_INF, F(1), F(2), NEG_INF, NEG_INF, F(2))
+        vs = [Valuation(K3, w1), Valuation(K3, w2)]
+        a = char_vector([0, 1], K3) + char_vector([2], K3)
+        with pytest.raises(InternalError, match="verification"):
+            ce_for_covering(vs, (1, 1, 1), a)
 
 
 class TestExistenceSuitesMini:
