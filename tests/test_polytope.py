@@ -152,6 +152,35 @@ class TestEnumerateDecompositions:
         assert ours == brute_force_decompositions(total, m)
 
 
+class TestCliqueDecompose:
+    """A sum of r copies of each of several disjoint cliques splits back
+    into exactly those cliques, r times each, and in no other way."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_reconstruction_on_random_disjoint_cliques(self, data):
+        n = data.draw(st.integers(1, 6))
+        r = data.draw(st.integers(1, 3))
+        g = ValueGraph.complete(n)
+        verts = list(range(n))
+        blocks = []
+        while verts and len(blocks) < 6 // r and data.draw(st.booleans()):
+            size = data.draw(st.integers(1, len(verts)))
+            blocks.append(frozenset(verts[:size]))
+            verts = verts[size:]
+        a = GPoint.zero(g)
+        for B in blocks:
+            a = a + char_vector(B, g).scale(r)
+        m = max(1, r * len(blocks))
+        found = list(enumerate_decompositions(a, m))
+        assert len(found) == 1
+        parts = found[0]
+        assert aggregate(g, parts) == a
+        expected = [B for B in blocks for _ in range(r)]
+        expected += [frozenset()] * (m - len(expected))
+        assert as_multiset(parts) == as_multiset(expected)
+
+
 HOUSE_FACES = corpus_instance("house").faces
 HOUSE_POINT = corpus_instance("house").point
 IDP_FACES = corpus_instance("idp-k4").faces
