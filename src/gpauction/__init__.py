@@ -39,7 +39,6 @@ from .pricing import (
     FOUND,
     INFEASIBLE_AT_POINT,
     NO_POINT_FOUND,
-    big_M,
     ce_for_covering,
     ce_price_at_point,
     optimal_ce,

@@ -130,7 +130,7 @@ def _covering_point(inst: InstanceFile) -> GPoint:
 
 def cmd_solve(args) -> int:
     caps = _caps_from(args)
-    inst = load_instance(args.instance)
+    inst = load_instance(args.instance, caps)
     if not inst.valuations:
         return _err(f"{args.instance}: no agents to solve for")
     walrasian = args.walrasian or inst.walrasian
@@ -156,7 +156,7 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     caps = _caps_from(args)
-    inst = load_instance(args.instance)
+    inst = load_instance(args.instance, caps)
     with open(args.witness) as fh:
         doc = json.load(fh)
     alloc, price = parse_alloc_price(doc, inst.graph)
@@ -202,10 +202,12 @@ def cmd_verify(args) -> int:
 
 def cmd_demand(args) -> int:
     caps = _caps_from(args)
-    inst = load_instance(args.instance)
+    inst = load_instance(args.instance, caps)
     with open(args.price) as fh:
         doc = json.load(fh)
-    price = parse_price(doc.get("price", doc), inst.graph)
+    if isinstance(doc, dict) and "price" in doc:
+        doc = doc["price"]
+    price = parse_price(doc, inst.graph)
     out = []
     for b, v in enumerate(inst.valuations):
         ds = demand_set(v, price, caps, agent=b)
@@ -218,7 +220,7 @@ def cmd_demand(args) -> int:
 
 def cmd_decompose(args) -> int:
     caps = _caps_from(args)
-    inst = load_instance(args.instance)
+    inst = load_instance(args.instance, caps)
     if args.point:
         point = _parse_point(args.point, inst.graph)
     elif inst.point is not None:
@@ -244,8 +246,17 @@ def cmd_corpus(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 (input error); argparse's own 2 would read as a
+    certified negative."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="gpauction",
         description="Competitive equilibria for auctions with quadratic "
         "valuations and quadratic anonymous pricing.",

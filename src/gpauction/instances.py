@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional, Sequence
 
+from .caps import DEFAULT_CAPS, Caps
 from .model import (
     Allocation,
     Bundle,
@@ -81,15 +82,19 @@ class InstanceFile:
     name: Optional[str] = None
 
 
-def parse_instance(doc: dict) -> InstanceFile:
+def _is_int(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def parse_instance(doc: dict, caps: Caps = DEFAULT_CAPS) -> InstanceFile:
     if not isinstance(doc, dict):
         raise ParseError("instance document must be a JSON object")
-    try:
-        n = int(doc["n"])
-    except (KeyError, TypeError, ValueError):
+    n = doc.get("n")
+    if not _is_int(n):
         raise ParseError("field 'n': missing or not an integer")
     if n < 1:
         raise ParseError("field 'n': must be at least 1")
+    caps.check_n(n)
     if "edges" in doc:
         if not isinstance(doc["edges"], list):
             raise ParseError("field 'edges': need a list of 'i-j' keys")
@@ -137,12 +142,12 @@ def parse_instance(doc: dict) -> InstanceFile:
         raise ParseError(f"field 'supply': need a list of {n} integers")
     supply = []
     for i, s in enumerate(supply_raw):
-        if not isinstance(s, int) or isinstance(s, bool) or s < 0:
+        if not _is_int(s) or s < 0:
             raise ParseError(f"supply[{i}]: need a nonnegative integer")
         supply.append(s)
 
     m = doc.get("m", len(vals))
-    if not isinstance(m, int) or m < len(vals) or (m < 1 and any(supply)):
+    if not _is_int(m) or m < len(vals) or (m < 1 and any(supply)):
         raise ParseError("field 'm': inconsistent agent count")
     if any(s > m for s in supply):
         raise ParseError(f"supply exceeds the agent count m={m}")
@@ -164,7 +169,7 @@ def parse_instance(doc: dict) -> InstanceFile:
                         graph, [[int(i) - 1 for i in S] for S in bundles]
                     )
                 )
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, OverflowError) as exc:
                 raise ParseError(f"{where}: {exc}") from exc
         faces = tuple(parsed)
 
@@ -174,7 +179,7 @@ def parse_instance(doc: dict) -> InstanceFile:
         if (
             not isinstance(coords, list)
             or len(coords) != graph.d
-            or not all(isinstance(c, int) and not isinstance(c, bool) for c in coords)
+            or not all(_is_int(c) for c in coords)
         ):
             raise ParseError(f"field 'point': need a list of {graph.d} integers")
         point = GPoint(graph, tuple(coords))
@@ -230,23 +235,28 @@ def print_instance(inst: InstanceFile) -> dict:
     return doc
 
 
-def load_instance(path: str) -> InstanceFile:
+def load_instance(path: str, caps: Caps = DEFAULT_CAPS) -> InstanceFile:
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON at line {exc.lineno}") from exc
-    return parse_instance(doc)
+    return parse_instance(doc, caps)
 
 
 def parse_price(doc: dict, graph: ValueGraph, where: str = "price") -> PriceVector:
+    if not isinstance(doc, dict):
+        raise ParseError(f"{where}: need an object with 'vertex' and 'edge'")
     vw = doc.get("vertex")
     if not isinstance(vw, list) or len(vw) != graph.n:
         raise ParseError(f"{where}.vertex: need a list of {graph.n} rationals")
     entries = [_rational(x, f"{where}.vertex[{i}]") for i, x in enumerate(vw)]
+    ew = doc.get("edge", {})
+    if not isinstance(ew, dict):
+        raise ParseError(f"{where}.edge: need an object keyed by 'i-j'")
     by_edge = {
         _parse_edge_key(k, graph.n, f"{where}.edge"): _rational(x, f"{where}.edge[{k}]")
-        for k, x in doc.get("edge", {}).items()
+        for k, x in ew.items()
     }
     entries.extend(by_edge.get(e, Fraction(0)) for e in graph.edges)
     return PriceVector(
@@ -276,7 +286,7 @@ def parse_bundles(raw: Any, graph: ValueGraph, where: str) -> Allocation:
     for b, items in enumerate(raw):
         try:
             S = frozenset(int(i) - 1 for i in items)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"{where}[{b}]: bad bundle {items!r}") from exc
         for i in S:
             if not 0 <= i < graph.n:
@@ -290,7 +300,7 @@ def print_bundles(alloc: Sequence[Bundle]) -> list[list[int]]:
 
 
 def parse_alloc_price(doc: dict, graph: ValueGraph) -> tuple[Allocation, PriceVector]:
-    if "allocation" not in doc or "price" not in doc:
+    if not isinstance(doc, dict) or "allocation" not in doc or "price" not in doc:
         raise ParseError("allocation+price file needs 'allocation' and 'price'")
     alloc = parse_bundles(doc["allocation"], graph, "allocation")
     price = parse_price(doc["price"], graph)

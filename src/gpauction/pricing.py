@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from .caps import DEFAULT_CAPS, Caps
 from .demand import candidate_points, max_welfare, verify_ce
 from .linprog import (
-    EQ, GE, INFEASIBLE, LE, InternalError, LinearProgram, OPTIMAL, lp_solve,
+    GE, INFEASIBLE, InternalError, LinearProgram, OPTIMAL, lp_solve,
 )
 from .model import (
     Allocation,
@@ -37,8 +37,6 @@ FOUND = "found"
 INFEASIBLE_AT_POINT = "infeasible-at-point"
 NO_POINT_FOUND = "no-point-found"
 
-_MAX_M_DOUBLINGS = 64
-
 
 class CoveringError(ValueError):
     """The valuations do not form covering clique bids."""
@@ -53,43 +51,24 @@ class CEResult:
     revenue: Optional[Fraction] = None
 
 
-def big_M(vs: Sequence[Valuation]) -> Fraction:
-    """Finite stand-in for minus infinity: 1 + (d+1) * (1 + max finite |w|).
-    Callers re-solve with a doubled M while any demanded bundle still
-    touches a substituted entry."""
-    finite = [abs(w) for v in vs for w in v.weights if is_finite(w)]
-    if not finite:
-        raise ValueError("need at least one finite weight")
-    d = vs[0].graph.d
-    return 1 + (d + 1) * (1 + max(finite))
-
-
-def substitute_neg_inf(v: Valuation, M: Fraction) -> Valuation:
-    return Valuation(v.graph, tuple(w if is_finite(w) else -M for w in v.weights))
-
-
 def _solve_ce_lp_lazy(
     vs: Sequence[Valuation],
     alloc: Allocation,
     point: GPoint,
     walrasian: bool,
-    strict_masks: Optional[Sequence[frozenset[int]]] = None,
-    revenue_pin: Optional[Fraction] = None,
-) -> Optional[tuple[PriceVector, Fraction, Optional[Fraction]]]:
+) -> Optional[tuple[PriceVector, Fraction]]:
     """Row generation for the revenue-maximization LP at a point: the
     variables are the d price coordinates, and for every agent b and every
     bundle T of finite value, <p, a_T - a_{S_b}> >= v_b(T) - v_b(S_b);
     Walrasian mode pins the edge coordinates to zero. Solve with a small
     active set, scan all bundles exactly for violated demand constraints,
     repeat.
+    A bundle of value -inf adds no row: its right-hand side is -inf, so
+    every price satisfies it (the agent's utility for it is -inf, below
+    that of the empty bundle). With finite assigned values this is the
+    exact LP for covering clique bids as well.
     The returned price satisfies every constraint and attains the full
     LP's optimum; None certifies infeasibility (a relaxation already is).
-
-    With ``strict_masks`` (one bundle-mask set per agent) the objective
-    switches to the margin game: pin the revenue to ``revenue_pin`` and
-    maximize t (capped at 1) such that each agent's assignment beats each
-    listed bundle by at least t. Bundles of value -inf never enter rows:
-    the empty bundle dominates them under the true valuations.
     """
     g = point.graph
     n, d = g.n, g.d
@@ -99,15 +78,9 @@ def _solve_ce_lp_lazy(
     part_chars = [char_vector(S, g) for S in alloc]
     part_vals = [value(vs[b], alloc[b]) for b in range(m)]
     vals = [[value(vs[b], T) for T in bundles] for b in range(m)]
-    strict = strict_masks is not None  # adds the margin variable t at index d
-    zero = Fraction(0)
-
-    if strict:
-        objective = (zero,) * d + (Fraction(1),)
-    else:
-        objective = tuple(Fraction(c) for c in point.coords)
+    objective = tuple(Fraction(c) for c in point.coords)
     fixings = (
-        {g.n + k: zero for k in range(len(g.edges))} if walrasian else None
+        {g.n + k: Fraction(0) for k in range(len(g.edges))} if walrasian else None
     )
 
     def mask_of(S: Bundle) -> int:
@@ -119,27 +92,18 @@ def _solve_ce_lp_lazy(
         seed.discard(mask_of(alloc[b]))
         active.append(seed)
 
-    base_rows: list[tuple[tuple[Fraction, ...], str, Fraction]] = []
-    if strict:
-        tcap = (zero,) * d + (Fraction(1),)
-        base_rows.append((tcap, LE, Fraction(1)))
-        pin = tuple(Fraction(c) for c in point.coords) + (zero,)
-        base_rows.append((pin, EQ, revenue_pin))
-
     while True:
-        rows = list(base_rows)
+        rows = []
         for b in range(m):
             ab = part_chars[b]
             for mask in sorted(active[b]):
                 vq = vals[b][mask]
                 if not is_finite(vq):
                     continue
-                coeffs = [Fraction(x - y) for x, y in zip(verts[mask].coords, ab.coords)]
-                if strict:
-                    coeffs.append(
-                        Fraction(-1) if mask in strict_masks[b] else zero
-                    )
-                rows.append((tuple(coeffs), GE, vq - part_vals[b]))
+                coeffs = tuple(
+                    Fraction(x - y) for x, y in zip(verts[mask].coords, ab.coords)
+                )
+                rows.append((coeffs, GE, vq - part_vals[b]))
         res = lp_solve(LinearProgram(objective, tuple(rows), fixings=fixings))
         if res.status == INFEASIBLE:
             return None
@@ -148,7 +112,6 @@ def _solve_ce_lp_lazy(
                 f"pricing LP ended {res.status} although its objective is bounded"
             )
         p = res.x[:d]
-        t = res.x[d] if strict else zero
         clean = True
         for b in range(m):
             ab = part_chars[b]
@@ -163,24 +126,30 @@ def _solve_ce_lp_lazy(
                 u = vq - sum(
                     pk * ck for pk, ck in zip(p, verts[mask].coords) if ck
                 )
-                margin = t if strict and mask in strict_masks[b] else zero
-                if u > own - margin:
+                if u > own:
                     new.add(mask)
             if new:
                 clean = False
                 active[b].update(new)
         if clean:
-            price = PriceVector(g, tuple(p), linear_only=walrasian)
-            revenue = revenue_pin if strict else res.value
-            return price, revenue, (res.value if strict else None)
+            return PriceVector(g, tuple(p), linear_only=walrasian), res.value
 
 
-def _check_verified(
-    vs: Sequence[Valuation], alloc: Allocation, price: PriceVector, caps: Caps
-) -> None:
-    """Certify a constructed CE against the full demand-set scan."""
+def _price_at(
+    vs: Sequence[Valuation], point: GPoint, walrasian: bool, caps: Caps
+) -> CEResult:
+    """Revenue-maximal CE price for a welfare-maximal split of `point`,
+    certified against the full demand-set scan."""
+    welfare, alloc = max_welfare(vs, point, caps)
+    if alloc is None or not is_finite(welfare):
+        return CEResult(INFEASIBLE_AT_POINT, point=point)
+    sol = _solve_ce_lp_lazy(vs, alloc, point, walrasian)
+    if sol is None:
+        return CEResult(INFEASIBLE_AT_POINT, point=point)
+    price, revenue = sol
     if not verify_ce(vs, alloc, price, caps).ok:
         raise InternalError("constructed price fails the exact CE verification")
+    return CEResult(FOUND, point, alloc, price, revenue)
 
 
 def ce_price_at_point(
@@ -195,24 +164,15 @@ def ce_price_at_point(
     allocation as witness. Requires finite weights; covering bids with
     -inf entries go through ce_for_covering."""
     g = point.graph
-    m = len(vs)
     caps.check_n(g.n)
-    caps.check_m(m)
+    caps.check_m(len(vs))
     if any(v.graph != g for v in vs):
         raise ValueError("valuations and point over different graphs")
     if not all(v.is_finite() for v in vs):
         raise ValueError(
             "weights must be finite here; use ce_for_covering for clique bids"
         )
-    welfare, alloc = max_welfare(vs, point, caps)
-    if alloc is None:
-        return CEResult(INFEASIBLE_AT_POINT, point=point)
-    sol = _solve_ce_lp_lazy(vs, alloc, point, walrasian)
-    if sol is None:
-        return CEResult(INFEASIBLE_AT_POINT, point=point)
-    price, revenue, _ = sol
-    _check_verified(vs, alloc, price, caps)
-    return CEResult(FOUND, point, alloc, price, revenue)
+    return _price_at(vs, point, walrasian, caps)
 
 
 def optimal_ce(
@@ -290,21 +250,19 @@ def ce_for_covering(
     *,
     caps: Caps = DEFAULT_CAPS,
 ) -> CEResult:
-    """CE construction for covering clique bids at a compatible point.
+    """CE construction for covering clique bids at a compatible point: the
+    revenue-maximal price of a welfare-maximal split, from the same exact
+    LP as ce_price_at_point.
 
-    Follows the substitution mechanism: replace -inf by -M, price at the
-    point, and double M until no demanded bundle touches a substituted
-    entry. Among the revenue-optimal prices of each substituted solve, a
-    second stage picks one maximizing the margin by which out-of-support
-    bundles lose, so the escalation stops as soon as M is large enough.
-    Points at which no split avoids the -inf entries, or whose exact
-    support-restricted price system is infeasible, are certified
+    The existence proof substitutes -M for each -inf weight and lets M
+    grow. In exact arithmetic that limit is this LP: a bundle of value
+    -inf constrains no price, so it adds no row. Points at which no split
+    avoids the -inf entries, or whose LP is infeasible, are certified
     infeasible-at-point.
     """
     g = a.graph
-    m = len(vs)
     caps.check_n(g.n)
-    caps.check_m(m)
+    caps.check_m(len(vs))
     supports = check_covering(vs)
     supply = tuple(supply)
     if a.coords[: g.n] != supply:
@@ -317,47 +275,4 @@ def ce_for_covering(
             "point has a positive edge coordinate outside every agent's support"
         )
 
-    welfare, alloc = max_welfare(vs, a, caps)
-    if alloc is None or not is_finite(welfare):
-        return CEResult(INFEASIBLE_AT_POINT, point=a)
-    # Exact feasibility of the support-restricted system (the M -> infinity
-    # limit): if even this fails, no price works for the true valuations.
-    if _solve_ce_lp_lazy(vs, alloc, a, walrasian=False) is None:
-        return CEResult(INFEASIBLE_AT_POINT, point=a)
-
-    strays = [
-        frozenset(
-            mask
-            for mask in range(1 << g.n)
-            if not is_finite(
-                value(vs[b], frozenset(i for i in range(g.n) if mask >> i & 1))
-            )
-        )
-        for b in range(m)
-    ]
-    M = big_M(vs)
-    for _ in range(_MAX_M_DOUBLINGS):
-        tilde = [substitute_neg_inf(v, M) for v in vs]
-        sol = _solve_ce_lp_lazy(tilde, alloc, a, walrasian=False)
-        if sol is not None:
-            price, revenue, _ = sol
-            if any(strays[b] for b in range(m)):
-                sol = _solve_ce_lp_lazy(
-                    tilde, alloc, a, walrasian=False,
-                    strict_masks=strays, revenue_pin=revenue,
-                )
-                if sol is None:
-                    raise InternalError(
-                        "margin LP infeasible although the stage-1 optimum satisfies it"
-                    )
-                price, revenue, margin = sol
-                demanded_ok = margin > 0
-            else:
-                demanded_ok = True
-            if demanded_ok:
-                _check_verified(vs, alloc, price, caps)
-                return CEResult(FOUND, a, alloc, price, revenue)
-        M *= 2
-    raise InternalError(
-        "covering CE not reached by M escalation despite exact feasibility"
-    )
+    return _price_at(vs, a, False, caps)

@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gpauction import pricing
 from gpauction.cli import main
@@ -80,7 +81,7 @@ class TestSolve:
         path = write_corpus(tmp_path, "cutlery")
         with pytest.raises(SystemExit) as exc:
             main(["solve", path, "--jobs", "2"])
-        assert exc.value.code != 0
+        assert exc.value.code == 1
         assert "--jobs" in capsys.readouterr().err
 
     def test_failed_verification_is_internal_error(
@@ -266,6 +267,10 @@ VALID_AGENT = {"vertex_weights": ["1", "2"], "edge_weights": {}}
          "agents[0].edge_weights"),
         ({"edges": 3}, "edges"),
         ({"faces": 5}, "faces"),
+        ({"n": 2.7}, "'n'"),
+        ({"n": True}, "'n'"),
+        ({"n": 10**9}, "cap"),
+        ({"faces": [[[float("inf")]]]}, "faces[0]"),
     ],
 )
 def test_malformed_instance_is_input_error(tmp_path, capsys, patch, field):
@@ -276,6 +281,80 @@ def test_malformed_instance_is_input_error(tmp_path, capsys, patch, field):
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and field in err
+
+
+CUTLERY_WITNESS = {
+    "allocation": [[1, 2], [3], []],
+    "price": {"vertex": ["0", "0", "0"], "edge": {"1-2": "1", "1-3": "1", "2-3": "1"}},
+}
+
+
+@pytest.mark.parametrize(
+    "command, bad",
+    [
+        ("verify", {**CUTLERY_WITNESS, "price": 5}),
+        ("demand", [1]),
+        ("verify", {**CUTLERY_WITNESS, "price": {"vertex": ["0", "0", "0"], "edge": ["1"]}}),
+        ("verify", 5),
+        ("verify", {**CUTLERY_WITNESS, "allocation": [[float("inf")], [], []]}),
+    ],
+)
+def test_malformed_witness_or_price_is_input_error(tmp_path, capsys, command, bad):
+    inst = write_corpus(tmp_path, "cutlery")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    code, out, err = run(capsys, [command, inst, str(path)])
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def mutated(base):
+    """`base` with each node kept (its children mutated in turn) or, one
+    time in eight, replaced by an arbitrary JSON value."""
+    if isinstance(base, dict):
+        kept = st.fixed_dictionaries({k: mutated(v) for k, v in base.items()})
+    elif isinstance(base, list):
+        kept = st.tuples(*map(mutated, base)).map(list)
+    else:
+        kept = st.just(base)
+    return st.integers(0, 7).flatmap(lambda k: JSON_VALUES if k == 0 else kept)
+
+
+CUTLERY_DOC = {**print_instance(corpus_instance("cutlery")), "point": [1, 1, 1, 0, 0, 0]}
+
+
+@pytest.mark.parametrize(
+    "argv, base",
+    [
+        (["solve", "{doc}"], CUTLERY_DOC),
+        (["decompose", "{doc}"], CUTLERY_DOC),
+        (["verify", "--pe", "{inst}", "{doc}"], CUTLERY_WITNESS),
+        (["demand", "{inst}", "{doc}"], {"price": CUTLERY_WITNESS["price"]}),
+    ],
+)
+@settings(
+    max_examples=50,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_arbitrary_json_never_crashes_the_cli(tmp_path, capsys, argv, base, data):
+    inst = write_corpus(tmp_path, "cutlery")
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(data.draw(JSON_VALUES | mutated(base))))
+    cmd = [a.format(inst=inst, doc=path) for a in argv]
+    code, out, _ = run(capsys, cmd + ["--max-n", "3", "--max-m", "3"])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out == ""
 
 
 def test_module_entry_point(tmp_path):

@@ -20,12 +20,10 @@ from gpauction.pricing import (
     FOUND,
     INFEASIBLE_AT_POINT,
     NO_POINT_FOUND,
-    big_M,
     ce_for_covering,
     ce_price_at_point,
     check_covering,
     optimal_ce,
-    substitute_neg_inf,
 )
 from gpauction.randgen import (
     arbitrary_supply_instance,
@@ -40,31 +38,6 @@ K3 = ValueGraph.complete(3)
 K4 = ValueGraph.complete(4)
 CUTLERY = corpus_instance("cutlery").valuations
 SHIFTED = corpus_instance("cutlery-shifted").valuations
-
-
-class TestBigM:
-    def test_unit_weights(self):
-        vs = [Valuation(K3, (F(1), F(-1), F(1), F(-1), F(1), F(-1)))]
-        assert big_M(vs) == 15
-
-    def test_zero_weights(self):
-        assert big_M([Valuation.zero(K3)]) == 8
-
-    def test_ignores_neg_inf_entries(self):
-        vs = [Valuation(K3, (NEG_INF, F(1), F(1), F(0), F(0), F(0)))]
-        assert big_M(vs) == 15
-
-    def test_needs_a_finite_weight(self):
-        vs = [Valuation(K3, (NEG_INF,) * 3 + (F(0),) * 3)]
-        assert big_M(vs) == 8
-        all_inf = Valuation(K3, (NEG_INF,) * 3 + (NEG_INF,) * 3)
-        with pytest.raises(ValueError):
-            big_M([all_inf])
-
-    def test_substitution(self):
-        v = Valuation(K3, (NEG_INF, F(2), F(0), F(0), F(0), F(0)))
-        sub = substitute_neg_inf(v, F(9))
-        assert sub.weights[0] == -9 and sub.weights[1] == 2
 
 
 class TestCeLp:
@@ -266,6 +239,9 @@ class TestExistenceSuitesMini:
             supports = [v.support for v in vs]
             for b, S in enumerate(res.allocation):
                 assert S <= supports[b]
+            assert verify_ce(vs, res.allocation, res.price).ok
+            full = lp_solve(build_ce_lp(vs, res.allocation, point))
+            assert res.revenue == full.value
 
     def test_walrasian_found_implies_quadratic_found(self):
         rng = random.Random(104)
