@@ -18,6 +18,7 @@ from .model import (
 )
 from .polytope import (
     Face,
+    enumerate_aggregates,
     enumerate_decompositions,
     minkowski_contains,
     nested_chain_point,
@@ -28,6 +29,7 @@ from .demand import (
     DemandSet,
     demand_set,
     max_welfare,
+    point_welfares,
     seller_demand,
     verify_ce,
     verify_pe,

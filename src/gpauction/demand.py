@@ -9,6 +9,7 @@ equilibrium is a CE under linear (vertex-only) pricing.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -29,7 +30,7 @@ from .model import (
     project,
     value,
 )
-from .polytope import enumerate_decompositions
+from .polytope import enumerate_aggregates, enumerate_decompositions
 
 
 @dataclass(frozen=True)
@@ -77,33 +78,117 @@ def _alloc_key(alloc: Sequence[Bundle]) -> tuple:
     return (tuple(sorted(per_agent)), per_agent)
 
 
+def _part_values(vs: Sequence[Valuation]):
+    """Per-bundle lookup of every agent's value, scaled by the least common
+    denominator of all finite weights so that the matching DP adds plain
+    integers; None stands for -inf. Each bundle is valued once per call.
+    Returns the lookup and the scale."""
+    scale = math.lcm(*(w.denominator for v in vs for w in v.weights if is_finite(w)))
+    cache: dict[Bundle, list[Optional[int]]] = {}
+
+    def of(S: Bundle) -> list[Optional[int]]:
+        row = cache.get(S)
+        if row is None:
+            row = cache[S] = [
+                int(w * scale) if is_finite(w) else None
+                for w in (value(v, S) for v in vs)
+            ]
+        return row
+
+    return of, scale
+
+
+def _assign(parts: Sequence[Bundle], of, scale: int) -> tuple[Weight, Allocation]:
+    """Best matching of the m parts to the m agents, by an exact DP over
+    subsets of parts: f(used) is the best total of giving the parts outside
+    `used` to agents popcount(used)..m-1 (None when every way hits a -inf
+    value), in units of 1/scale. The witness gives each agent in turn the
+    part of least _bundle_key that still attains f, so it is the
+    lexicographically least maximizer; when f(0) is -inf every matching
+    ties and the witness is the parts sorted by _bundle_key."""
+    m = len(parts)
+    cols = [of(S) for S in parts]
+    full = (1 << m) - 1
+    f: list[Optional[int]] = [None] * (full + 1)
+    f[full] = 0
+    for used in range(full - 1, -1, -1):
+        b = bin(used).count("1")
+        best = None
+        for j in range(m):
+            if used >> j & 1:
+                continue
+            x, rest = cols[j][b], f[used | 1 << j]
+            if x is not None and rest is not None and (best is None or x + rest > best):
+                best = x + rest
+        f[used] = best
+    order = sorted(range(m), key=lambda j: _bundle_key(parts[j]))
+    used, alloc = 0, []
+    for b in range(m):
+        for j in order:
+            if used >> j & 1:
+                continue
+            x, rest = cols[j][b], f[used | 1 << j]
+            if f[0] is None or (x is not None and rest is not None and x + rest == f[used]):
+                break
+        used |= 1 << j
+        alloc.append(parts[j])
+    return (NEG_INF if f[0] is None else Fraction(f[0], scale)), tuple(alloc)
+
+
+def _better(
+    cand: tuple[Weight, Allocation], cur: Optional[tuple[Weight, Allocation]]
+) -> bool:
+    """Higher welfare wins; equal welfare goes to the lexicographically
+    least allocation (its bundle multiset first, then the agent order)."""
+    return (
+        cur is None
+        or cand[0] > cur[0]
+        or (cand[0] == cur[0] and _alloc_key(cand[1]) < _alloc_key(cur[1]))
+    )
+
+
 def max_welfare(
     vs: Sequence[Valuation], a: GPoint, caps: Caps = DEFAULT_CAPS
 ) -> tuple[Weight, Optional[Allocation]]:
     """Maximal total value over all ways to split a into m demandable
     bundles, matching parts to agents. Returns (NEG_INF, None) when a is
-    not decomposable; otherwise the optimum with a deterministic witness
-    (lexicographically least among the maximizers)."""
+    not decomposable; otherwise the optimum with a deterministic witness:
+    among the maximizers, the lexicographically least allocation (least
+    bundle multiset, then least agent order). The welfare bounds the
+    revenue of any CE selling a: revenue = welfare - sum of utilities, and
+    each utility is >= 0 because the empty bundle costs nothing."""
     m = len(vs)
     g = a.graph
     if any(v.graph != g for v in vs):
         raise ValueError("valuations and point over different graphs")
-    best: Weight = NEG_INF
-    best_alloc: Optional[Allocation] = None
-    best_key = None
+    of, scale = _part_values(vs)
+    best: Optional[tuple[Weight, Allocation]] = None
     for parts in enumerate_decompositions(a, m, caps):
-        for perm in sorted(set(itertools.permutations(parts))):
-            total: Weight = Fraction(0)
-            for b, S in enumerate(perm):
-                val = value(vs[b], S)
-                if not is_finite(val):
-                    total = NEG_INF
-                    break
-                total += val
-            key = _alloc_key(perm)
-            if best_alloc is None or total > best or (total == best and key < best_key):
-                best, best_alloc, best_key = total, perm, key
-    return best, best_alloc
+        cand = _assign(parts, of, scale)
+        if _better(cand, best):
+            best = cand
+    return best if best is not None else (NEG_INF, None)
+
+
+def point_welfares(
+    vs: Sequence[Valuation], supply: Sequence[int], caps: Caps = DEFAULT_CAPS
+) -> dict[GPoint, tuple[Weight, Allocation]]:
+    """max_welfare of every decomposable point projecting onto the supply,
+    from one enumeration of the multisets of m bundles that sell it: each
+    multiset is matched to the agents as it arrives and only the best split
+    per point is kept, with max_welfare's tie-break."""
+    if not vs:
+        raise ValueError("need at least one valuation")
+    g = vs[0].graph
+    if any(v.graph != g for v in vs):
+        raise ValueError("valuations over different graphs")
+    of, scale = _part_values(vs)
+    best: dict[GPoint, tuple[Weight, Allocation]] = {}
+    for a, parts in enumerate_aggregates(g, supply, len(vs), caps):
+        cand = _assign(parts, of, scale)
+        if _better(cand, best.get(a)):
+            best[a] = cand
+    return best
 
 
 @dataclass(frozen=True)
@@ -165,31 +250,20 @@ def candidate_points(graph: ValueGraph, supply: Sequence[int]) -> Iterator[GPoin
         yield GPoint(graph, supply + combo)
 
 
-def is_decomposable(a: GPoint, m: int, caps: Caps = DEFAULT_CAPS) -> bool:
-    return next(enumerate_decompositions(a, m, caps), None) is not None
-
-
 def seller_demand(
     p: PriceVector, supply: Sequence[int], m: int, caps: Caps = DEFAULT_CAPS
 ) -> frozenset[GPoint]:
     """Revenue-maximizing aggregates at a price: among all decomposable
-    points projecting onto the supply, those maximizing <p, a>."""
+    points projecting onto the supply, every one maximizing <p, a> (all
+    ties are kept). The points come from enumerate_aggregates, so points
+    that are not sums of m bundles are never tried."""
     g = p.graph
-    caps.check_n(g.n)
-    caps.check_m(m)
-    best: Optional[Fraction] = None
-    best_points: list[GPoint] = []
-    for a in candidate_points(g, supply):
-        if not is_decomposable(a, m, caps):
-            continue
-        rev = p.dot(a)
-        if best is None or rev > best:
-            best, best_points = rev, [a]
-        elif rev == best:
-            best_points.append(a)
-    if best is None:
+    points = {a for a, _ in enumerate_aggregates(g, supply, m, caps)}
+    if not points:
         raise ValueError("no decomposable aggregate point projects onto the supply")
-    return frozenset(best_points)
+    revenue = {a: p.dot(a) for a in points}
+    best = max(revenue.values())
+    return frozenset(a for a, rev in revenue.items() if rev == best)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ in 1-based numbering.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional, Sequence
@@ -30,12 +31,22 @@ class ParseError(ValueError):
     """Malformed instance or allocation file; message names the field."""
 
 
+def _is_int(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+# Integers, fractions and plain decimals only. Fraction would also take
+# exponents ("1e10000000" builds a ten-million-digit integer), spaces and
+# underscores; digit strings stay bounded by Python's int conversion limit.
+_RATIONAL = re.compile(r"[+-]?(?:\d+|\d+/\d+|\d*\.\d+)", re.ASCII)
+
+
 def _rational(x: Any, where: str) -> Fraction:
-    if isinstance(x, bool) or isinstance(x, float):
+    if not (_is_int(x) or isinstance(x, str) and _RATIONAL.fullmatch(x)):
         raise ParseError(f"{where}: {x!r} is not an exact rational")
     try:
         return Fraction(x)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{where}: cannot parse rational {x!r}") from exc
 
 
@@ -80,10 +91,6 @@ class InstanceFile:
     faces: Optional[tuple[Face, ...]] = None
     point: Optional[GPoint] = None
     name: Optional[str] = None
-
-
-def _is_int(x: Any) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def parse_instance(doc: dict, caps: Caps = DEFAULT_CAPS) -> InstanceFile:
@@ -163,13 +170,12 @@ def parse_instance(doc: dict, caps: Caps = DEFAULT_CAPS) -> InstanceFile:
         parsed = []
         for k, bundles in enumerate(doc["faces"]):
             where = f"faces[{k}]"
+            if not isinstance(bundles, list):
+                raise ParseError(f"{where}: need a list of bundles")
+            vertices = [_bundle(S, graph, f"{where}[{t}]") for t, S in enumerate(bundles)]
             try:
-                parsed.append(
-                    Face.from_bundles(
-                        graph, [[int(i) - 1 for i in S] for S in bundles]
-                    )
-                )
-            except (ValueError, TypeError, OverflowError) as exc:
+                parsed.append(Face.from_bundles(graph, vertices))
+            except ValueError as exc:
                 raise ParseError(f"{where}: {exc}") from exc
         faces = tuple(parsed)
 
@@ -282,17 +288,17 @@ def print_price(p: PriceVector) -> dict:
 def parse_bundles(raw: Any, graph: ValueGraph, where: str) -> Allocation:
     if not isinstance(raw, list):
         raise ParseError(f"{where}: need a list of bundles")
-    alloc = []
-    for b, items in enumerate(raw):
-        try:
-            S = frozenset(int(i) - 1 for i in items)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"{where}[{b}]: bad bundle {items!r}") from exc
-        for i in S:
-            if not 0 <= i < graph.n:
-                raise ParseError(f"{where}[{b}]: item {i + 1} out of range")
-        alloc.append(S)
-    return tuple(alloc)
+    return tuple(_bundle(items, graph, f"{where}[{b}]") for b, items in enumerate(raw))
+
+
+def _bundle(items: Any, graph: ValueGraph, where: str) -> Bundle:
+    """A list of 1-based item numbers, each a JSON integer in 1..n."""
+    if not isinstance(items, list) or not all(_is_int(i) for i in items):
+        raise ParseError(f"{where}: bad bundle {items!r}, need a list of integers")
+    for i in items:
+        if not 1 <= i <= graph.n:
+            raise ParseError(f"{where}: item {i} out of range")
+    return frozenset(i - 1 for i in items)
 
 
 def print_bundles(alloc: Sequence[Bundle]) -> list[list[int]]:

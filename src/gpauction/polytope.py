@@ -5,7 +5,8 @@ P(K_n) is the correlation (boolean quadric) polytope; no full facet
 description is known for n >= 4, so faces are always handled
 extensionally through their vertex lists. The module provides the
 nested-chain decomposition of lifted supply points, exhaustive
-decomposition enumeration of integer points of the dilate m*P, and exact
+decomposition enumeration of integer points of the dilate m*P, the
+enumeration of every decomposable aggregate over a supply, and exact
 Minkowski-sum membership tests.
 """
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .caps import DEFAULT_CAPS, Caps, CapExceededError
 from .linprog import EQ, LinearProgram, OPTIMAL, lp_solve
@@ -110,6 +111,56 @@ def enumerate_decompositions(
             path.pop()
 
     return rec(0, m, a.coords, [])
+
+
+def enumerate_aggregates(
+    graph: ValueGraph, supply: Sequence[int], m: int, caps: Caps = DEFAULT_CAPS
+) -> Iterator[tuple[GPoint, tuple[Bundle, ...]]]:
+    """Yield (point, parts) for every multiset of m bundles that sells
+    exactly the supply: parts in the canonical order of
+    enumerate_decompositions, point their characteristic-vector sum. These
+    points are exactly the decomposable ones projecting onto the supply; a
+    point appears once per decomposition, so callers fold the items.
+
+    Depth-first search over bundles in decreasing bitmask order on the
+    vertex residuals only: a vertex needing more than the k bundles left
+    prunes the branch, a bundle using a vertex with no residual is
+    skipped, and once the bitmasks fall below the highest vertex still
+    needed no later bundle can cover it.
+    """
+    caps.check_n(graph.n)
+    caps.check_m(m)
+    supply = tuple(supply)
+    if len(supply) != graph.n:
+        raise ValueError(f"expected {graph.n} supply entries")
+    if any(s < 0 for s in supply):
+        raise ValueError("supply entries must be nonnegative")
+    n = graph.n
+    table = _vertex_table(graph)
+    bundles = [q.as_bundle() for q in table]
+    bits = [sorted(S) for S in bundles]
+
+    def rec(top: int, k: int, res: list[int], acc: tuple[int, ...], path: list[Bundle]):
+        if not any(res):
+            yield GPoint(graph, acc), tuple(path) + (EMPTY_BUNDLE,) * k
+            return
+        if max(res) > k:
+            return
+        spent = sum(1 << i for i in range(n) if not res[i])
+        high = max(i for i in range(n) if res[i])
+        for mask in range(top, (1 << high) - 1, -1):
+            if mask & spent:
+                continue
+            for i in bits[mask]:
+                res[i] -= 1
+            path.append(bundles[mask])
+            nxt = tuple(x + y for x, y in zip(acc, table[mask].coords))
+            yield from rec(mask, k - 1, res, nxt, path)
+            path.pop()
+            for i in bits[mask]:
+                res[i] += 1
+
+    return rec((1 << n) - 1, m, list(supply), (0,) * graph.d, [])
 
 
 @dataclass(frozen=True)

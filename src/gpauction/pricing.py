@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .caps import DEFAULT_CAPS, Caps
-from .demand import candidate_points, max_welfare, verify_ce
+from .demand import max_welfare, point_welfares, verify_ce
 from .linprog import (
     GE, INFEASIBLE, InternalError, LinearProgram, OPTIMAL, lp_solve,
 )
@@ -27,6 +27,7 @@ from .model import (
     GPoint,
     PriceVector,
     Valuation,
+    Weight,
     char_vector,
     is_finite,
     value,
@@ -136,11 +137,16 @@ def _solve_ce_lp_lazy(
 
 
 def _price_at(
-    vs: Sequence[Valuation], point: GPoint, walrasian: bool, caps: Caps
+    vs: Sequence[Valuation],
+    point: GPoint,
+    welfare: Weight,
+    alloc: Optional[Allocation],
+    walrasian: bool,
+    caps: Caps,
 ) -> CEResult:
-    """Revenue-maximal CE price for a welfare-maximal split of `point`,
-    certified against the full demand-set scan."""
-    welfare, alloc = max_welfare(vs, point, caps)
+    """Revenue-maximal CE price for the welfare-maximal split `alloc` of
+    `point` (as max_welfare returns it), certified against the full
+    demand-set scan."""
     if alloc is None or not is_finite(welfare):
         return CEResult(INFEASIBLE_AT_POINT, point=point)
     sol = _solve_ce_lp_lazy(vs, alloc, point, walrasian)
@@ -172,7 +178,7 @@ def ce_price_at_point(
         raise ValueError(
             "weights must be finite here; use ce_for_covering for clique bids"
         )
-    return _price_at(vs, point, walrasian, caps)
+    return _price_at(vs, point, *max_welfare(vs, point, caps), walrasian, caps)
 
 
 def optimal_ce(
@@ -185,7 +191,15 @@ def optimal_ce(
     """Revenue-maximal CE over every decomposable point projecting onto
     the supply. Ties go to the lexicographically smallest point (and the
     witness allocation is the lexicographically least welfare-maximal
-    one)."""
+    one).
+
+    The points come from one enumeration of the multisets of m bundles
+    that sell the supply (point_welfares) and are priced in decreasing
+    max welfare, ties by point coordinates. Revenue never exceeds the
+    welfare at its point (revenue = welfare - sum of utilities, each
+    utility >= 0), so the search stops at the first point whose welfare is
+    below the best revenue found; points whose welfare equals it are still
+    priced, since they may win the tie on coordinates."""
     if not vs:
         raise ValueError("need at least one valuation")
     m = len(vs)
@@ -197,13 +211,25 @@ def optimal_ce(
         raise ValueError(f"expected {g.n} supply entries")
     if any(not 0 <= s <= m for s in supply):
         raise ValueError("supply entries must lie in 0..m")
+    if not all(v.is_finite() for v in vs):
+        raise ValueError("weights must be finite for optimal_ce")
 
+    order = sorted(
+        point_welfares(vs, supply, caps).items(),
+        key=lambda item: (-item[1][0], item[0].coords),
+    )
     best: Optional[CEResult] = None
-    for a in candidate_points(g, supply):
-        res = ce_price_at_point(vs, a, walrasian=walrasian, caps=caps)
+    for a, (welfare, alloc) in order:
+        if best is not None and welfare < best.revenue:
+            break
+        res = _price_at(vs, a, welfare, alloc, walrasian, caps)
         if res.status != FOUND:
             continue
-        if best is None or res.revenue > best.revenue:
+        if (
+            best is None
+            or res.revenue > best.revenue
+            or (res.revenue == best.revenue and a.coords < best.point.coords)
+        ):
             best = res
     if best is None:
         if g.is_complete() and not walrasian:
@@ -275,4 +301,4 @@ def ce_for_covering(
             "point has a positive edge coordinate outside every agent's support"
         )
 
-    return _price_at(vs, a, False, caps)
+    return _price_at(vs, a, *max_welfare(vs, a, caps), False, caps)

@@ -1,16 +1,20 @@
-"""Brute-force optimal-CE oracle, independent of the production search.
+"""Brute-force optimal-CE oracles, independent of the production search.
 
-Enumerates every ordered allocation (bundle per agent) whose aggregate
-projects onto the supply, decides CE-supportability of each by solving
-the full constraint system (one row per agent and bundle), and maximizes
-the revenue objective over the supportable ones. The full LP is built
-here rather than imported, so the reference stays independent of the
-row-generation LP in ``gpauction.pricing`` that it checks.
+``oracle_optimal_revenue`` enumerates every ordered allocation (bundle
+per agent) whose aggregate projects onto the supply, decides
+CE-supportability of each by solving the full constraint system (one row
+per agent and bundle), and maximizes the revenue objective over the
+supportable ones. The full LP is built here rather than imported, so the
+reference stays independent of the row-generation LP in
+``gpauction.pricing`` that it checks. ``box_optimal_ce`` is the
+point-by-point search over the whole candidate box, the reference for the
+welfare-ordered search of ``optimal_ce``.
 """
 import itertools
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from gpauction.demand import candidate_points
 from gpauction.linprog import GE, OPTIMAL, LinearProgram, lp_solve
 from gpauction.model import (
     Allocation,
@@ -23,6 +27,7 @@ from gpauction.model import (
     value,
 )
 from gpauction.polytope import vertices_P
+from gpauction.pricing import FOUND, NO_POINT_FOUND, CEResult, ce_price_at_point
 
 
 def build_ce_lp(
@@ -78,3 +83,15 @@ def oracle_optimal_revenue(
         if best is None or res.value > best:
             best = res.value
     return best
+
+
+def box_optimal_ce(vs: Sequence[Valuation], supply: Sequence[int], walrasian: bool = False):
+    """The exhaustive search optimal_ce replaced: price every point of the
+    candidate box in lexicographic order, keep the first of maximal
+    revenue."""
+    best = None
+    for a in candidate_points(vs[0].graph, supply):
+        res = ce_price_at_point(vs, a, walrasian=walrasian)
+        if res.status == FOUND and (best is None or res.revenue > best.revenue):
+            best = res
+    return best if best is not None else CEResult(NO_POINT_FOUND)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -271,6 +272,8 @@ VALID_AGENT = {"vertex_weights": ["1", "2"], "edge_weights": {}}
         ({"n": True}, "'n'"),
         ({"n": 10**9}, "cap"),
         ({"faces": [[[float("inf")]]]}, "faces[0]"),
+        ({"faces": [[[1.9, 2], [1], []]]}, "faces[0]"),
+        ({"faces": [["12", [1], []]]}, "faces[0]"),
     ],
 )
 def test_malformed_instance_is_input_error(tmp_path, capsys, patch, field):
@@ -297,6 +300,8 @@ CUTLERY_WITNESS = {
         ("verify", {**CUTLERY_WITNESS, "price": {"vertex": ["0", "0", "0"], "edge": ["1"]}}),
         ("verify", 5),
         ("verify", {**CUTLERY_WITNESS, "allocation": [[float("inf")], [], []]}),
+        ("verify", {**CUTLERY_WITNESS, "allocation": [[1.9, 2], [3], []]}),
+        ("verify", {**CUTLERY_WITNESS, "allocation": ["12", [3], []]}),
     ],
 )
 def test_malformed_witness_or_price_is_input_error(tmp_path, capsys, command, bad):
@@ -306,6 +311,27 @@ def test_malformed_witness_or_price_is_input_error(tmp_path, capsys, command, ba
     code, out, err = run(capsys, [command, inst, str(path)])
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("where", ["weight", "price"])
+def test_exponent_string_is_rejected_at_once(tmp_path, capsys, where):
+    """Fraction("1e10000000") would build a ten-million-digit integer."""
+    huge = "1e10000000"
+    inst = tmp_path / "inst.json"
+    witness = tmp_path / "witness.json"
+    doc = print_instance(corpus_instance("cutlery"))
+    price = CUTLERY_WITNESS["price"]
+    if where == "weight":
+        doc["agents"][0]["vertex_weights"][0] = huge
+    else:
+        price = {**price, "vertex": [huge, "0", "0"]}
+    inst.write_text(json.dumps(doc))
+    witness.write_text(json.dumps({**CUTLERY_WITNESS, "price": price}))
+    start = time.monotonic()
+    code, out, err = run(capsys, ["verify", str(inst), str(witness)])
+    assert time.monotonic() - start < 1.0
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and huge in err
 
 
 JSON_VALUES = st.recursive(

@@ -1,9 +1,11 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gpauction.demand import (
+    _alloc_key,
     candidate_points,
     demand_set,
     max_welfare,
@@ -19,9 +21,11 @@ from gpauction.model import (
     Valuation,
     ValueGraph,
     char_vector,
+    is_finite,
     shift,
     value,
 )
+from gpauction.polytope import enumerate_decompositions, vertices_P
 from gpauction.instances import corpus_instance
 
 from .strategies import graphs, small_fractions, valuations
@@ -135,22 +139,39 @@ class TestMaxWelfare:
         assert w == NEG_INF and alloc is None
 
     @given(st.data())
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_witness_attains_and_dominates(self, data):
+        """The witness is the lexicographically least _alloc_key among the
+        maximizers over every permutation of every decomposition, -inf
+        totals included."""
         g = ValueGraph.complete(data.draw(st.integers(1, 3)))
         m = data.draw(st.integers(1, 3))
-        vs = [data.draw(valuations(g)) for _ in range(m)]
-        from gpauction.polytope import vertices_P, enumerate_decompositions
-        import itertools
-
+        vs = [data.draw(valuations(g, allow_neg_inf=True)) for _ in range(m)]
         total = GPoint.zero(g)
         for _ in range(m):
             total = total + data.draw(st.sampled_from(vertices_P(g)))
-        w, alloc = max_welfare(vs, total)
-        assert sum(value(vs[b], S) for b, S in enumerate(alloc)) == w
-        for parts in enumerate_decompositions(total, m):
-            for perm in set(itertools.permutations(parts)):
-                assert sum(value(vs[b], S) for b, S in enumerate(perm)) <= w
+        assert max_welfare(vs, total) == brute_force_welfare(vs, total)
+
+    def test_all_neg_inf_witness(self):
+        """Every split hits a -inf weight: the witness is still the least
+        allocation by _alloc_key."""
+        v = Valuation(K3, (NEG_INF,) * 3 + (F(0),) * 3)
+        a = GPoint(K3, (1, 1, 1, 1, 0, 0))
+        w, alloc = max_welfare([v, v], a)
+        assert (w, alloc) == brute_force_welfare([v, v], a)
+        assert w == NEG_INF and alloc == (frozenset({0, 1}), frozenset({2}))
+
+
+def brute_force_welfare(vs, a):
+    """The permutation scan: every ordering of every decomposition."""
+    options = []
+    for parts in enumerate_decompositions(a, len(vs)):
+        for perm in set(itertools.permutations(parts)):
+            vals = [value(v, S) for v, S in zip(vs, perm)]
+            total = sum(vals) if all(map(is_finite, vals)) else NEG_INF
+            options.append((total, perm))
+    best = max(total for total, _ in options)
+    return best, min((p for t, p in options if t == best), key=_alloc_key)
 
 
 class TestVerifyCE:
@@ -195,6 +216,23 @@ class TestSellerDemand:
             and a.coords != (1, 1, 1, 0, 1, 1)
         }
         assert sd == decomposable
+
+    @given(graphs(max_n=4), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_filtered_box(self, g, data):
+        m = data.draw(st.integers(1, 4 if g.n < 4 else 3))
+        supply = tuple(data.draw(st.integers(0, m)) for _ in range(g.n))
+        p = PriceVector(g, tuple(data.draw(small_fractions(-2, 2)) for _ in range(g.d)))
+        box = [
+            a for a in candidate_points(g, supply)
+            if next(enumerate_decompositions(a, m), None) is not None
+        ]
+        if not box:
+            with pytest.raises(ValueError, match="no decomposable"):
+                seller_demand(p, supply, m)
+            return
+        best = max(p.dot(a) for a in box)
+        assert seller_demand(p, supply, m) == {a for a in box if p.dot(a) == best}
 
     def test_shifted_price_revenue_seven(self):
         sd = seller_demand(P_SHIFTED, (1, 1, 1), 3)

@@ -7,6 +7,7 @@ from gpauction.caps import CapExceededError
 from gpauction.model import GPoint, ValueGraph, aggregate, char_vector, project
 from gpauction.polytope import (
     Face,
+    enumerate_aggregates,
     enumerate_decompositions,
     minkowski_contains,
     nested_chain_point,
@@ -150,6 +151,51 @@ class TestEnumerateDecompositions:
         count = sum(1 for _ in enumerate_decompositions(total, m))
         assert count == len(ours)  # no duplicates
         assert ours == brute_force_decompositions(total, m)
+
+
+class TestEnumerateAggregates:
+    def test_cutlery_supply(self):
+        found = [(a.coords, as_multiset(parts)) for a, parts in enumerate_aggregates(K3, (1, 1, 1), 3)]
+        assert found == [
+            ((1, 1, 1, 1, 1, 1), ((), (), (0, 1, 2))),
+            ((1, 1, 1, 0, 0, 1), ((), (0,), (1, 2))),
+            ((1, 1, 1, 0, 1, 0), ((), (0, 2), (1,))),
+            ((1, 1, 1, 1, 0, 0), ((), (0, 1), (2,))),
+            ((1, 1, 1, 0, 0, 0), ((0,), (1,), (2,))),
+        ]
+
+    def test_supply_above_m_has_none(self):
+        assert list(enumerate_aggregates(K3, (2, 0, 0), 1)) == []
+
+    def test_caps_checked_before_any_work(self):
+        with pytest.raises(CapExceededError):
+            enumerate_aggregates(ValueGraph.complete(7), (1,) * 7, 1)
+        with pytest.raises(CapExceededError):
+            enumerate_aggregates(K3, (1, 1, 1), 7)
+
+    def test_bad_supply_rejected(self):
+        with pytest.raises(ValueError, match="supply"):
+            enumerate_aggregates(K3, (1, 1), 2)
+        with pytest.raises(ValueError, match="nonnegative"):
+            enumerate_aggregates(K3, (1, -1, 0), 2)
+
+    @given(graphs(max_n=4), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_box_of_decompositions(self, g, data):
+        """Exactly the (point, split) pairs of the candidate box, each once,
+        every split in enumerate_decompositions' canonical order."""
+        from gpauction.demand import candidate_points
+
+        m = data.draw(st.integers(1, 4 if g.n < 4 else 3))
+        supply = tuple(data.draw(st.integers(0, m)) for _ in range(g.n))
+        ours = [(a, parts) for a, parts in enumerate_aggregates(g, supply, m)]
+        box = [
+            (a, parts)
+            for a in candidate_points(g, supply)
+            for parts in enumerate_decompositions(a, m)
+        ]
+        assert len(ours) == len(set(ours))
+        assert set(ours) == set(box)
 
 
 class TestCliqueDecompose:

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gpauction import pricing
 from gpauction.caps import CapExceededError
@@ -32,7 +33,8 @@ from gpauction.randgen import (
 )
 from gpauction.instances import corpus_instance
 
-from .oracle import build_ce_lp
+from .oracle import box_optimal_ce, build_ce_lp
+from .strategies import graphs, valuations
 
 K3 = ValueGraph.complete(3)
 K4 = ValueGraph.complete(4)
@@ -127,6 +129,58 @@ class TestOptimalCe:
     def test_walrasian_not_found_is_certified(self):
         res = optimal_ce(CUTLERY, (1, 1, 1), walrasian=True)
         assert res.status == NO_POINT_FOUND
+
+    def test_valuations_over_different_graphs_rejected(self):
+        with pytest.raises(ValueError, match="different graphs"):
+            optimal_ce([Valuation.zero(K3), Valuation.zero(ValueGraph(3, ()))], (1, 1, 1))
+
+    def test_neg_inf_weight_rejected(self):
+        w = (NEG_INF,) + (F(0),) * 5
+        with pytest.raises(ValueError, match="finite"):
+            optimal_ce([Valuation(K3, w), Valuation.zero(K3)], (1, 1, 1))
+
+    @pytest.mark.parametrize(
+        "weights, supply, point, revenue",
+        [
+            # the revenue-2 point of higher welfare is priced first; the
+            # lexicographically smaller one, of lower welfare, still wins
+            (
+                [(-1, 0, 0, 1, -1, 1), (0, 1, 0, 2, 2, 2), (1, -1, 0, 0, -1, 0)],
+                (0, 2, 2), (0, 2, 2, 0, 0, 1), 2,
+            ),
+            # the winning point's welfare equals the best revenue already found
+            (
+                [(1, 2, 2, -1, 1, 2), (2, -1, 1, -1, 1, 2), (1, -1, 2, 1, 2, 2)],
+                (3, 1, 1), (3, 1, 1, 1, 1, 0), 9,
+            ),
+        ],
+    )
+    def test_ties_across_welfare_levels(self, weights, supply, point, revenue):
+        vs = [Valuation(K3, tuple(F(w) for w in ws)) for ws in weights]
+        res = optimal_ce(vs, supply)
+        assert (res.point.coords, res.revenue) == (point, revenue)
+        ref = box_optimal_ce(vs, supply)
+        assert (res.point, res.allocation) == (ref.point, ref.allocation)
+
+    @given(graphs(max_n=3), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_box_search(self, g, data):
+        """The welfare-ordered search returns what pricing every point of
+        the candidate box returns: status, point, revenue and allocation,
+        including the lexicographic tie-breaks (all-zero valuations tie
+        everywhere)."""
+        m = data.draw(st.integers(1, 3))
+        if data.draw(st.booleans()):
+            vs = [Valuation.zero(g)] * m
+        else:
+            vs = [data.draw(valuations(g)) for _ in range(m)]
+        supply = tuple(data.draw(st.integers(0, m)) for _ in range(g.n))
+        for walrasian in (False, True):
+            ours = optimal_ce(vs, supply, walrasian=walrasian)
+            ref = box_optimal_ce(vs, supply, walrasian)
+            assert (ours.status, ours.point, ours.revenue, ours.allocation) == (
+                ref.status, ref.point, ref.revenue, ref.allocation
+            )
 
     def test_dominates_every_candidate_point(self):
         from gpauction.demand import candidate_points

@@ -5,13 +5,33 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "gpauction"
 
 
+def nodes():
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            yield path.name, node
+
+
 def test_no_assert_statements():
     """`python -O` strips asserts, so a guard on a verdict must raise
     (InternalError) instead."""
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SRC.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Assert)
-    ]
+    found = [f"{name}:{node.lineno}" for name, node in nodes() if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in src/gpauction: {found}"
+
+
+def test_one_search_path():
+    """The solver searches decomposable aggregates through
+    enumerate_aggregates; neither the candidate box (kept for tests as
+    the brute-force reference) nor an m! permutation scan may come back."""
+    banned = {"candidate_points", "permutations"}
+    found = []
+    for name, node in nodes():
+        if isinstance(node, ast.Call):
+            f = node.func
+            called = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if called in banned:
+                found.append(f"{name}:{node.lineno} calls {called}")
+        elif isinstance(node, ast.ImportFrom):
+            found += [
+                f"{name}:{node.lineno} imports {a.name}" for a in node.names if a.name in banned
+            ]
+    assert not found, f"banned search in src/gpauction: {found}"
