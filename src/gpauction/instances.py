@@ -39,6 +39,7 @@ def _is_int(x: Any) -> bool:
 # exponents ("1e10000000" builds a ten-million-digit integer), spaces and
 # underscores; digit strings stay bounded by Python's int conversion limit.
 _RATIONAL = re.compile(r"[+-]?(?:\d+|\d+/\d+|\d*\.\d+)", re.ASCII)
+_EDGE_KEY = re.compile(r"(\d+)-(\d+)", re.ASCII)
 
 
 def _rational(x: Any, where: str) -> Fraction:
@@ -65,12 +66,12 @@ def _edge_key(e: tuple[int, int]) -> str:
 
 
 def _parse_edge_key(key: str, n: int, where: str) -> tuple[int, int]:
-    if not isinstance(key, str):
+    match = isinstance(key, str) and _EDGE_KEY.fullmatch(key)
+    if not match:
         raise ParseError(f"{where}: bad edge key {key!r}, expected 'i-j'")
     try:
-        i_s, j_s = key.split("-")
-        i, j = int(i_s) - 1, int(j_s) - 1
-    except ValueError as exc:
+        i, j = int(match[1]) - 1, int(match[2]) - 1
+    except ValueError as exc:  # beyond Python's digit limit
         raise ParseError(f"{where}: bad edge key {key!r}, expected 'i-j'") from exc
     if not (0 <= i < j < n):
         raise ParseError(f"{where}: edge {key!r} out of range for n={n}")

@@ -1,25 +1,30 @@
-"""Exact rational linear programming via two-phase tableau simplex.
+"""Exact linear programming on one standard-form core:
 
-Bland's rule on both the entering and leaving choices guarantees
-termination; there is no tolerance anywhere. Variables are free by
-default (prices may be negative); a per-variable flag restricts to
-x >= 0 where wanted. Internally arithmetic runs on gmpy2.mpq when
-available, with fractions.Fraction as a drop-in fallback; the public
-surface speaks Fraction only.
+    max c . x   subject to   A x = b,   x >= 0.
+
+Two-phase simplex with Bland's rule on both the entering and the leaving
+choice, so it terminates; there is no tolerance anywhere. The tableau is
+fraction-free (Edmonds 1967, Bareiss 1968): every row is scaled to
+integers once, the tableau then holds integers over one common
+denominator D (the determinant of the current basis), and each pivot
+divides exactly by the previous pivot. No rational number is formed until
+the answer is read off.
+
+Every status is certified before it is returned (Applegate, Cook, Dash
+and Espinoza, ORL 35, 2007): OPTIMAL by a primal x and row duals y with
+Ax = b, x >= 0, A^T y >= c and c.x = b.y; INFEASIBLE by a Farkas vector w
+with A^T w >= 0 and b.w < 0; UNBOUNDED by a feasible x and a ray r >= 0
+with Ar = 0 and c.r > 0. A failed check raises InternalError, so the
+exactness of every integer division is itself checked.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
-try:
-    from gmpy2 import mpq as _rat
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    _rat = Fraction
-
-LE, GE, EQ = "<=", ">=", "=="
-_RELATIONS = (LE, GE, EQ)
+from .model import shared_fraction
 
 OPTIMAL, INFEASIBLE, UNBOUNDED = "optimal", "infeasible", "unbounded"
 
@@ -29,238 +34,182 @@ class InternalError(RuntimeError):
     in its input. Raised by explicit checks so it survives ``python -O``."""
 
 
-def _to_fraction(q) -> Fraction:
-    if isinstance(q, Fraction):
-        return q
-    return Fraction(int(q.numerator), int(q.denominator))
-
-
 @dataclass(frozen=True)
 class LinearProgram:
-    """max objective . x subject to rows of (coeffs, relation, rhs).
+    """max objective . x subject to rows[i] . x == rhs[i] for every i, and
+    x >= 0. Entries are ints or Fractions."""
 
-    ``nonneg[k]`` restricts variable k to be nonnegative (default: free).
-    ``fixings`` pins variables to constants before solving, e.g. edge
-    prices to zero for linear-pricing mode.
-    """
-
-    objective: tuple[Fraction, ...]
-    rows: tuple[tuple[tuple[Fraction, ...], str, Fraction], ...]
-    nonneg: Optional[tuple[bool, ...]] = None
-    fixings: Optional[dict[int, Fraction]] = None
+    objective: tuple
+    rows: tuple[tuple, ...]
+    rhs: tuple
 
     def __post_init__(self):
+        if len(self.rhs) != len(self.rows):
+            raise ValueError("rhs length does not match the number of rows")
         nvars = len(self.objective)
-        for coeffs, rel, _ in self.rows:
+        for coeffs in self.rows:
             if len(coeffs) != nvars:
                 raise ValueError("row length does not match objective length")
-            if rel not in _RELATIONS:
-                raise ValueError(f"unknown relation {rel!r}")
-        if self.nonneg is not None and len(self.nonneg) != nvars:
-            raise ValueError("nonneg length does not match objective length")
-        if self.fixings:
-            for k in self.fixings:
-                if not 0 <= k < nvars:
-                    raise ValueError(f"fixing for unknown variable {k}")
 
 
 @dataclass(frozen=True)
 class LPResult:
+    """``value``, ``x`` and the row duals ``y`` are set when OPTIMAL."""
+
     status: str
     value: Optional[Fraction] = None
     x: Optional[tuple[Fraction, ...]] = None
+    y: Optional[tuple[Fraction, ...]] = None
 
 
-def _bland(rows, obj, basis, allowed) -> str:
-    """Primal simplex iterations on an augmented tableau (rhs last).
-
-    obj holds reduced costs; obj[-1] is minus the objective value.
-    """
-    ncols = len(obj) - 1
-    while True:
-        enter = -1
-        for j in range(ncols):
-            if allowed[j] and obj[j] > 0:
-                enter = j
-                break
-        if enter < 0:
-            return OPTIMAL
-        leave = -1
-        best = None
-        for i, row in enumerate(rows):
-            a = row[enter]
-            if a > 0:
-                ratio = row[-1] / a
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[leave])
-                ):
-                    best = ratio
-                    leave = i
-        if leave < 0:
-            return UNBOUNDED
-        _pivot(rows, obj, basis, leave, enter)
+def _scaled(coeffs, last) -> tuple[list[int], int]:
+    """The integers of coeffs + [last] times the lcm L of their
+    denominators, with L negated when last < 0 so the last entry is >= 0."""
+    scale = lcm(last.denominator, *(c.denominator for c in coeffs))
+    if last < 0:
+        scale = -scale
+    return [c.numerator * (scale // c.denominator) for c in coeffs] + [
+        last.numerator * (scale // last.denominator)
+    ], scale
 
 
-def _pivot(rows, obj, basis, li: int, ej: int) -> None:
-    prow = rows[li]
-    piv = prow[ej]
-    if piv != 1:
-        prow[:] = [x / piv for x in prow]
-    for r in rows:
-        if r is prow:
+def _pivot(rows: list[list[int]], D: int, r: int, s: int) -> int:
+    """Fraction-free pivot on rows[r][s]: every other row i becomes
+    (p * row_i - row_i[s] * row_r) / D, an exact division. Returns the new
+    common denominator p."""
+    prow = rows[r]
+    p = prow[s]
+    for row in rows:
+        if row is prow:
             continue
-        f = r[ej]
+        f = row[s]
         if f:
-            r[:] = [a - f * b if b else a for a, b in zip(r, prow)]
-    f = obj[ej]
-    if f:
-        obj[:] = [a - f * b if b else a for a, b in zip(obj, prow)]
-    basis[li] = ej
+            row[:] = [(p * a - f * b) // D for a, b in zip(row, prow)]
+        elif p != D:
+            row[:] = [p * a // D for a in row]
+    return p
+
+
+def _bland(rows, obj, basis, D: int, ncols: int) -> tuple[str, int, int]:
+    """Primal simplex on columns 0..ncols-1. ``obj`` holds D times the
+    reduced costs; its last entry is -D times the objective value. Returns
+    (OPTIMAL or UNBOUNDED, D, the unbounded entering column or -1)."""
+    table = rows + [obj]
+    while True:
+        s = next((j for j in range(ncols) if obj[j] > 0), -1)
+        if s < 0:
+            return OPTIMAL, D, -1
+        r = -1
+        for i, row in enumerate(rows):
+            a = row[s]
+            if a > 0:
+                if r < 0:
+                    r = i
+                    continue
+                lhs, rhs = row[-1] * rows[r][s], rows[r][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[r]):
+                    r = i
+        if r < 0:
+            return UNBOUNDED, D, s
+        D = _pivot(table, D, r, s)
+        basis[r] = s
+
+
+def _dot(u, v) -> int:
+    return sum(a * b for a, b in zip(u, v) if a and b)
 
 
 def lp_solve(lp: LinearProgram) -> LPResult:
-    """Solve exactly; returns OPTIMAL with value and a witness, or a
-    certified INFEASIBLE / UNBOUNDED status."""
-    nvars = len(lp.objective)
-    fixings = {k: _rat(v) for k, v in (lp.fixings or {}).items()}
-    nonneg = lp.nonneg or (False,) * nvars
+    """Solve exactly; OPTIMAL comes with x, the value and the row duals y.
+    Every status is certified (see the module docstring)."""
+    ncols, nrows = len(lp.objective), len(lp.rows)
+    A, b, row_scale = [], [], []
+    for coeffs, rhs in zip(lp.rows, lp.rhs):
+        row, scale = _scaled(coeffs, rhs)
+        b.append(row.pop())
+        A.append(row)
+        row_scale.append(scale)
+    c, c_scale = _scaled(lp.objective, 0)
+    c.pop()
+    cols = list(zip(*A)) if A else [()] * ncols
 
-    # Column layout for the unfixed variables: nonneg ones get a single
-    # column, free ones a (plus, minus) pair.
-    col_of: dict[int, tuple[int, Optional[int]]] = {}
-    ncols = 0
-    for k in range(nvars):
-        if k in fixings:
-            continue
-        if nonneg[k]:
-            col_of[k] = (ncols, None)
-            ncols += 1
-        else:
-            col_of[k] = (ncols, ncols + 1)
-            ncols += 2
+    # Tableau rows [A_i | e_i | b_i]: one artificial column per row, the
+    # starting basis. The artificial columns carry B^-1, hence the duals.
+    art = ncols
+    rows = []
+    for i, row in enumerate(A):
+        unit = [0] * nrows
+        unit[i] = 1
+        rows.append(row + unit + [b[i]])
+    basis = [art + i for i in range(nrows)]
 
-    const = sum(
-        (_rat(lp.objective[k]) * v for k, v in fixings.items()), _rat(0)
-    )
+    # Phase 1: maximize minus the sum of the artificials. An artificial that
+    # leaves may not return; the restricted problem still reaches 0 iff
+    # Ax = b has a solution x >= 0.
+    D = 1
+    obj = [sum(col) for col in zip(*rows)] if rows else [0] * (ncols + 1)
+    obj[art : art + nrows] = [0] * nrows
+    _, D, _ = _bland(rows, obj, basis, D, ncols)
+    if obj[-1]:
+        # w_i = -1 - (reduced cost of artificial i), times D.
+        w = [-D - obj[art + i] for i in range(nrows)]
+        if any(_dot(w, col) < 0 for col in cols) or _dot(w, b) >= 0:
+            raise InternalError("phase 1 ended without a valid Farkas certificate")
+        return LPResult(INFEASIBLE)
+    # Artificials left in the basis sit at 0: pivot each out on a nonzero
+    # structural entry of its row. A row with none is redundant; its
+    # artificial stays basic at 0 and never leaves.
+    for i in range(nrows):
+        if basis[i] >= art:
+            s = next((j for j in range(ncols) if rows[i][j]), -1)
+            if s >= 0:
+                D = _pivot(rows, D, i, s)
+                basis[i] = s
+                if D < 0:
+                    D = -D
+                    for row in rows:
+                        row[:] = [-a for a in row]
 
-    def expand(coeffs) -> list:
-        out = [_rat(0)] * ncols
-        for k, c in enumerate(coeffs):
-            if not c or k in fixings:
-                continue
-            cq = _rat(c)
-            pos, neg = col_of[k]
-            out[pos] += cq
-            if neg is not None:
-                out[neg] -= cq
-        return out
+    # Phase 2: D times the reduced costs of c in the current basis.
+    cb = [c[j] if j < art else 0 for j in basis]
+    obj = [D * cj for cj in c] + [0] * (nrows + 1)
+    for i, row in enumerate(rows):
+        if cb[i]:
+            obj = [o - cb[i] * a for o, a in zip(obj, row)]
+    status, D, s = _bland(rows, obj, basis, D, ncols)
 
-    # Normalized rows with rhs >= 0; all-zero rows checked and dropped.
-    prepared: list[tuple[list, str]] = []
-    for coeffs, rel, rhs in lp.rows:
-        b = _rat(rhs) - sum(
-            (_rat(coeffs[k]) * v for k, v in fixings.items()), _rat(0)
-        )
-        body = expand(coeffs)
-        if not any(body):
-            sat = (b >= 0) if rel == LE else (b <= 0) if rel == GE else (b == 0)
-            if not sat:
-                return LPResult(INFEASIBLE)
-            continue
-        if b < 0:
-            body = [-a for a in body]
-            b = -b
-            rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-        prepared.append((body + [b], rel))
+    # The basic solution, D times x.
+    X = [0] * ncols
+    for i, j in enumerate(basis):
+        if j < art:
+            X[j] = rows[i][-1]
+        elif rows[i][-1]:
+            raise InternalError("an artificial variable is basic at a nonzero value")
+    if any(x < 0 for x in X) or any(_dot(row, X) != bi * D for row, bi in zip(A, b)):
+        raise InternalError("the basic solution fails Ax = b, x >= 0")
 
-    nslack = sum(1 for _, rel in prepared if rel != EQ)
-    nart = sum(1 for _, rel in prepared if rel != LE)
-    total = ncols + nslack + nart
-    zero, one = _rat(0), _rat(1)
-
-    rows: list[list] = []
-    basis: list[int] = []
-    art_cols: list[int] = []
-    s_at, a_at = ncols, ncols + nslack
-    for body_rhs, rel in prepared:
-        row = body_rhs[:-1] + [zero] * (nslack + nart) + [body_rhs[-1]]
-        if rel == LE:
-            row[s_at] = one
-            basis.append(s_at)
-            s_at += 1
-        elif rel == GE:
-            row[s_at] = -one
-            row[a_at] = one
-            basis.append(a_at)
-            art_cols.append(a_at)
-            s_at += 1
-            a_at += 1
-        else:
-            row[a_at] = one
-            basis.append(a_at)
-            art_cols.append(a_at)
-            a_at += 1
-        rows.append(row)
-
-    allowed = [True] * total
-    art_set = set(art_cols)
-
-    if art_cols:
-        # Phase 1: maximize minus the sum of artificials, priced out for
-        # the initial artificial basis.
-        obj = [zero] * (total + 1)
-        for j in art_cols:
-            obj[j] = -one
-        for i, bj in enumerate(basis):
-            if bj in art_set:
-                obj[:] = [a + b for a, b in zip(obj, rows[i])]
-        if _bland(rows, obj, basis, allowed) != OPTIMAL:
-            raise InternalError("phase 1 unbounded although its objective is at most 0")
-        if obj[-1] != 0:
-            return LPResult(INFEASIBLE)
-        # Drive leftover zero-valued artificials out of the basis.
-        for i in range(len(rows) - 1, -1, -1):
-            if basis[i] in art_set:
-                ej = next(
-                    (j for j in range(ncols + nslack) if rows[i][j]), None
-                )
-                if ej is None:
-                    del rows[i], basis[i]  # redundant row
-                else:
-                    _pivot(rows, obj, basis, i, ej)
-        for j in art_cols:
-            allowed[j] = False
-
-    # Phase 2 with the real objective.
-    obj = [zero] * (total + 1)
-    for k in range(nvars):
-        if k in fixings or not lp.objective[k]:
-            continue
-        cq = _rat(lp.objective[k])
-        pos, neg = col_of[k]
-        obj[pos] += cq
-        if neg is not None:
-            obj[neg] -= cq
-    for i, bj in enumerate(basis):
-        cb = obj[bj]
-        if cb:
-            obj[:] = [a - cb * b if b else a for a, b in zip(obj, rows[i])]
-    status = _bland(rows, obj, basis, allowed)
     if status == UNBOUNDED:
+        ray = [0] * ncols
+        ray[s] = D
+        for i, j in enumerate(basis):
+            if rows[i][s]:
+                if j >= art:
+                    raise InternalError("an unbounded ray moves an artificial variable")
+                ray[j] = -rows[i][s]
+        if any(x < 0 for x in ray) or any(_dot(row, ray) for row in A) or _dot(c, ray) <= 0:
+            raise InternalError("phase 2 ended without a valid unbounded ray")
         return LPResult(UNBOUNDED)
 
-    colval = {bj: rows[i][-1] for i, bj in enumerate(basis)}
-    x = []
-    for k in range(nvars):
-        if k in fixings:
-            x.append(_to_fraction(fixings[k]))
-            continue
-        pos, neg = col_of[k]
-        v = colval.get(pos, zero)
-        if neg is not None:
-            v = v - colval.get(neg, zero)
-        x.append(_to_fraction(v))
-    value = _to_fraction(-obj[-1] + const)
-    return LPResult(OPTIMAL, value, tuple(x))
+    # Row duals of the scaled rows, times D: minus the reduced costs of the
+    # artificial columns, whose phase-2 cost is 0.
+    Y = [-obj[art + i] for i in range(nrows)]
+    cx = _dot(c, X)
+    if any(_dot(Y, col) < cj * D for col, cj in zip(cols, c)) or cx != _dot(b, Y):
+        raise InternalError("the duals fail A^T y >= c or c.x = b.y")
+    den = c_scale * D
+    return LPResult(
+        OPTIMAL,
+        shared_fraction(cx, den),
+        tuple(shared_fraction(x, D) for x in X),
+        tuple(shared_fraction(yi * si, den) for yi, si in zip(Y, row_scale)),
+    )

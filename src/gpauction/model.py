@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 NEG_INF = float("-inf")
@@ -22,8 +23,28 @@ Allocation = tuple[Bundle, ...]
 EMPTY_BUNDLE: Bundle = frozenset()
 
 
+# Integral values in [-_SMALL, _SMALL] as one shared Fraction each, so
+# results that keep many small prices and revenues do not each copy them.
+# Built on first use: most of the range never occurs.
+_SMALL = 256
+
+
+@lru_cache(maxsize=None)
+def _small_fraction(k: int) -> Fraction:
+    return Fraction(k)
+
+
+def shared_fraction(num: int, den: int = 1) -> Fraction:
+    """num / den as a Fraction, shared when it is a small integer."""
+    if num % den == 0 and -_SMALL <= num // den <= _SMALL:
+        return _small_fraction(num // den)
+    return Fraction(num, den)
+
+
 def as_fraction(x: Union[int, str, Fraction]) -> Fraction:
     """Exact rational from an int, a Fraction, or a string like "-1/2"."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, bool) or isinstance(x, float):
         raise TypeError(f"refusing inexact value {x!r}; use int, str or Fraction")
     return Fraction(x)
@@ -99,7 +120,7 @@ class ValueGraph:
         ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GPoint:
     """Integer vector indexed by the vertices then edges of a graph."""
 
@@ -247,7 +268,7 @@ def shift(v: Valuation, c: Sequence[Union[Fraction, int, str]]) -> Valuation:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PriceVector:
     """Anonymous quadratic price vector; ``linear_only`` pins all edge
     entries to zero (classical per-item pricing)."""

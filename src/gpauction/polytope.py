@@ -12,12 +12,11 @@ Minkowski-sum membership tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .caps import DEFAULT_CAPS, Caps, CapExceededError
-from .linprog import EQ, LinearProgram, OPTIMAL, lp_solve
+from .linprog import LinearProgram, OPTIMAL, lp_solve
 from .model import Bundle, EMPTY_BUNDLE, GPoint, ValueGraph, char_vector
 
 VERTEX_CAP = 16
@@ -27,6 +26,15 @@ VERTEX_CAP = 16
 def _vertex_table(graph: ValueGraph) -> tuple[GPoint, ...]:
     return tuple(
         char_vector([i for i in range(graph.n) if mask >> i & 1], graph)
+        for mask in range(1 << graph.n)
+    )
+
+
+@lru_cache(maxsize=None)
+def bundle_table(graph: ValueGraph) -> tuple[Bundle, ...]:
+    """The bundle of every subset bitmask, one shared frozenset each."""
+    return tuple(
+        frozenset(i for i in range(graph.n) if mask >> i & 1)
         for mask in range(1 << graph.n)
     )
 
@@ -81,10 +89,8 @@ def enumerate_decompositions(
     if any(c < 0 for c in a.coords):
         raise ValueError("point must be nonnegative")
     table = _vertex_table(g)
-    cands = [
-        (mask, table[mask], frozenset(i for i in range(g.n) if mask >> i & 1))
-        for mask in range((1 << g.n) - 1, 0, -1)
-    ]
+    bundles = bundle_table(g)
+    cands = [(mask, table[mask], bundles[mask]) for mask in range((1 << g.n) - 1, 0, -1)]
     epairs = [(i, j, g.edge_coord(i, j)) for i, j in g.edges]
 
     def feasible(res: tuple[int, ...], k: int) -> bool:
@@ -137,7 +143,7 @@ def enumerate_aggregates(
         raise ValueError("supply entries must be nonnegative")
     n = graph.n
     table = _vertex_table(graph)
-    bundles = [q.as_bundle() for q in table]
+    bundles = bundle_table(graph)
     bits = [sorted(S) for S in bundles]
 
     def rec(top: int, k: int, res: list[int], acc: tuple[int, ...], path: list[Bundle]):
@@ -194,27 +200,14 @@ def minkowski_contains(faces: list[Face], a: GPoint) -> bool:
     g = a.graph
     if any(f.graph != g for f in faces):
         raise ValueError("faces and point must share one graph")
-    nvars = sum(len(f.vertices) for f in faces)
-    zero, one = Fraction(0), Fraction(1)
-    rows = []
-    offset = 0
-    for f in faces:
-        coeffs = [zero] * nvars
-        for k in range(len(f.vertices)):
-            coeffs[offset + k] = one
-        rows.append((tuple(coeffs), EQ, one))
-        offset += len(f.vertices)
-    for c in range(g.d):
-        coeffs = [zero] * nvars
-        offset = 0
-        for f in faces:
-            for k, q in enumerate(f.vertices):
-                if q.coords[c]:
-                    coeffs[offset + k] = Fraction(q.coords[c])
-            offset += len(f.vertices)
-        rows.append((tuple(coeffs), EQ, Fraction(a.coords[c])))
-    lp = LinearProgram((zero,) * nvars, tuple(rows), nonneg=(True,) * nvars)
-    return lp_solve(lp).status == OPTIMAL
+    columns = [
+        tuple(int(k == t) for k in range(len(faces))) + q.coords
+        for t, f in enumerate(faces)
+        for q in f.vertices
+    ]
+    rows = tuple(zip(*columns)) if columns else ((),) * (len(faces) + g.d)
+    rhs = (1,) * len(faces) + a.coords
+    return lp_solve(LinearProgram((0,) * len(columns), rows, rhs)).status == OPTIMAL
 
 
 def vertex_sum_contains(

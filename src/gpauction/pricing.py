@@ -6,9 +6,11 @@ price. Only welfare-maximal splits of the point can be supported (summing
 the per-agent optimality conditions shows any supported split maximizes
 total value, and conversely a price supporting one welfare-maximal split
 supports them all), so one LP per point suffices: maximize revenue
-<p, a> over that polyhedron. The LP is solved exactly, generating the
-exponentially many bundle constraints lazily and verifying the optimum
-against a full demand-set scan.
+<p, a> over that polyhedron. The LP is solved exactly in dual form,
+with one row per price coordinate and one column per bundle constraint;
+the exponentially many columns are generated lazily by an exact scan, the
+prices are the row duals, and the optimum is verified against a full
+demand-set scan.
 """
 from __future__ import annotations
 
@@ -18,9 +20,7 @@ from typing import Optional, Sequence
 
 from .caps import DEFAULT_CAPS, Caps
 from .demand import max_welfare, point_welfares, verify_ce
-from .linprog import (
-    GE, INFEASIBLE, InternalError, LinearProgram, OPTIMAL, lp_solve,
-)
+from .linprog import InternalError, LinearProgram, OPTIMAL, UNBOUNDED, lp_solve
 from .model import (
     Allocation,
     Bundle,
@@ -28,11 +28,11 @@ from .model import (
     PriceVector,
     Valuation,
     Weight,
-    char_vector,
     is_finite,
+    shared_fraction,
     value,
 )
-from .polytope import vertices_P
+from .polytope import bundle_table, vertices_P
 
 FOUND = "found"
 INFEASIBLE_AT_POINT = "infeasible-at-point"
@@ -43,7 +43,7 @@ class CoveringError(ValueError):
     """The valuations do not form covering clique bids."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CEResult:
     status: str
     point: Optional[GPoint] = None
@@ -58,13 +58,25 @@ def _solve_ce_lp_lazy(
     point: GPoint,
     walrasian: bool,
 ) -> Optional[tuple[PriceVector, Fraction]]:
-    """Row generation for the revenue-maximization LP at a point: the
-    variables are the d price coordinates, and for every agent b and every
-    bundle T of finite value, <p, a_T - a_{S_b}> >= v_b(T) - v_b(S_b);
-    Walrasian mode pins the edge coordinates to zero. Solve with a small
-    active set, scan all bundles exactly for violated demand constraints,
+    """Column generation on the dual of the revenue LP at a point.
+
+    The revenue LP maximizes <p, a> over prices p such that, for every
+    agent b and every bundle T of finite value,
+    <p, a_T - a_{S_b}> >= v_b(T) - v_b(S_b). It is solved as its dual: one
+    equality row per priced coordinate (d of them, n in Walrasian mode,
+    where the edge prices are fixed at zero and drop out) and one
+    nonnegative column u_{b,T} per constraint,
+
+        max sum u_{b,T} (v_b(T) - v_b(S_b))
+        s.t. sum u_{b,T} (a_T - a_{S_b}) = -a,   u >= 0,
+
+    whose optimal value is minus the revenue and whose row duals are the
+    prices. The columns (b, empty bundle) alone are feasible (u = 1 sums
+    to -a), so the dual is never infeasible; an unbounded dual certifies
+    that no price supports the split. Solve with a few columns, scan all
+    bundles exactly for violated constraints, add each as a column,
     repeat.
-    A bundle of value -inf adds no row: its right-hand side is -inf, so
+    A bundle of value -inf adds no column: its right-hand side is -inf, so
     every price satisfies it (the agent's utility for it is -inf, below
     that of the empty bundle). With finite assigned values this is the
     exact LP for covering clique bids as well.
@@ -72,68 +84,55 @@ def _solve_ce_lp_lazy(
     LP's optimum; None certifies infeasibility (a relaxation already is).
     """
     g = point.graph
-    n, d = g.n, g.d
-    verts = vertices_P(g)
-    bundles = [q.as_bundle() for q in verts]
+    n = g.n
+    k = n if walrasian else g.d
+    verts = [q.coords[:k] for q in vertices_P(g)]
+    bundles = bundle_table(g)
     m = len(alloc)
-    part_chars = [char_vector(S, g) for S in alloc]
-    part_vals = [value(vs[b], alloc[b]) for b in range(m)]
+    own = [sum(1 << i for i in S) for S in alloc]
     vals = [[value(vs[b], T) for T in bundles] for b in range(m)]
-    objective = tuple(Fraction(c) for c in point.coords)
-    fixings = (
-        {g.n + k: Fraction(0) for k in range(len(g.edges))} if walrasian else None
-    )
-
-    def mask_of(S: Bundle) -> int:
-        return sum(1 << i for i in S)
+    finite = [[mask for mask, v in enumerate(vals[b]) if is_finite(v)] for b in range(m)]
+    rhs = tuple(-c for c in point.coords[:k])
 
     active: list[set[int]] = []
     for b in range(m):
-        seed = {0} | {1 << i for i in range(n)} | {mask_of(S) for S in alloc}
-        seed.discard(mask_of(alloc[b]))
-        active.append(seed)
+        seed = {0} | {1 << i for i in range(n)} | set(own)
+        seed.discard(own[b])
+        active.append(seed.intersection(finite[b]))
 
     while True:
-        rows = []
+        cols, costs = [], []
         for b in range(m):
-            ab = part_chars[b]
+            ab = verts[own[b]]
             for mask in sorted(active[b]):
-                vq = vals[b][mask]
-                if not is_finite(vq):
-                    continue
-                coeffs = tuple(
-                    Fraction(x - y) for x, y in zip(verts[mask].coords, ab.coords)
-                )
-                rows.append((coeffs, GE, vq - part_vals[b]))
-        res = lp_solve(LinearProgram(objective, tuple(rows), fixings=fixings))
-        if res.status == INFEASIBLE:
+                cols.append(tuple(x - y for x, y in zip(verts[mask], ab)))
+                costs.append(vals[b][mask] - vals[b][own[b]])
+        rows = tuple(zip(*cols)) if cols else ((),) * k
+        res = lp_solve(LinearProgram(tuple(costs), rows, rhs))
+        if res.status == UNBOUNDED:
             return None
         if res.status != OPTIMAL:
             raise InternalError(
-                f"pricing LP ended {res.status} although its objective is bounded"
+                f"dual pricing LP ended {res.status} although its seed columns are feasible"
             )
-        p = res.x[:d]
+        p = res.y
+        # <p, a_T>; characteristic vectors are 0/1
+        paid = [sum(pk for pk, ck in zip(p, q) if ck) for q in verts]
         clean = True
         for b in range(m):
-            ab = part_chars[b]
-            own = part_vals[b] - sum(pk * ck for pk, ck in zip(p, ab.coords) if ck)
-            new = set()
-            for mask in range(1 << n):
-                if mask in active[b]:
-                    continue
-                vq = vals[b][mask]
-                if not is_finite(vq):
-                    continue
-                u = vq - sum(
-                    pk * ck for pk, ck in zip(p, verts[mask].coords) if ck
-                )
-                if u > own:
-                    new.add(mask)
+            own_u = vals[b][own[b]] - paid[own[b]]
+            new = {
+                mask
+                for mask in finite[b]
+                if mask not in active[b] and vals[b][mask] - paid[mask] > own_u
+            }
             if new:
                 clean = False
-                active[b].update(new)
+                active[b] |= new
         if clean:
-            return PriceVector(g, tuple(p), linear_only=walrasian), res.value
+            entries = p + (shared_fraction(0),) * (g.d - k)
+            revenue = shared_fraction(-res.value.numerator, res.value.denominator)
+            return PriceVector(g, entries, linear_only=walrasian), revenue
 
 
 def _price_at(

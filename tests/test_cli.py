@@ -274,6 +274,11 @@ VALID_AGENT = {"vertex_weights": ["1", "2"], "edge_weights": {}}
         ({"faces": [[[float("inf")]]]}, "faces[0]"),
         ({"faces": [[[1.9, 2], [1], []]]}, "faces[0]"),
         ({"faces": [["12", [1], []]]}, "faces[0]"),
+        ({"edges": [" 1-2"]}, "edges"),
+        ({"edges": ["1_0-2"]}, "edges"),
+        ({"edges": ["\u0661-2"]}, "edges"),
+        ({"agents": [{**VALID_AGENT, "edge_weights": {"+1-2": "1"}}]},
+         "agents[0].edge_weights"),
     ],
 )
 def test_malformed_instance_is_input_error(tmp_path, capsys, patch, field):

@@ -1,67 +1,72 @@
 from fractions import Fraction as F
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
+from gpauction import linprog
 from gpauction.linprog import (
-    EQ,
-    GE,
-    LE,
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
+    InternalError,
     LinearProgram,
     LPResult,
     lp_solve,
 )
 
+from .oracle import EQ, GE, LE, ReferenceLP, reference_lp_solve
+
+# The reference solver of tests/oracle.py: general rows, free variables,
+# fixings.
+
 
 def test_single_bound():
-    lp = LinearProgram((F(1),), (((F(1),), LE, F(3)),))
-    res = lp_solve(lp)
+    lp = ReferenceLP((F(1),), (((F(1),), LE, F(3)),))
+    res = reference_lp_solve(lp)
     assert res == LPResult(OPTIMAL, F(3), (F(3),))
 
 
 def test_infeasible_pair():
-    lp = LinearProgram((F(1),), (((F(1),), LE, F(0)), ((F(1),), GE, F(1))))
-    assert lp_solve(lp).status == INFEASIBLE
+    lp = ReferenceLP((F(1),), (((F(1),), LE, F(0)), ((F(1),), GE, F(1))))
+    assert reference_lp_solve(lp).status == INFEASIBLE
 
 
 def test_unbounded():
-    assert lp_solve(LinearProgram((F(1),), ())).status == UNBOUNDED
+    assert reference_lp_solve(ReferenceLP((F(1),), ())).status == UNBOUNDED
 
 
 def test_free_variable_negative_optimum():
-    lp = LinearProgram((F(-1),), (((F(1),), GE, F(-5)),))
-    res = lp_solve(lp)
+    lp = ReferenceLP((F(-1),), (((F(1),), GE, F(-5)),))
+    res = reference_lp_solve(lp)
     assert (res.value, res.x) == (F(5), (F(-5),))
 
 
 def test_equality_and_nonneg():
-    lp = LinearProgram(
+    lp = ReferenceLP(
         (F(1), F(1)),
         (((F(1), F(1)), EQ, F(2)), ((F(1), F(0)), LE, F(1))),
         nonneg=(True, True),
     )
-    res = lp_solve(lp)
+    res = reference_lp_solve(lp)
     assert res.value == 2
     assert sum(res.x) == 2
 
 
 def test_fixings_fold_into_value():
-    lp = LinearProgram(
+    lp = ReferenceLP(
         (F(1), F(1)), (((F(1), F(0)), LE, F(1)),), fixings={1: F(2)}
     )
-    res = lp_solve(lp)
+    res = reference_lp_solve(lp)
     assert res.value == 3
     assert res.x[1] == 2
 
 
 def test_zero_objective_feasibility():
-    lp = LinearProgram(
+    lp = ReferenceLP(
         (F(0), F(0)),
         (((F(1), F(1)), GE, F(1)), ((F(1), F(-1)), EQ, F(0))),
     )
-    res = lp_solve(lp)
+    res = reference_lp_solve(lp)
     assert res.status == OPTIMAL
     assert res.x[0] == res.x[1] and res.x[0] + res.x[1] >= 1
 
@@ -73,14 +78,14 @@ def test_degenerate_cycling_guard():
         ((F(1, 2), F(-12), F(-1, 2), F(3)), LE, F(0)),
         ((F(0), F(0), F(1), F(0)), LE, F(1)),
     )
-    lp = LinearProgram((F(3, 4), F(-20), F(1, 2), F(-6)), rows, nonneg=(True,) * 4)
-    res = lp_solve(lp)
+    lp = ReferenceLP((F(3, 4), F(-20), F(1, 2), F(-6)), rows, nonneg=(True,) * 4)
+    res = reference_lp_solve(lp)
     assert res.status == OPTIMAL
     assert res.value == F(5, 4)
 
 
 def test_rational_exactness():
-    lp = LinearProgram(
+    lp = ReferenceLP(
         (F(1), F(1)),
         (
             ((F(1, 3), F(1, 7)), LE, F(1)),
@@ -88,15 +93,15 @@ def test_rational_exactness():
         ),
         nonneg=(True, True),
     )
-    res = lp_solve(lp)
+    res = reference_lp_solve(lp)
     assert res.value == F(21, 5)
 
 
 def test_all_zero_row_consistency():
-    sat = LinearProgram((F(1),), (((F(0),), LE, F(1)), ((F(1),), LE, F(2))))
-    assert lp_solve(sat).value == 2
-    unsat = LinearProgram((F(1),), (((F(0),), GE, F(1)),))
-    assert lp_solve(unsat).status == INFEASIBLE
+    sat = ReferenceLP((F(1),), (((F(0),), LE, F(1)), ((F(1),), LE, F(2))))
+    assert reference_lp_solve(sat).value == 2
+    unsat = ReferenceLP((F(1),), (((F(0),), GE, F(1)),))
+    assert reference_lp_solve(unsat).status == INFEASIBLE
 
 
 @given(st.data())
@@ -113,7 +118,7 @@ def test_witness_satisfies_all_rows(data):
         )
         for _ in range(nrows)
     )
-    res = lp_solve(LinearProgram(obj, rows))
+    res = reference_lp_solve(ReferenceLP(obj, rows))
     if res.status != OPTIMAL:
         return
     for coeffs, rel, rhs in rows:
@@ -122,3 +127,117 @@ def test_witness_satisfies_all_rows(data):
             lhs <= rhs if rel == LE else lhs >= rhs if rel == GE else lhs == rhs
         )
     assert sum(c * x for c, x in zip(obj, res.x)) == res.value
+
+
+# The production core: max c.x, Ax = b, x >= 0, on integer pivots.
+
+
+def standard(objective, rows, rhs) -> LinearProgram:
+    return LinearProgram(tuple(objective), tuple(map(tuple, rows)), tuple(rhs))
+
+
+def as_reference(lp: LinearProgram) -> ReferenceLP:
+    rows = tuple((coeffs, EQ, b) for coeffs, b in zip(lp.rows, lp.rhs))
+    return ReferenceLP(lp.objective, rows, nonneg=(True,) * len(lp.objective))
+
+
+def assert_certified(lp: LinearProgram, res: LPResult) -> None:
+    """x feasible, y dual feasible, equal objective values."""
+    cols = list(zip(*lp.rows)) if lp.rows else [()] * len(lp.objective)
+    assert all(x >= 0 for x in res.x)
+    for coeffs, b in zip(lp.rows, lp.rhs):
+        assert sum(a * x for a, x in zip(coeffs, res.x)) == b
+    for col, c in zip(cols, lp.objective):
+        assert sum(a * y for a, y in zip(col, res.y)) >= c
+    assert sum(c * x for c, x in zip(lp.objective, res.x)) == res.value
+    assert sum(b * y for b, y in zip(lp.rhs, res.y)) == res.value
+
+
+def test_core_optimum_with_duals():
+    lp = standard((F(1, 2), F(1, 3)), [(F(1, 3), 1), (1, -1)], (2, 1))
+    res = lp_solve(lp)
+    assert (res.status, res.value, res.x) == (OPTIMAL, F(37, 24), (F(9, 4), F(5, 4)))
+    assert res.y == (F(5, 8), F(7, 24))
+    assert_certified(lp, res)
+
+
+def test_core_negative_rhs_and_redundant_rows():
+    # row 2 is minus row 1; row 3 is all zero
+    lp = standard((-1, -2, 0), [(1, 1, 1), (-1, -1, -1), (0, 0, 0)], (-3, 3, 0))
+    assert lp_solve(lp).status == INFEASIBLE
+    lp = standard((-1, -2, 0), [(1, 1, 1), (-1, -1, -1), (0, 0, 0)], (3, -3, 0))
+    res = lp_solve(lp)
+    assert (res.status, res.value) == (OPTIMAL, 0)
+    assert_certified(lp, res)
+
+
+def test_core_unbounded_and_empty_shapes():
+    assert lp_solve(standard((1, 0), [(1, -1)], (1,))).status == UNBOUNDED
+    assert lp_solve(standard((1,), [], [])).status == UNBOUNDED
+    res = lp_solve(standard((-1,), [], []))
+    assert (res.status, res.x, res.y) == (OPTIMAL, (0,), ())
+    assert lp_solve(standard((), [()], (1,))).status == INFEASIBLE
+    assert lp_solve(standard((), [()], (0,))).y == (0,)
+
+
+def test_core_degenerate_cycling_guard():
+    # Beale's example in standard form, one slack per row
+    rows = [
+        (F(1, 4), -8, -1, 9, 1, 0, 0),
+        (F(1, 2), -12, F(-1, 2), 3, 0, 1, 0),
+        (0, 0, 1, 0, 0, 0, 1),
+    ]
+    lp = standard((F(3, 4), -20, F(1, 2), -6, 0, 0, 0), rows, (0, 0, 1))
+    res = lp_solve(lp)
+    assert (res.status, res.value) == (OPTIMAL, F(5, 4))
+    assert_certified(lp, res)
+
+
+def test_core_shares_small_integral_outputs():
+    res = lp_solve(standard((1, 1), [(1, 1)], (2,)))
+    again = lp_solve(standard((3, 3), [(3, 3)], (6,)))
+    assert res.x[0] is again.x[0] and res.y[0] is again.y[0] and res.value is again.x[0]
+
+
+def test_core_rejects_bad_shapes():
+    with pytest.raises(ValueError, match="rhs length"):
+        standard((1,), [(1,)], ())
+    with pytest.raises(ValueError, match="row length"):
+        standard((1,), [(1, 2)], (1,))
+
+
+def test_failed_certificate_raises(monkeypatch):
+    """A pivot that breaks exactness is caught by the certificate, not
+    returned."""
+    pivot = linprog._pivot
+
+    def off_by_one(rows, D, r, s):
+        p = pivot(rows, D, r, s)
+        rows[r][-1] += 1
+        return p
+
+    monkeypatch.setattr(linprog, "_pivot", off_by_one)
+    with pytest.raises(InternalError):
+        lp_solve(standard((1, 1), [(1, 2), (3, 1)], (4, 5)))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_core_matches_reference(data):
+    """Status and value equal the reference solver's; every optimum
+    carries duals that pass the certificate."""
+    ncols = data.draw(st.integers(0, 5))
+    nrows = data.draw(st.integers(0, 4))
+    frac = st.fractions(min_value=F(-4), max_value=F(4), max_denominator=4)
+    small = st.integers(-2, 2)
+    entry = data.draw(st.sampled_from((frac, small)))
+    lp = standard(
+        [data.draw(entry) for _ in range(ncols)],
+        [[data.draw(entry) for _ in range(ncols)] for _ in range(nrows)],
+        [data.draw(entry) for _ in range(nrows)],
+    )
+    res = lp_solve(lp)
+    ref = reference_lp_solve(as_reference(lp))
+    assert (res.status, res.value) == (ref.status, ref.value)
+    if res.status == OPTIMAL:
+        assert_certified(lp, res)

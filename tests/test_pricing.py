@@ -6,15 +6,17 @@ from hypothesis import given, settings, strategies as st
 
 from gpauction import pricing
 from gpauction.caps import CapExceededError
-from gpauction.demand import CEVerdict, demand_set, verify_ce
-from gpauction.linprog import OPTIMAL, GE, InternalError, lp_solve
+from gpauction.demand import CEVerdict, demand_set, max_welfare, verify_ce
+from gpauction.linprog import OPTIMAL, InternalError
 from gpauction.model import (
     GPoint,
     NEG_INF,
     PriceVector,
     Valuation,
     ValueGraph,
+    aggregate,
     char_vector,
+    is_finite,
 )
 from gpauction.pricing import (
     CoveringError,
@@ -33,8 +35,8 @@ from gpauction.randgen import (
 )
 from gpauction.instances import corpus_instance
 
-from .oracle import box_optimal_ce, build_ce_lp
-from .strategies import graphs, valuations
+from .oracle import GE, box_optimal_ce, build_ce_lp, reference_lp_solve
+from .strategies import bundles, graphs, small_fractions, valuations
 
 K3 = ValueGraph.complete(3)
 K4 = ValueGraph.complete(4)
@@ -46,7 +48,7 @@ class TestCeLp:
     def test_cutlery_singletons_lp_admits_unit_edge_price(self):
         alloc = (frozenset({0}), frozenset({1}), frozenset({2}))
         lp = build_ce_lp(CUTLERY, alloc, GPoint(K3, (1, 1, 1, 0, 0, 0)))
-        res = lp_solve(lp)
+        res = reference_lp_solve(lp)
         assert res.status == OPTIMAL
         p = (F(0), F(0), F(0), F(1), F(1), F(1))
         for coeffs, rel, rhs in lp.rows:
@@ -57,7 +59,80 @@ class TestCeLp:
         point = GPoint(K3, (1, 1, 1, 1, 0, 0))
         res = ce_price_at_point(CUTLERY, point)
         lp = build_ce_lp(CUTLERY, res.allocation, point)
-        assert lp_solve(lp).value == res.revenue
+        assert reference_lp_solve(lp).value == res.revenue
+
+
+def assert_matches_full_lp(vs, point, res, walrasian=False):
+    """The result agrees with the full reference LP at the max-welfare
+    split: FOUND iff that split is finite and the LP feasible, with the
+    LP's optimal value as revenue."""
+    welfare, alloc = max_welfare(vs, point)
+    if alloc is None or not is_finite(welfare):
+        assert res.status == INFEASIBLE_AT_POINT
+        return "no split"
+    full = reference_lp_solve(build_ce_lp(vs, alloc, point, walrasian))
+    if full.status != OPTIMAL:
+        assert res.status == INFEASIBLE_AT_POINT
+        return "infeasible LP"
+    assert res.status == FOUND
+    assert (res.allocation, res.revenue) == (alloc, full.value)
+    assert res.price.dot(point) == res.revenue and res.price.linear_only == walrasian
+    assert verify_ce(vs, res.allocation, res.price).ok
+    return "found"
+
+
+class TestAgainstFullLp:
+    """The column-generation dual LP against the full primal LP of
+    tests/oracle.py, solved by the reference solver."""
+
+    @given(graphs(max_n=3), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_point_pricing(self, g, data):
+        m = data.draw(st.integers(1, 3))
+        vs = [data.draw(valuations(g)) for _ in range(m)]
+        point = aggregate(g, [data.draw(bundles(g.n)) for _ in range(m)])
+        for walrasian in (False, True):
+            res = ce_price_at_point(vs, point, walrasian=walrasian)
+            assert_matches_full_lp(vs, point, res, walrasian)
+
+    def test_infeasible_cases(self):
+        # cutlery admits no Walrasian price at its optimal point
+        point = GPoint(K3, (1, 1, 1, 1, 0, 0))
+        res = ce_price_at_point(CUTLERY, point, walrasian=True)
+        assert assert_matches_full_lp(CUTLERY, point, res, True) == "infeasible LP"
+        # only agent 0 values the full K4 clique, of which two copies sell
+        v0 = Valuation(K4, tuple(F(1) for _ in range(K4.d)))
+        v1 = Valuation(K4, (F(2),) + (NEG_INF,) * 9)
+        point = GPoint(K4, (2,) * 10)
+        res = ce_for_covering([v0, v1], (2, 2, 2, 2), point)
+        assert assert_matches_full_lp([v0, v1], point, res) == "no split"
+
+    @given(st.integers(2, 4), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_covering_clique_bids(self, n, data):
+        """-inf outside each agent's support; the point is a sum of
+        bundles, each inside some agent's support, so it is compatible."""
+        g = ValueGraph.complete(n)
+        m = data.draw(st.integers(1, 3))
+        supports = [data.draw(bundles(n)) for _ in range(m)]
+        if set().union(*supports) != set(range(n)):
+            supports[-1] = frozenset(range(n)) - set().union(*supports[:-1])
+        def weight(inside):
+            return data.draw(small_fractions()) if inside else NEG_INF
+
+        vs = [
+            Valuation(g, tuple(weight(i in sup) for i in range(n))
+                      + tuple(weight(i in sup and j in sup) for i, j in g.edges))
+            for sup in supports
+        ]
+        parts = [data.draw(st.sampled_from(supports)) for _ in range(m)]
+        parts = [frozenset(data.draw(st.sets(st.sampled_from(sorted(S))))) if S else S for S in parts]
+        point = aggregate(g, parts)
+        supply = point.coords[:n]
+        if len({s for s in supply if s}) > 1:
+            return
+        res = ce_for_covering(vs, supply, point)
+        assert_matches_full_lp(vs, point, res)
 
 
 class TestCePriceAtPoint:
@@ -294,7 +369,7 @@ class TestExistenceSuitesMini:
             for b, S in enumerate(res.allocation):
                 assert S <= supports[b]
             assert verify_ce(vs, res.allocation, res.price).ok
-            full = lp_solve(build_ce_lp(vs, res.allocation, point))
+            full = reference_lp_solve(build_ce_lp(vs, res.allocation, point))
             assert res.revenue == full.value
 
     def test_walrasian_found_implies_quadratic_found(self):

@@ -35,3 +35,17 @@ def test_one_search_path():
                 f"{name}:{node.lineno} imports {a.name}" for a in node.names if a.name in banned
             ]
     assert not found, f"banned search in src/gpauction: {found}"
+
+
+def test_no_gmpy2():
+    """The LP core pivots on plain integers; gmpy2 is no dependency."""
+    found = []
+    for name, node in nodes():
+        if isinstance(node, ast.Import):
+            mods = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            mods = [node.module or ""]
+        else:
+            continue
+        found += [f"{name}:{node.lineno}" for mod in mods if mod.split(".")[0] == "gmpy2"]
+    assert not found, f"gmpy2 imported in src/gpauction: {found}"
