@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -64,11 +65,17 @@ def _caps_from(args) -> Caps:
     return caps
 
 
+_COORD = re.compile(r"\d+", re.ASCII)
+
+
 def _parse_point(text: str, graph: ValueGraph) -> GPoint:
-    try:
-        coords = tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise ParseError(f"--point: {exc}") from exc
+    """Comma-separated coordinates, each plain ASCII digits: no sign, space
+    or underscore, which int() would accept."""
+    parts = text.split(",")
+    bad = [x for x in parts if not _COORD.fullmatch(x)]
+    if bad:
+        raise ParseError(f"--point: bad coordinate {bad[0]!r}, need digits 0-9")
+    coords = tuple(int(x) for x in parts)
     if len(coords) != graph.d:
         raise ParseError(f"--point: need {graph.d} comma-separated integers")
     return GPoint(graph, coords)
@@ -308,7 +315,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ParseError, OSError, json.JSONDecodeError) as exc:
         return _err(str(exc))
     except CapExceededError as exc:
         return _err(f"{exc} (raise with --max-n/--max-m)")

@@ -5,11 +5,15 @@ from their demand set at the announced price; a pricing equilibrium (PE)
 additionally requires the sold aggregate to maximize seller revenue over
 all attainable aggregates with the same projection; a Walrasian
 equilibrium is a CE under linear (vertex-only) pricing.
+
+Bundles are valued through the integer tables of `model`: a valuation's
+cached Valuation.table (scale L) and a price's PriceVector.table (its
+common denominator D). A utility is then the integer value * D - paid * L
+in units of 1 / (L * D), so every comparison here is an integer one.
 """
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -18,7 +22,6 @@ from .caps import DEFAULT_CAPS, Caps
 from .model import (
     Allocation,
     Bundle,
-    EMPTY_BUNDLE,
     GPoint,
     NEG_INF,
     PriceVector,
@@ -26,11 +29,11 @@ from .model import (
     ValueGraph,
     Weight,
     aggregate,
-    is_finite,
+    common_tables,
     project,
-    value,
+    scaled_ints,
 )
-from .polytope import enumerate_aggregates, enumerate_decompositions
+from .polytope import bundle_table, enumerate_aggregates, enumerate_decompositions
 
 
 @dataclass(frozen=True)
@@ -48,25 +51,31 @@ def demand_set(
 ) -> DemandSet:
     """Argmax of value minus price over all bundles. Only subsets of the
     finite support can compete: anything else is dominated by the empty
-    bundle, which is always considered."""
+    bundle, which is always considered. The support's submasks are walked
+    over the valuation's and the price's tables, so utilities are the
+    integers value * D - paid * L; the tables span every bundle of the
+    graph, so the cap applies to its n."""
     if v.graph != p.graph:
         raise ValueError("valuation and price over different graphs")
-    support = sorted(v.support)
-    caps.check_n(len(support))
-    best = Fraction(0)
-    best_bundles = {EMPTY_BUNDLE}
-    for mask in range(1, 1 << len(support)):
-        S = frozenset(support[i] for i in range(len(support)) if mask >> i & 1)
-        val = value(v, S)
-        if not is_finite(val):  # a -inf edge weight inside the support
-            continue
-        u = val - p.of_bundle(S)
-        if u > best:
-            best = u
-            best_bundles = {S}
-        elif u == best:
-            best_bundles.add(S)
-    return DemandSet(p, frozenset(best_bundles), best, agent)
+    caps.check_n(v.graph.n)
+    D, paid = p.table()
+    L, val = v.table
+    support = sum(1 << i for i in v.support)
+    best, best_masks = 0, [0]
+    sub = support
+    while sub:
+        x = val[sub]
+        if x is not None:  # None: a -inf edge weight inside the support
+            u = x * D - paid[sub] * L
+            if u > best:
+                best, best_masks = u, [sub]
+            elif u == best:
+                best_masks.append(sub)
+        sub = (sub - 1) & support
+    bundles = bundle_table(v.graph)
+    return DemandSet(
+        p, frozenset(bundles[s] for s in best_masks), Fraction(best, L * D), agent
+    )
 
 
 def _bundle_key(S: Bundle) -> tuple[int, ...]:
@@ -78,27 +87,18 @@ def _alloc_key(alloc: Sequence[Bundle]) -> tuple:
     return (tuple(sorted(per_agent)), per_agent)
 
 
-def _part_values(vs: Sequence[Valuation]):
-    """Per-bundle lookup of every agent's value, scaled by the least common
-    denominator of all finite weights so that the matching DP adds plain
-    integers; None stands for -inf. Each bundle is valued once per call.
-    Returns the lookup and the scale."""
-    scale = math.lcm(*(w.denominator for v in vs for w in v.weights if is_finite(w)))
-    cache: dict[Bundle, list[Optional[int]]] = {}
-
-    def of(S: Bundle) -> list[Optional[int]]:
-        row = cache.get(S)
-        if row is None:
-            row = cache[S] = [
-                int(w * scale) if is_finite(w) else None
-                for w in (value(v, S) for v in vs)
-            ]
-        return row
-
-    return of, scale
+def _part_values(vs: Sequence[Valuation], g: ValueGraph):
+    """Every agent's value of every bundle, read from the valuation tables
+    on one scale so that the matching DP adds plain integers; None stands
+    for -inf. Returns the per-bundle rows and the scale."""
+    scale, tables = common_tables(vs)
+    rows = {S: [t[mask] for t in tables] for mask, S in enumerate(bundle_table(g))}
+    return rows, scale
 
 
-def _assign(parts: Sequence[Bundle], of, scale: int) -> tuple[Weight, Allocation]:
+def _assign(
+    parts: Sequence[Bundle], rows: dict[Bundle, list], scale: int
+) -> tuple[Weight, Allocation]:
     """Best matching of the m parts to the m agents, by an exact DP over
     subsets of parts: f(used) is the best total of giving the parts outside
     `used` to agents popcount(used)..m-1 (None when every way hits a -inf
@@ -107,7 +107,7 @@ def _assign(parts: Sequence[Bundle], of, scale: int) -> tuple[Weight, Allocation
     lexicographically least maximizer; when f(0) is -inf every matching
     ties and the witness is the parts sorted by _bundle_key."""
     m = len(parts)
-    cols = [of(S) for S in parts]
+    cols = [rows[S] for S in parts]
     full = (1 << m) - 1
     f: list[Optional[int]] = [None] * (full + 1)
     f[full] = 0
@@ -161,10 +161,10 @@ def max_welfare(
     g = a.graph
     if any(v.graph != g for v in vs):
         raise ValueError("valuations and point over different graphs")
-    of, scale = _part_values(vs)
+    rows, scale = _part_values(vs, g)
     best: Optional[tuple[Weight, Allocation]] = None
     for parts in enumerate_decompositions(a, m, caps):
-        cand = _assign(parts, of, scale)
+        cand = _assign(parts, rows, scale)
         if _better(cand, best):
             best = cand
     return best if best is not None else (NEG_INF, None)
@@ -182,10 +182,10 @@ def point_welfares(
     g = vs[0].graph
     if any(v.graph != g for v in vs):
         raise ValueError("valuations over different graphs")
-    of, scale = _part_values(vs)
+    rows, scale = _part_values(vs, g)
     best: dict[GPoint, tuple[Weight, Allocation]] = {}
     for a, parts in enumerate_aggregates(g, supply, len(vs), caps):
-        cand = _assign(parts, of, scale)
+        cand = _assign(parts, rows, scale)
         if _better(cand, best.get(a)):
             best[a] = cand
     return best
@@ -220,18 +220,22 @@ def verify_ce(
     if len(alloc) != len(vs):
         raise ValueError("allocation and valuation counts differ")
     g = p.graph
+    # aggregate also rejects items off the graph, before the bundle masks
+    # below index the tables.
+    revenue = p.dot(aggregate(g, alloc))
     failures = []
     for b, (v, S) in enumerate(zip(vs, alloc)):
         ds = demand_set(v, p, caps, agent=b)
         if S in ds.bundles:
             continue
-        val = value(v, S)
-        assigned_u = val - p.of_bundle(S) if is_finite(val) else NEG_INF
+        D, paid = p.table()
+        L, val = v.table
+        s = sum(1 << i for i in S)
+        assigned_u = NEG_INF if val[s] is None else Fraction(val[s] * D - paid[s] * L, L * D)
         better = min(ds.bundles, key=_bundle_key)
         failures.append(
             AgentWitness(b, S, assigned_u, better, ds.utility_value)
         )
-    revenue = p.dot(aggregate(g, alloc))
     return CEVerdict(not failures, revenue, tuple(failures))
 
 
@@ -256,12 +260,14 @@ def seller_demand(
     """Revenue-maximizing aggregates at a price: among all decomposable
     points projecting onto the supply, every one maximizing <p, a> (all
     ties are kept). The points come from enumerate_aggregates, so points
-    that are not sums of m bundles are never tried."""
+    that are not sums of m bundles are never tried; they are ranked by the
+    integer <P, a>, P the price over its common denominator."""
     g = p.graph
     points = {a for a, _ in enumerate_aggregates(g, supply, m, caps)}
     if not points:
         raise ValueError("no decomposable aggregate point projects onto the supply")
-    revenue = {a: p.dot(a) for a in points}
+    _, P = scaled_ints(p.entries)
+    revenue = {a: sum(x * c for x, c in zip(P, a.coords) if c) for a in points}
     best = max(revenue.values())
     return frozenset(a for a, rev in revenue.items() if rev == best)
 

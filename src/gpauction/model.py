@@ -6,13 +6,19 @@ coordinates 0..n-1 are indexed by vertices, the rest by edges in
 lexicographic order. All arithmetic is exact; weights are `Fraction`
 with ``NEG_INF`` as the single non-finite value, so equilibrium checks
 are plain equality tests.
+
+A valuation and a price are the same quadratic form on bundles, so both
+are tabulated the same way: bundle_sums scales a vector to integers and
+sums it over every bundle bitmask, and the solvers compare those
+integers. `value` is the direct definition, kept as the reference.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from functools import cached_property, lru_cache
+from math import lcm
+from typing import Iterable, Optional, Sequence, Union
 
 NEG_INF = float("-inf")
 
@@ -58,7 +64,16 @@ def as_weight(x) -> Weight:
 
 
 def is_finite(w: Weight) -> bool:
-    return w is not NEG_INF and w != NEG_INF
+    # A Fraction never equals -inf; testing only floats keeps it out of
+    # Fraction.__eq__'s float path.
+    return w is not NEG_INF and not (type(w) is float and w == NEG_INF)
+
+
+def scaled_ints(xs: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """The lcm D of the denominators of xs, and the integers D * x."""
+    xs = list(xs)
+    D = lcm(*(x.denominator for x in xs))
+    return D, [x.numerator * (D // x.denominator) for x in xs]
 
 
 @dataclass(frozen=True)
@@ -176,6 +191,14 @@ class GPoint:
         return frozenset(i for i in range(self.graph.n) if self.coords[i] == 1)
 
 
+@lru_cache(maxsize=256)
+def shared_point(graph: ValueGraph, coords: tuple[int, ...]) -> GPoint:
+    """The point (graph, coords), one shared object per recently returned
+    point, so that callers keeping many results do not each hold a copy
+    (as shared_fraction does for small values)."""
+    return GPoint(graph, coords)
+
+
 def char_vector(S: Iterable[int], graph: ValueGraph) -> GPoint:
     """Characteristic vector a_S: vertex indicators of S plus indicators of
     the edges internal to S."""
@@ -234,10 +257,58 @@ class Valuation:
     def is_finite(self) -> bool:
         return all(is_finite(w) for w in self.weights)
 
+    @cached_property
+    def table(self) -> tuple[int, tuple[Optional[int], ...]]:
+        """(L, t): L is the lcm of the finite weights' denominators and
+        t[mask] is L times the value of the bundle with that bitmask, None
+        for -inf. Built on first use and kept on the valuation."""
+        L = lcm(*(w.denominator for w in self.weights if is_finite(w)))
+        ints = [
+            w.numerator * (L // w.denominator) if is_finite(w) else None for w in self.weights
+        ]
+        return L, tuple(bundle_sums(self.graph, ints))
+
+
+def common_tables(vs: Sequence[Valuation]) -> tuple[int, list[Sequence[Optional[int]]]]:
+    """The valuations' tables over one scale: (L, tables) with L the lcm of
+    their scales and tables[b][mask] = L * v_b(bundle), None for -inf."""
+    tables = [v.table for v in vs]
+    L = lcm(*(s for s, _ in tables))
+    return L, [
+        t if s == L else [None if x is None else x * (L // s) for x in t]
+        for s, t in tables
+    ]
+
+
+def bundle_sums(graph: ValueGraph, w: Sequence[Optional[int]]) -> list[Optional[int]]:
+    """<w, a_S> for every bundle bitmask S of the graph, by the subset
+    recurrence t[S] = t[S - i] + w_i + sum of w_ij over j in S - i with ij
+    an edge, where i is the lowest vertex of S. A None entry stands for
+    -inf: every bundle touching it is None."""
+    n = graph.n
+    later = [
+        [(1 << j, w[graph.edge_coord(i, j)]) for j in range(i + 1, n) if graph.has_edge(i, j)]
+        for i in range(n)
+    ]
+    t: list[Optional[int]] = [0] * (1 << n)
+    for S in range(1, 1 << n):
+        low = S & -S
+        i = low.bit_length() - 1
+        x, wi = t[S ^ low], w[i]
+        x = None if x is None or wi is None else x + wi
+        for bit, wij in later[i]:
+            if x is None:
+                break
+            if S & bit:
+                x = None if wij is None else x + wij
+        t[S] = x
+    return t
+
 
 def value(v: Valuation, S: Iterable[int]) -> Weight:
     """Bundle value: sum of vertex weights over S plus edge weights internal
-    to S; NEG_INF as soon as any touched weight is NEG_INF."""
+    to S; NEG_INF as soon as any touched weight is NEG_INF. The reference
+    definition: the solvers read Valuation.table instead."""
     bundle = frozenset(S)
     total = Fraction(0)
     for i in bundle:
@@ -298,3 +369,10 @@ class PriceVector:
 
     def of_bundle(self, S: Iterable[int]) -> Fraction:
         return self.dot(char_vector(S, self.graph))
+
+    def table(self) -> tuple[int, list[int]]:
+        """(D, t): D is the common denominator of the entries and t[mask]
+        is D times the price of the bundle with that bitmask. Built per
+        call; a price keeps no table."""
+        D, P = scaled_ints(self.entries)
+        return D, bundle_sums(self.graph, P)

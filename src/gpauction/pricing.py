@@ -10,11 +10,13 @@ supports them all), so one LP per point suffices: maximize revenue
 with one row per price coordinate and one column per bundle constraint;
 the exponentially many columns are generated lazily by an exact scan, the
 prices are the row duals, and the optimum is verified against a full
-demand-set scan.
+demand-set scan. Bundle values and prices are read from the integer
+tables of `model` (Valuation.table, bundle_sums), so the LP's costs and
+every comparison of the scan are integers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -28,11 +30,14 @@ from .model import (
     PriceVector,
     Valuation,
     Weight,
+    bundle_sums,
+    common_tables,
     is_finite,
+    scaled_ints,
     shared_fraction,
-    value,
+    shared_point,
 )
-from .polytope import bundle_table, vertices_P
+from .polytope import vertices_P
 
 FOUND = "found"
 INFEASIBLE_AT_POINT = "infeasible-at-point"
@@ -80,6 +85,10 @@ def _solve_ce_lp_lazy(
     every price satisfies it (the agent's utility for it is -inf, below
     that of the empty bundle). With finite assigned values this is the
     exact LP for covering clique bids as well.
+    The costs are the values scaled by L, the common scale of the
+    valuation tables, so the row duals are L times the prices and the
+    optimum is -L times the revenue; a positive scale of the costs leaves
+    the pivot path unchanged.
     The returned price satisfies every constraint and attains the full
     LP's optimum; None certifies infeasibility (a relaxation already is).
     """
@@ -87,11 +96,10 @@ def _solve_ce_lp_lazy(
     n = g.n
     k = n if walrasian else g.d
     verts = [q.coords[:k] for q in vertices_P(g)]
-    bundles = bundle_table(g)
     m = len(alloc)
     own = [sum(1 << i for i in S) for S in alloc]
-    vals = [[value(vs[b], T) for T in bundles] for b in range(m)]
-    finite = [[mask for mask, v in enumerate(vals[b]) if is_finite(v)] for b in range(m)]
+    L, vals = common_tables(vs)
+    finite = [[mask for mask, x in enumerate(t) if x is not None] for t in vals]
     rhs = tuple(-c for c in point.coords[:k])
 
     active: list[set[int]] = []
@@ -115,23 +123,26 @@ def _solve_ce_lp_lazy(
             raise InternalError(
                 f"dual pricing LP ended {res.status} although its seed columns are feasible"
             )
-        p = res.y
-        # <p, a_T>; characteristic vectors are 0/1
-        paid = [sum(pk for pk, ck in zip(p, q) if ck) for q in verts]
+        # D * <y, a_T> for every bundle T, y = L * p over the denominator D:
+        # utilities compare as value * D - paid, in units of 1 / (L * D).
+        D, Y = scaled_ints(res.y)
+        paid = bundle_sums(g, Y + [0] * (g.d - k))
         clean = True
         for b in range(m):
-            own_u = vals[b][own[b]] - paid[own[b]]
+            t = vals[b]
+            own_u = t[own[b]] * D - paid[own[b]]
             new = {
                 mask
                 for mask in finite[b]
-                if mask not in active[b] and vals[b][mask] - paid[mask] > own_u
+                if mask not in active[b] and t[mask] * D - paid[mask] > own_u
             }
             if new:
                 clean = False
                 active[b] |= new
         if clean:
-            entries = p + (shared_fraction(0),) * (g.d - k)
-            revenue = shared_fraction(-res.value.numerator, res.value.denominator)
+            entries = tuple(shared_fraction(y.numerator, y.denominator * L) for y in res.y)
+            entries += (shared_fraction(0),) * (g.d - k)
+            revenue = shared_fraction(-res.value.numerator, res.value.denominator * L)
             return PriceVector(g, entries, linear_only=walrasian), revenue
 
 
@@ -236,7 +247,7 @@ def optimal_ce(
                 "no CE point over a complete graph: contradicts the nested-chain guarantee"
             )
         return CEResult(NO_POINT_FOUND)
-    return best
+    return replace(best, point=shared_point(g, best.point.coords))
 
 
 def check_covering(vs: Sequence[Valuation]) -> list[Bundle]:

@@ -291,6 +291,30 @@ def test_malformed_instance_is_input_error(tmp_path, capsys, patch, field):
     assert err.startswith("error: ") and field in err
 
 
+@pytest.mark.parametrize("command", ["solve", "decompose"])
+@pytest.mark.parametrize(
+    "point", ["1,1,1,0,1_0,0", "+1,1,1,0,0,0", " 1,1,1,0,0,0", "\u0661,1,1,0,0,0", "1,1,1,0,0,-0"]
+)
+def test_malformed_point_is_input_error(tmp_path, capsys, command, point):
+    """Each coordinate is plain ASCII digits; int() would take all of
+    these (1_0 as 10, so the solve would certify a negative)."""
+    path = write_corpus(tmp_path, "cutlery")
+    code, out, err = run(capsys, [command, path, "--point", point])
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: --point")
+
+
+@pytest.mark.parametrize("argv", [["solve", "{dir}"], ["verify", "{inst}", "{dir}"],
+                                  ["demand", "{inst}", "{dir}"]])
+def test_unreadable_path_is_input_error(tmp_path, capsys, argv):
+    inst = write_corpus(tmp_path, "cutlery")
+    code, out, err = run(capsys, [a.format(dir=tmp_path, inst=inst) for a in argv])
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 CUTLERY_WITNESS = {
     "allocation": [[1, 2], [3], []],
     "price": {"vertex": ["0", "0", "0"], "edge": {"1-2": "1", "1-3": "1", "2-3": "1"}},

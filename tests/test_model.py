@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +12,7 @@ from gpauction.model import (
     ValueGraph,
     aggregate,
     char_vector,
+    common_tables,
     is_finite,
     project,
     shift,
@@ -109,6 +111,59 @@ class TestValue:
         v = Valuation(K3, (F(1), F(1), F(1), NEG_INF, F(0), F(0)))
         assert value(v, {0, 1}) == NEG_INF
         assert value(v, {0}) == 1
+
+
+def test_is_finite():
+    assert is_finite(F(-7, 3)) and is_finite(F(0))
+    assert not is_finite(NEG_INF)
+    other = float("-inf")  # equal to NEG_INF, but another object
+    assert other is not NEG_INF and not is_finite(other)
+
+
+def mixed_weights(d: int):
+    """Weights with mixed denominators, -inf on vertices and edges alike."""
+    w = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+    return st.lists(w | st.just(NEG_INF), min_size=d, max_size=d)
+
+
+def bundle_of(mask: int, n: int) -> frozenset:
+    return frozenset(i for i in range(n) if mask >> i & 1)
+
+
+def assert_scaled_values(v: Valuation, L: int, t) -> None:
+    """t[mask] is L * value(v, bundle of mask) on every mask, None for -inf."""
+    assert len(t) == 1 << v.graph.n
+    for mask in range(1 << v.graph.n):
+        ref = value(v, bundle_of(mask, v.graph.n))
+        assert (t[mask] is None) if ref == NEG_INF else t[mask] == L * ref
+
+
+class TestTables:
+    @given(graphs(), st.data())
+    def test_valuation_table_is_scaled_value(self, g, data):
+        v = Valuation(g, tuple(data.draw(mixed_weights(g.d))))
+        L, t = v.table
+        assert L == math.lcm(*(w.denominator for w in v.weights if is_finite(w)))
+        assert_scaled_values(v, L, t)
+
+    def test_table_is_built_once(self):
+        v = Valuation(K3, (F(1, 2), NEG_INF, F(1), F(1, 3), F(0), F(2)))
+        assert v.table is v.table
+
+    @given(graphs(max_n=4), st.data())
+    def test_common_tables_share_one_scale(self, g, data):
+        vs = [Valuation(g, tuple(data.draw(mixed_weights(g.d)))) for _ in range(3)]
+        L, tables = common_tables(vs)
+        for v, t in zip(vs, tables):
+            assert_scaled_values(v, L, t)
+
+    @given(graphs(), st.data())
+    def test_price_table_is_scaled_price(self, g, data):
+        p = PriceVector(g, tuple(data.draw(small_fractions()) for _ in range(g.d)))
+        D, t = p.table()
+        assert D == math.lcm(*(e.denominator for e in p.entries))
+        for mask in range(1 << g.n):
+            assert t[mask] == D * p.of_bundle(bundle_of(mask, g.n))
 
 
 class TestShift:

@@ -11,6 +11,12 @@ def nodes():
             yield path.name, node
 
 
+def called_name(node: ast.Call):
+    """The name a call is made through: f(...) or obj.f(...) give f."""
+    f = node.func
+    return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+
 def test_no_assert_statements():
     """`python -O` strips asserts, so a guard on a verdict must raise
     (InternalError) instead."""
@@ -26,8 +32,7 @@ def test_one_search_path():
     found = []
     for name, node in nodes():
         if isinstance(node, ast.Call):
-            f = node.func
-            called = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            called = called_name(node)
             if called in banned:
                 found.append(f"{name}:{node.lineno} calls {called}")
         elif isinstance(node, ast.ImportFrom):
@@ -49,3 +54,14 @@ def test_no_gmpy2():
             continue
         found += [f"{name}:{node.lineno}" for mod in mods if mod.split(".")[0] == "gmpy2"]
     assert not found, f"gmpy2 imported in src/gpauction: {found}"
+
+
+def test_one_valuation_path():
+    """Bundles are valued through the integer tables of model; the direct
+    model.value stays as the reference, called from model.py alone."""
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in nodes()
+        if name != "model.py" and isinstance(node, ast.Call) and called_name(node) == "value"
+    ]
+    assert not found, f"calls of value outside model.py: {found}"
