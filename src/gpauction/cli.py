@@ -65,6 +65,24 @@ def _caps_from(args) -> Caps:
     return caps
 
 
+def _load(path: str, caps: Caps) -> InstanceFile:
+    """load_instance with an unreadable path (missing, a directory, no
+    permission) as an input error. Only input is mapped this way: an
+    OSError on output, such as a broken pipe, is not an input error."""
+    try:
+        return load_instance(path, caps)
+    except OSError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def _read_json(path: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ParseError(str(exc)) from exc
+
+
 _COORD = re.compile(r"\d+", re.ASCII)
 
 
@@ -137,7 +155,7 @@ def _covering_point(inst: InstanceFile) -> GPoint:
 
 def cmd_solve(args) -> int:
     caps = _caps_from(args)
-    inst = load_instance(args.instance, caps)
+    inst = _load(args.instance, caps)
     if not inst.valuations:
         return _err(f"{args.instance}: no agents to solve for")
     walrasian = args.walrasian or inst.walrasian
@@ -163,9 +181,8 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     caps = _caps_from(args)
-    inst = load_instance(args.instance, caps)
-    with open(args.witness) as fh:
-        doc = json.load(fh)
+    inst = _load(args.instance, caps)
+    doc = _read_json(args.witness)
     alloc, price = parse_alloc_price(doc, inst.graph)
     if len(alloc) != len(inst.valuations):
         return _err(
@@ -209,9 +226,8 @@ def cmd_verify(args) -> int:
 
 def cmd_demand(args) -> int:
     caps = _caps_from(args)
-    inst = load_instance(args.instance, caps)
-    with open(args.price) as fh:
-        doc = json.load(fh)
+    inst = _load(args.instance, caps)
+    doc = _read_json(args.price)
     if isinstance(doc, dict) and "price" in doc:
         doc = doc["price"]
     price = parse_price(doc, inst.graph)
@@ -227,7 +243,7 @@ def cmd_demand(args) -> int:
 
 def cmd_decompose(args) -> int:
     caps = _caps_from(args)
-    inst = load_instance(args.instance, caps)
+    inst = _load(args.instance, caps)
     if args.point:
         point = _parse_point(args.point, inst.graph)
     elif inst.point is not None:
@@ -315,7 +331,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, OSError, json.JSONDecodeError) as exc:
+    except (ParseError, json.JSONDecodeError) as exc:
         return _err(str(exc))
     except CapExceededError as exc:
         return _err(f"{exc} (raise with --max-n/--max-m)")

@@ -31,7 +31,6 @@ from .model import (
     aggregate,
     common_tables,
     project,
-    scaled_ints,
 )
 from .polytope import bundle_table, enumerate_aggregates, enumerate_decompositions
 
@@ -53,8 +52,9 @@ def demand_set(
     finite support can compete: anything else is dominated by the empty
     bundle, which is always considered. The support's submasks are walked
     over the valuation's and the price's tables, so utilities are the
-    integers value * D - paid * L; the tables span every bundle of the
-    graph, so the cap applies to its n."""
+    integers value * D - paid * L. The tables span every bundle of the
+    graph, so the cap applies to the graph's n: a graph above it raises
+    CapExceededError even when the support is small."""
     if v.graph != p.graph:
         raise ValueError("valuation and price over different graphs")
     caps.check_n(v.graph.n)
@@ -87,27 +87,20 @@ def _alloc_key(alloc: Sequence[Bundle]) -> tuple:
     return (tuple(sorted(per_agent)), per_agent)
 
 
-def _part_values(vs: Sequence[Valuation], g: ValueGraph):
-    """Every agent's value of every bundle, read from the valuation tables
-    on one scale so that the matching DP adds plain integers; None stands
-    for -inf. Returns the per-bundle rows and the scale."""
-    scale, tables = common_tables(vs)
-    rows = {S: [t[mask] for t in tables] for mask, S in enumerate(bundle_table(g))}
-    return rows, scale
-
-
 def _assign(
-    parts: Sequence[Bundle], rows: dict[Bundle, list], scale: int
+    parts: Sequence[Bundle], tables: Sequence[Sequence[Optional[int]]], scale: int
 ) -> tuple[Weight, Allocation]:
-    """Best matching of the m parts to the m agents, by an exact DP over
-    subsets of parts: f(used) is the best total of giving the parts outside
+    """Best matching of the m parts to the m agents. tables[b][mask] is
+    agent b's value of the bundle with that bitmask on one scale (see
+    common_tables), None for -inf; the DP runs over subsets of parts:
+    f(used) is the best total of giving the parts outside
     `used` to agents popcount(used)..m-1 (None when every way hits a -inf
     value), in units of 1/scale. The witness gives each agent in turn the
     part of least _bundle_key that still attains f, so it is the
     lexicographically least maximizer; when f(0) is -inf every matching
     ties and the witness is the parts sorted by _bundle_key."""
     m = len(parts)
-    cols = [rows[S] for S in parts]
+    cols = [[t[s] for t in tables] for s in (sum(1 << i for i in S) for S in parts)]
     full = (1 << m) - 1
     f: list[Optional[int]] = [None] * (full + 1)
     f[full] = 0
@@ -161,10 +154,10 @@ def max_welfare(
     g = a.graph
     if any(v.graph != g for v in vs):
         raise ValueError("valuations and point over different graphs")
-    rows, scale = _part_values(vs, g)
+    scale, tables = common_tables(vs)
     best: Optional[tuple[Weight, Allocation]] = None
     for parts in enumerate_decompositions(a, m, caps):
-        cand = _assign(parts, rows, scale)
+        cand = _assign(parts, tables, scale)
         if _better(cand, best):
             best = cand
     return best if best is not None else (NEG_INF, None)
@@ -182,10 +175,10 @@ def point_welfares(
     g = vs[0].graph
     if any(v.graph != g for v in vs):
         raise ValueError("valuations over different graphs")
-    rows, scale = _part_values(vs, g)
+    scale, tables = common_tables(vs)
     best: dict[GPoint, tuple[Weight, Allocation]] = {}
     for a, parts in enumerate_aggregates(g, supply, len(vs), caps):
-        cand = _assign(parts, rows, scale)
+        cand = _assign(parts, tables, scale)
         if _better(cand, best.get(a)):
             best[a] = cand
     return best
@@ -260,14 +253,12 @@ def seller_demand(
     """Revenue-maximizing aggregates at a price: among all decomposable
     points projecting onto the supply, every one maximizing <p, a> (all
     ties are kept). The points come from enumerate_aggregates, so points
-    that are not sums of m bundles are never tried; they are ranked by the
-    integer <P, a>, P the price over its common denominator."""
+    that are not sums of m bundles are never tried."""
     g = p.graph
     points = {a for a, _ in enumerate_aggregates(g, supply, m, caps)}
     if not points:
         raise ValueError("no decomposable aggregate point projects onto the supply")
-    _, P = scaled_ints(p.entries)
-    revenue = {a: sum(x * c for x, c in zip(P, a.coords) if c) for a in points}
+    revenue = {a: p.dot(a) for a in points}
     best = max(revenue.values())
     return frozenset(a for a, rev in revenue.items() if rev == best)
 

@@ -191,14 +191,6 @@ class GPoint:
         return frozenset(i for i in range(self.graph.n) if self.coords[i] == 1)
 
 
-@lru_cache(maxsize=256)
-def shared_point(graph: ValueGraph, coords: tuple[int, ...]) -> GPoint:
-    """The point (graph, coords), one shared object per recently returned
-    point, so that callers keeping many results do not each hold a copy
-    (as shared_fraction does for small values)."""
-    return GPoint(graph, coords)
-
-
 def char_vector(S: Iterable[int], graph: ValueGraph) -> GPoint:
     """Characteristic vector a_S: vertex indicators of S plus indicators of
     the edges internal to S."""
@@ -363,9 +355,9 @@ class PriceVector:
         return cls(graph, (Fraction(0),) * graph.d, linear_only)
 
     def dot(self, a: GPoint) -> Fraction:
-        return sum(
-            (p * c for p, c in zip(self.entries, a.coords) if c), Fraction(0)
-        )
+        """<p, a>, summed as integers over the common denominator."""
+        D, P = scaled_ints(self.entries)
+        return Fraction(sum(x * c for x, c in zip(P, a.coords) if c), D)
 
     def of_bundle(self, S: Iterable[int]) -> Fraction:
         return self.dot(char_vector(S, self.graph))

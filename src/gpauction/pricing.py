@@ -16,7 +16,7 @@ every comparison of the scan are integers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -35,7 +35,6 @@ from .model import (
     is_finite,
     scaled_ints,
     shared_fraction,
-    shared_point,
 )
 from .polytope import vertices_P
 
@@ -247,7 +246,7 @@ def optimal_ce(
                 "no CE point over a complete graph: contradicts the nested-chain guarantee"
             )
         return CEResult(NO_POINT_FOUND)
-    return replace(best, point=shared_point(g, best.point.coords))
+    return best
 
 
 def check_covering(vs: Sequence[Valuation]) -> list[Bundle]:

@@ -315,6 +315,23 @@ def test_unreadable_path_is_input_error(tmp_path, capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+def test_broken_output_pipe_is_not_an_input_error(tmp_path, monkeypatch):
+    """Only reading input maps an OSError to exit 1: a failed write to
+    stdout propagates instead of posing as an input error."""
+
+    class BrokenStdout:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    path = write_corpus(tmp_path, "cutlery")
+    monkeypatch.setattr(sys, "stdout", BrokenStdout())
+    with pytest.raises(BrokenPipeError):
+        main(["solve", path])
+
+
 CUTLERY_WITNESS = {
     "allocation": [[1, 2], [3], []],
     "price": {"vertex": ["0", "0", "0"], "edge": {"1-2": "1", "1-3": "1", "2-3": "1"}},

@@ -86,6 +86,20 @@ class TestDemandSet:
         with pytest.raises(CapExceededError):
             demand_set(Valuation.zero(g), PriceVector.zero(g))
 
+    def test_cap_is_on_the_graph_not_the_support(self):
+        """The valuation and price tables span all 2^n bundles of the
+        graph, so a small support does not lift the cap on n."""
+        from gpauction.caps import Caps, CapExceededError
+
+        g = ValueGraph.complete(7)
+        weights = (F(1), F(1)) + (NEG_INF,) * 5 + (F(1),) * len(g.edges)
+        v = Valuation(g, weights)
+        assert v.support == {0, 1}
+        with pytest.raises(CapExceededError):
+            demand_set(v, PriceVector.zero(g))
+        ds = demand_set(v, PriceVector.zero(g), Caps(max_n=7))
+        assert ds.bundles == {frozenset({0, 1})} and ds.utility_value == 3
+
     def test_empty_bundle_when_utility_zero(self):
         v = Valuation(K3, (F(-1),) * 6)
         ds = demand_set(v, PriceVector.zero(K3))
