@@ -8,10 +8,10 @@ vertex sum, and the K4 point that no four bundles can assemble.
 """
 import time
 
-from gpauction.demand import verify_pe, walrasian_exists
+from gpauction.demand import verify_pe
 from gpauction.instances import corpus_instance
 from gpauction.polytope import enumerate_decompositions, minkowski_contains, vertex_sum_contains
-from gpauction.pricing import optimal_ce
+from gpauction.pricing import FOUND, optimal_ce
 
 
 def solve_auction(name):
@@ -24,12 +24,11 @@ def solve_auction(name):
     pe = verify_pe(inst.valuations, res.allocation, res.price, inst.supply)
     print(f"  seller optimum at this price: {pe.seller_best_revenue} "
           f"-> {'PE' if pe.ok else 'not a PE'}")
-    lin = walrasian_exists(inst.valuations, inst.supply)
-    if lin is None:
+    lin = optimal_ce(inst.valuations, inst.supply, walrasian=True)
+    if lin.status != FOUND:
         print("  no Walrasian equilibrium")
     else:
-        price, _ = lin
-        print(f"  Walrasian price {tuple(map(str, price.entries))}")
+        print(f"  Walrasian price {tuple(map(str, lin.price.entries))}")
 
 
 def geometry(name):

@@ -33,7 +33,6 @@ from .demand import (
     seller_demand,
     verify_ce,
     verify_pe,
-    walrasian_exists,
 )
 from .linprog import InternalError, LinearProgram, LPResult, lp_solve
 from .pricing import (

@@ -233,7 +233,7 @@ def cmd_demand(args) -> int:
     price = parse_price(doc, inst.graph)
     out = []
     for b, v in enumerate(inst.valuations):
-        ds = demand_set(v, price, caps, agent=b)
+        ds = demand_set(v, price, caps)
         bundles = sorted(print_bundles(sorted(ds.bundles, key=sorted)))
         out.append({"agent": b + 1, "utility": str(ds.utility_value), "bundles": bundles})
         _table([(f"agent {b + 1}", f"utility {ds.utility_value}: {bundles}")])
@@ -250,7 +250,7 @@ def cmd_decompose(args) -> int:
         point = inst.point
     else:
         return _err("no point: pass --point or use an instance file with one")
-    m = args.m or inst.m
+    m = inst.m if args.m is None else args.m
     if m < 1:
         return _err("need a positive number of parts (--m or agents in the file)")
     found = [

@@ -39,15 +39,11 @@ from .polytope import bundle_table, enumerate_aggregates, enumerate_decompositio
 class DemandSet:
     """All utility-maximizing bundles of one agent at one price."""
 
-    price: PriceVector
     bundles: frozenset[Bundle]
     utility_value: Fraction
-    agent: Optional[int] = None
 
 
-def demand_set(
-    v: Valuation, p: PriceVector, caps: Caps = DEFAULT_CAPS, agent: Optional[int] = None
-) -> DemandSet:
+def demand_set(v: Valuation, p: PriceVector, caps: Caps = DEFAULT_CAPS) -> DemandSet:
     """Argmax of value minus price over all bundles. Only subsets of the
     finite support can compete: anything else is dominated by the empty
     bundle, which is always considered. The support's submasks are walked
@@ -73,9 +69,7 @@ def demand_set(
                 best_masks.append(sub)
         sub = (sub - 1) & support
     bundles = bundle_table(v.graph)
-    return DemandSet(
-        p, frozenset(bundles[s] for s in best_masks), Fraction(best, L * D), agent
-    )
+    return DemandSet(frozenset(bundles[s] for s in best_masks), Fraction(best, L * D))
 
 
 def _bundle_key(S: Bundle) -> tuple[int, ...]:
@@ -218,7 +212,7 @@ def verify_ce(
     revenue = p.dot(aggregate(g, alloc))
     failures = []
     for b, (v, S) in enumerate(zip(vs, alloc)):
-        ds = demand_set(v, p, caps, agent=b)
+        ds = demand_set(v, p, caps)
         if S in ds.bundles:
             continue
         D, paid = p.table()
@@ -293,16 +287,3 @@ def verify_pe(
     seller_ok = agg in sd
     return PEVerdict(ce.ok and seller_ok, ce, ce.revenue, best, seller_ok)
 
-
-def walrasian_exists(
-    vs: Sequence[Valuation], supply: Sequence[int], caps: Caps = DEFAULT_CAPS
-) -> Optional[tuple[PriceVector, Allocation]]:
-    """Search for a CE under linear pricing (edge prices pinned to zero).
-    Returns a witness or None after exhausting every decomposable point
-    over the supply."""
-    from . import pricing  # deferred: pricing builds on this module
-
-    res = pricing.optimal_ce(vs, supply, walrasian=True, caps=caps)
-    if res.status != pricing.FOUND:
-        return None
-    return res.price, res.allocation

@@ -51,6 +51,15 @@ def _rational(x: Any, where: str) -> Fraction:
         raise ParseError(f"{where}: cannot parse rational {x!r}") from exc
 
 
+def _flag(doc: dict, key: str, where: str) -> bool:
+    """An optional JSON boolean, false when absent. Any other value, the
+    string "false" among them, is a ParseError."""
+    x = doc.get(key, False)
+    if not isinstance(x, bool):
+        raise ParseError(f"{where}.{key}: need true or false, got {x!r}")
+    return x
+
+
 def _weight(x: Any, where: str):
     if x == "-inf":
         return NEG_INF
@@ -196,8 +205,8 @@ def parse_instance(doc: dict, caps: Caps = DEFAULT_CAPS) -> InstanceFile:
         valuations=tuple(vals),
         supply=tuple(supply),
         m=m,
-        walrasian=bool(mode.get("walrasian", False)),
-        covering=bool(mode.get("covering", False)),
+        walrasian=_flag(mode, "walrasian", "mode"),
+        covering=_flag(mode, "covering", "mode"),
         faces=faces,
         point=point,
         name=doc.get("name"),
@@ -266,9 +275,7 @@ def parse_price(doc: dict, graph: ValueGraph, where: str = "price") -> PriceVect
         for k, x in ew.items()
     }
     entries.extend(by_edge.get(e, Fraction(0)) for e in graph.edges)
-    return PriceVector(
-        graph, tuple(entries), linear_only=bool(doc.get("linear_only", False))
-    )
+    return PriceVector(graph, tuple(entries), linear_only=_flag(doc, "linear_only", where))
 
 
 def print_price(p: PriceVector) -> dict:

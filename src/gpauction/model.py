@@ -154,9 +154,6 @@ class GPoint:
     def zero(cls, graph: ValueGraph) -> "GPoint":
         return cls(graph, (0,) * graph.d)
 
-    def vertex(self, i: int) -> int:
-        return self.coords[i]
-
     def edge(self, i: int, j: int) -> int:
         return self.coords[self.graph.edge_coord(i, j)]
 
@@ -167,10 +164,6 @@ class GPoint:
     def __add__(self, other: "GPoint") -> "GPoint":
         self._require_same_graph(other)
         return GPoint(self.graph, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "GPoint") -> "GPoint":
-        self._require_same_graph(other)
-        return GPoint(self.graph, tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def scale(self, k: int) -> "GPoint":
         return GPoint(self.graph, tuple(k * c for c in self.coords))

@@ -4,10 +4,12 @@ characteristic vectors a_S.
 P(K_n) is the correlation (boolean quadric) polytope; no full facet
 description is known for n >= 4, so faces are always handled
 extensionally through their vertex lists. The module provides the
-nested-chain decomposition of lifted supply points, exhaustive
-decomposition enumeration of integer points of the dilate m*P, the
-enumeration of every decomposable aggregate over a supply, and exact
-Minkowski-sum membership tests.
+nested-chain decomposition of lifted supply points, exact Minkowski-sum
+membership tests, and one search over the multisets of m bundles that
+sell a supply: every decomposable aggregate over a supply comes from
+that search, and the splits of one integer point of m*P are that search
+on the point's projection with each edge's count pinned to its
+coordinate.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ from .linprog import LinearProgram, OPTIMAL, lp_solve
 from .model import Bundle, EMPTY_BUNDLE, GPoint, ValueGraph, char_vector
 
 VERTEX_CAP = 16
+VERTEX_PRODUCT_CAP = 10**8
 
 
 @lru_cache(maxsize=None)
@@ -39,11 +42,11 @@ def bundle_table(graph: ValueGraph) -> tuple[Bundle, ...]:
     )
 
 
-def vertices_P(graph: ValueGraph, cap: int = VERTEX_CAP) -> list[GPoint]:
+def vertices_P(graph: ValueGraph) -> list[GPoint]:
     """All 2^n characteristic vectors, ordered by subset bitmask. These are
     exactly the vertices and the lattice points of P(G)."""
-    if graph.n > cap:
-        raise CapExceededError(f"n={graph.n} exceeds vertex enumeration cap {cap}")
+    if graph.n > VERTEX_CAP:
+        raise CapExceededError(f"n={graph.n} exceeds vertex enumeration cap {VERTEX_CAP}")
     return list(_vertex_table(graph))
 
 
@@ -80,43 +83,18 @@ def enumerate_decompositions(
     to a, each exactly once (bundles in decreasing bitmask order, empties
     last). Empty iterator iff a is not a sum of m lattice points of P(G).
 
-    Depth-first search over bundles in canonical nonincreasing order, with
-    coordinate-wise residual pruning.
+    These are the splits of a's projection whose edge counts equal a's
+    edge coordinates: the search of enumerate_aggregates with every edge
+    pinned to its coordinate.
     """
     g = a.graph
     caps.check_n(g.n)
     caps.check_m(m)
     if any(c < 0 for c in a.coords):
         raise ValueError("point must be nonnegative")
-    table = _vertex_table(g)
-    bundles = bundle_table(g)
-    cands = [(mask, table[mask], bundles[mask]) for mask in range((1 << g.n) - 1, 0, -1)]
-    epairs = [(i, j, g.edge_coord(i, j)) for i, j in g.edges]
-
-    def feasible(res: tuple[int, ...], k: int) -> bool:
-        if any(c > k for c in res):
-            return False
-        for i, j, eij in epairs:
-            if res[eij] > min(res[i], res[j]) or res[eij] < res[i] + res[j] - k:
-                return False
-        return True
-
-    def rec(start: int, k: int, res: tuple[int, ...], path: list[Bundle]):
-        if not any(res):
-            yield tuple(path) + (EMPTY_BUNDLE,) * k
-            return
-        if k == 0 or not feasible(res, k):
-            return
-        for idx in range(start, len(cands)):
-            mask, ch, bundle = cands[idx]
-            nxt = tuple(x - y for x, y in zip(res, ch.coords))
-            if any(x < 0 for x in nxt):
-                continue
-            path.append(bundle)
-            yield from rec(idx, k - 1, nxt, path)
-            path.pop()
-
-    return rec(0, m, a.coords, [])
+    n = g.n
+    pins = [(i, j, n + t, a.coords[n + t]) for t, (i, j) in enumerate(g.edges)]
+    return (parts for _, parts in _splits(g, a.coords[:n], m, pins))
 
 
 def enumerate_aggregates(
@@ -127,12 +105,6 @@ def enumerate_aggregates(
     enumerate_decompositions, point their characteristic-vector sum. These
     points are exactly the decomposable ones projecting onto the supply; a
     point appears once per decomposition, so callers fold the items.
-
-    Depth-first search over bundles in decreasing bitmask order on the
-    vertex residuals only: a vertex needing more than the k bundles left
-    prunes the branch, a bundle using a vertex with no residual is
-    skipped, and once the bitmasks fall below the highest vertex still
-    needed no later bundle can cover it.
     """
     caps.check_n(graph.n)
     caps.check_m(m)
@@ -141,12 +113,43 @@ def enumerate_aggregates(
         raise ValueError(f"expected {graph.n} supply entries")
     if any(s < 0 for s in supply):
         raise ValueError("supply entries must be nonnegative")
+    return _splits(graph, supply, m, ())
+
+
+def _splits(
+    graph: ValueGraph,
+    supply: tuple[int, ...],
+    m: int,
+    pins: Sequence[tuple[int, int, int, int]],
+) -> Iterator[tuple[GPoint, tuple[Bundle, ...]]]:
+    """(point, parts) for every multiset of m bundles that sells exactly
+    the supply and puts each pinned edge in exactly its count of bundles:
+    pins lists (i, j, e, c) for edge ij at coordinate e with count c. The
+    parts are in decreasing bitmask order, empties last, and the items in
+    decreasing order of those bitmask tuples.
+
+    Depth-first search on the vertex residuals: a vertex needing more than
+    the k bundles left prunes the branch, a bundle using a vertex with no
+    residual is skipped, and once the bitmasks fall below the highest
+    vertex still needed no later bundle can cover it. An edge in x bundles
+    so far, with end residuals r_i and r_j, lies in at least
+    max(0, r_i + r_j - k) and at most min(r_i, r_j) of the bundles left;
+    a pinned edge's branch dies once c - x leaves that range, which at a
+    leaf (r_i = r_j = 0) leaves x = c. An edge that is not pinned needs no
+    check: its count is at most the uses of either end, so it stays in
+    0..min(s_i, s_j), which are all the counts a split of the supply can
+    give it.
+    """
     n = graph.n
     table = _vertex_table(graph)
     bundles = bundle_table(graph)
     bits = [sorted(S) for S in bundles]
 
     def rec(top: int, k: int, res: list[int], acc: tuple[int, ...], path: list[Bundle]):
+        for i, j, e, c in pins:
+            ri, rj = res[i], res[j]
+            if not max(0, ri + rj - k) <= c - acc[e] <= min(ri, rj):
+                return
         if not any(res):
             yield GPoint(graph, acc), tuple(path) + (EMPTY_BUNDLE,) * k
             return
@@ -210,9 +213,7 @@ def minkowski_contains(faces: list[Face], a: GPoint) -> bool:
     return lp_solve(LinearProgram((0,) * len(columns), rows, rhs)).status == OPTIMAL
 
 
-def vertex_sum_contains(
-    faces: list[Face], a: GPoint, cap: int = 10**8
-) -> Optional[tuple[GPoint, ...]]:
+def vertex_sum_contains(faces: list[Face], a: GPoint) -> Optional[tuple[GPoint, ...]]:
     """Search for one vertex per face summing to a; None if impossible.
     Depth-first with residual pruning; deterministic in face/vertex order."""
     g = a.graph
@@ -221,8 +222,8 @@ def vertex_sum_contains(
     size = 1
     for f in faces:
         size *= len(f.vertices)
-        if size > cap:
-            raise CapExceededError(f"face vertex product exceeds cap {cap}")
+        if size > VERTEX_PRODUCT_CAP:
+            raise CapExceededError(f"face vertex product exceeds cap {VERTEX_PRODUCT_CAP}")
 
     mfaces = len(faces)
 

@@ -12,7 +12,6 @@ from gpauction.demand import (
     demand_set,
     verify_ce,
     verify_pe,
-    walrasian_exists,
 )
 from gpauction.instances import corpus_instance, print_instance
 from gpauction.model import PriceVector, ValueGraph, Valuation, shift
@@ -22,7 +21,13 @@ from gpauction.polytope import (
     nested_chain_point,
     vertex_sum_contains,
 )
-from gpauction.pricing import FOUND, ce_for_covering, ce_price_at_point, optimal_ce
+from gpauction.pricing import (
+    FOUND,
+    NO_POINT_FOUND,
+    ce_for_covering,
+    ce_price_at_point,
+    optimal_ce,
+)
 from gpauction.randgen import (
     arbitrary_supply_instance,
     covering_instance,
@@ -75,7 +80,7 @@ def test_criterion_2_cutlery_negative(tmp_path, capsys):
         pe = verify_pe(vs, res.allocation, res.price, supply)
         assert not pe.ok, f"PE unexpectedly holds at {a.coords}"
     assert ce_points > 0
-    assert walrasian_exists(vs, supply) is None
+    assert optimal_ce(vs, supply, walrasian=True).status == NO_POINT_FOUND
     code = main(["solve", corpus_path(tmp_path, "cutlery"), "--walrasian"])
     capsys.readouterr()
     assert code == 2
@@ -106,8 +111,8 @@ def test_criterion_3_shifted_cutlery(tmp_path, capsys):
     assert code == 0
     assert doc["ce"] is True and doc["pe"] is True
     assert F(doc["revenue"]) == F(7)
-    found = walrasian_exists(SHIFTED.valuations, SHIFTED.supply)
-    assert found is not None and found[0].linear_only
+    found = optimal_ce(SHIFTED.valuations, SHIFTED.supply, walrasian=True)
+    assert found.status == FOUND and found.price.linear_only
     with capsys.disabled():
         report(3, "shifted cutlery PE verified at (3,3,1,0,0,0), revenue 7, "
                   "Walrasian price exists")

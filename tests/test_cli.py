@@ -216,6 +216,13 @@ class TestDecompose:
         assert code == 0
         assert json.loads(out)["decompositions"] == [[[1], [2], [3]]]
 
+    def test_zero_parts_is_input_error(self, tmp_path, capsys):
+        """--m 0 is refused, not replaced by the file's agent count."""
+        path = write_corpus(tmp_path, "cutlery-shifted")
+        code, out, err = run(capsys, ["decompose", path, "--point", "1,1,1,1,1,1", "--m", "0"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ")
+
 
 class TestCorpusCommand:
     @pytest.mark.parametrize("name", ["cutlery", "cutlery-shifted", "house", "idp-k4"])
@@ -279,6 +286,9 @@ VALID_AGENT = {"vertex_weights": ["1", "2"], "edge_weights": {}}
         ({"edges": ["\u0661-2"]}, "edges"),
         ({"agents": [{**VALID_AGENT, "edge_weights": {"+1-2": "1"}}]},
          "agents[0].edge_weights"),
+        ({"mode": {"walrasian": "false"}}, "mode.walrasian"),
+        ({"mode": {"covering": "no"}}, "mode.covering"),
+        ({"mode": {"walrasian": 0}}, "mode.walrasian"),
     ],
 )
 def test_malformed_instance_is_input_error(tmp_path, capsys, patch, field):
@@ -348,6 +358,7 @@ CUTLERY_WITNESS = {
         ("verify", {**CUTLERY_WITNESS, "allocation": [[float("inf")], [], []]}),
         ("verify", {**CUTLERY_WITNESS, "allocation": [[1.9, 2], [3], []]}),
         ("verify", {**CUTLERY_WITNESS, "allocation": ["12", [3], []]}),
+        ("demand", {"vertex": ["0", "0", "0"], "linear_only": "false"}),
     ],
 )
 def test_malformed_witness_or_price_is_input_error(tmp_path, capsys, command, bad):

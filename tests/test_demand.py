@@ -12,7 +12,6 @@ from gpauction.demand import (
     seller_demand,
     verify_ce,
     verify_pe,
-    walrasian_exists,
 )
 from gpauction.model import (
     GPoint,
@@ -26,6 +25,7 @@ from gpauction.model import (
     value,
 )
 from gpauction.polytope import enumerate_decompositions, vertices_P
+from gpauction.pricing import FOUND, NO_POINT_FOUND, optimal_ce
 from gpauction.instances import corpus_instance
 
 from .strategies import graphs, small_fractions, valuations
@@ -284,19 +284,19 @@ class TestVerifyPE:
 
 class TestWalrasian:
     def test_cutlery_has_none(self):
-        assert walrasian_exists(CUTLERY, (1, 1, 1)) is None
+        assert optimal_ce(CUTLERY, (1, 1, 1), walrasian=True).status == NO_POINT_FOUND
 
     def test_shifted_has_one(self):
-        found = walrasian_exists(SHIFTED, (1, 1, 1))
-        assert found is not None
-        price, alloc = found
+        found = optimal_ce(SHIFTED, (1, 1, 1), walrasian=True)
+        assert found.status == FOUND
+        price, alloc = found.price, found.allocation
         assert price.linear_only
         assert verify_ce(SHIFTED, alloc, price).ok
 
     def test_single_additive_agent(self):
         v = Valuation(K3, (F(2), F(3), F(1), F(0), F(0), F(0)))
-        found = walrasian_exists([v], (1, 1, 1))
-        assert found is not None
-        price, alloc = found
+        found = optimal_ce([v], (1, 1, 1), walrasian=True)
+        assert found.status == FOUND
+        price, alloc = found.price, found.allocation
         assert verify_ce([v], alloc, price).ok
         assert price.dot(char_vector([0, 1, 2], K3)) == 6

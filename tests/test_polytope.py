@@ -133,24 +133,51 @@ class TestEnumerateDecompositions:
         with pytest.raises(CapExceededError):
             list(enumerate_decompositions(GPoint.zero(ValueGraph.complete(3)), 7))
 
-    @given(st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_matches_brute_force(self, data):
-        n = data.draw(st.integers(1, 3))
+    @pytest.mark.parametrize(
+        "coords, m, expected",
+        [
+            ((1, 1, 0), 2, [((1,), (0,))]),  # a spare bundle must not take the edge
+            ((1, 1, 1), 2, [((0, 1), ())]),
+            ((1, 1, 1), 1, [((0, 1),)]),
+            ((1, 0, 1), 2, []),  # edge above min(a_i, a_j)
+            ((2, 2, 1), 2, []),  # edge below a_i + a_j - m
+            ((2, 2, 1), 3, [((0, 1), (1,), (0,))]),
+        ],
+    )
+    def test_edge_count_is_pinned(self, coords, m, expected):
+        found = list(enumerate_decompositions(GPoint(K2, coords), m))
+        assert [tuple(tuple(sorted(S)) for S in parts) for parts in found] == expected
+
+    @given(graphs(max_n=4), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_force(self, g, data):
+        """Every split once, in strictly decreasing order of its bitmask
+        tuple (the order decompose prints). Probes points off the
+        decomposable ones too, among them an edge coordinate above
+        min(a_i, a_j) or below a_i + a_j - m, which no m bundles reach."""
         m = data.draw(st.integers(1, 3))
-        g = ValueGraph.complete(n)
         verts = vertices_P(g)
         total = GPoint.zero(g)
         for _ in range(m):
             total = total + data.draw(st.sampled_from(verts))
-        if data.draw(st.booleans()):  # also probe non-decomposable points
-            total = GPoint(
-                g, tuple(max(0, c - data.draw(st.integers(0, 1))) for c in total.coords)
-            )
-        ours = {as_multiset(parts) for parts in enumerate_decompositions(total, m)}
-        count = sum(1 for _ in enumerate_decompositions(total, m))
-        assert count == len(ours)  # no duplicates
-        assert ours == brute_force_decompositions(total, m)
+        coords = list(total.coords)
+        probe = data.draw(st.sampled_from(["sum", "lowered", "above", "below"]))
+        if probe == "lowered":
+            coords = [max(0, c - data.draw(st.integers(0, 1))) for c in coords]
+        elif probe != "sum" and g.edges:
+            t = data.draw(st.integers(0, len(g.edges) - 1))
+            i, j = g.edges[t]
+            if probe == "above":
+                coords[g.n + t] = min(coords[i], coords[j]) + 1
+            else:  # a_i + a_j - m = a_j > a_ij
+                coords[i], coords[j] = m, data.draw(st.integers(1, m))
+                coords[g.n + t] = data.draw(st.integers(0, coords[j] - 1))
+        a = GPoint(g, tuple(coords))
+        found = list(enumerate_decompositions(a, m))
+        keys = [tuple(sum(1 << i for i in S) for S in parts) for parts in found]
+        assert all(list(k) == sorted(k, reverse=True) for k in keys)
+        assert all(x > y for x, y in zip(keys, keys[1:]))
+        assert {as_multiset(parts) for parts in found} == brute_force_decompositions(a, m)
 
 
 class TestEnumerateAggregates:

@@ -42,6 +42,21 @@ def test_one_search_path():
     assert not found, f"banned search in src/gpauction: {found}"
 
 
+def test_one_multiset_search():
+    """polytope has one depth-first search over multisets of bundles,
+    _splits: a point's decompositions are the aggregate search with its
+    edge counts pinned, so neither public enumerator has a search of its
+    own."""
+    tree = ast.parse((SRC / "polytope.py").read_text())
+    funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    for name in ("enumerate_decompositions", "enumerate_aggregates"):
+        body = list(ast.walk(funcs[name]))[1:]
+        nested = [n.lineno for n in body if isinstance(n, (ast.FunctionDef, ast.Lambda))]
+        assert not nested, f"{name} defines a function at lines {nested}"
+        calls = {called_name(n) for n in body if isinstance(n, ast.Call)}
+        assert "_splits" in calls, f"{name} does not call _splits"
+
+
 def test_no_gmpy2():
     """The LP core pivots on plain integers; gmpy2 is no dependency."""
     found = []
