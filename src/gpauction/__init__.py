@@ -29,7 +29,6 @@ from .demand import (
     DemandSet,
     demand_set,
     max_welfare,
-    point_welfares,
     seller_demand,
     verify_ce,
     verify_pe,

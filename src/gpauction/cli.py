@@ -9,6 +9,7 @@ a verdict fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -27,6 +28,7 @@ from .instances import (
     print_bundles,
     print_instance,
     print_price,
+    read_json,
 )
 from .linprog import InternalError
 from .model import GPoint, ValueGraph, char_vector
@@ -63,24 +65,6 @@ def _caps_from(args) -> Caps:
             file=sys.stderr,
         )
     return caps
-
-
-def _load(path: str, caps: Caps) -> InstanceFile:
-    """load_instance with an unreadable path (missing, a directory, no
-    permission) as an input error. Only input is mapped this way: an
-    OSError on output, such as a broken pipe, is not an input error."""
-    try:
-        return load_instance(path, caps)
-    except OSError as exc:
-        raise ParseError(str(exc)) from exc
-
-
-def _read_json(path: str):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ParseError(str(exc)) from exc
 
 
 _COORD = re.compile(r"\d+", re.ASCII)
@@ -155,7 +139,7 @@ def _covering_point(inst: InstanceFile) -> GPoint:
 
 def cmd_solve(args) -> int:
     caps = _caps_from(args)
-    inst = _load(args.instance, caps)
+    inst = load_instance(args.instance, caps)
     if not inst.valuations:
         return _err(f"{args.instance}: no agents to solve for")
     walrasian = args.walrasian or inst.walrasian
@@ -181,8 +165,8 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     caps = _caps_from(args)
-    inst = _load(args.instance, caps)
-    doc = _read_json(args.witness)
+    inst = load_instance(args.instance, caps)
+    doc = read_json(args.witness)
     alloc, price = parse_alloc_price(doc, inst.graph)
     if len(alloc) != len(inst.valuations):
         return _err(
@@ -226,8 +210,8 @@ def cmd_verify(args) -> int:
 
 def cmd_demand(args) -> int:
     caps = _caps_from(args)
-    inst = _load(args.instance, caps)
-    doc = _read_json(args.price)
+    inst = load_instance(args.instance, caps)
+    doc = read_json(args.price)
     if isinstance(doc, dict) and "price" in doc:
         doc = doc["price"]
     price = parse_price(doc, inst.graph)
@@ -243,7 +227,7 @@ def cmd_demand(args) -> int:
 
 def cmd_decompose(args) -> int:
     caps = _caps_from(args)
-    inst = _load(args.instance, caps)
+    inst = load_instance(args.instance, caps)
     if args.point:
         point = _parse_point(args.point, inst.graph)
     elif inst.point is not None:
@@ -278,7 +262,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared after it."""
     ap = _Parser(
         prog="gpauction",
         description="Competitive equilibria for auctions with quadratic "
@@ -331,8 +317,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, json.JSONDecodeError) as exc:
-        return _err(str(exc))
     except CapExceededError as exc:
         return _err(f"{exc} (raise with --max-n/--max-m)")
     except ValueError as exc:

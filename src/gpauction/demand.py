@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .caps import DEFAULT_CAPS, Caps
 from .model import (
@@ -43,33 +43,39 @@ class DemandSet:
     utility_value: Fraction
 
 
+def _utilities(
+    values: tuple[int, Sequence[Optional[int]]], prices: tuple[int, Sequence[int]]
+) -> tuple[int, list[Union[int, float]]]:
+    """Every bundle's utility from a value table (L, val) and a price
+    table (D, paid), as (L * D, u): u[mask] is the integer
+    val[mask] * D - paid[mask] * L, the utility in units of 1 / (L * D),
+    and NEG_INF where the value is -inf (an int compares exactly with it)."""
+    L, val = values
+    D, paid = prices
+    return L * D, [NEG_INF if x is None else x * D - y * L for x, y in zip(val, paid)]
+
+
+def _demanded(u: Sequence[Union[int, float]]) -> tuple[int, list[int]]:
+    """The best utility and every bundle bitmask attaining it. The empty
+    bundle (u[0] = 0) always competes, so the best is finite."""
+    best = max(u)
+    return best, [s for s, x in enumerate(u) if x == best]
+
+
 def demand_set(v: Valuation, p: PriceVector, caps: Caps = DEFAULT_CAPS) -> DemandSet:
-    """Argmax of value minus price over all bundles. Only subsets of the
-    finite support can compete: anything else is dominated by the empty
-    bundle, which is always considered. The support's submasks are walked
-    over the valuation's and the price's tables, so utilities are the
-    integers value * D - paid * L. The tables span every bundle of the
-    graph, so the cap applies to the graph's n: a graph above it raises
-    CapExceededError even when the support is small."""
+    """Argmax of value minus price over all bundles, as integer utilities
+    from the valuation's and the price's tables. A bundle outside the
+    finite support is worth -inf, below the empty bundle. The tables span
+    every bundle of the graph, so the cap applies to the graph's n: a
+    graph above it raises CapExceededError even when the support is
+    small."""
     if v.graph != p.graph:
         raise ValueError("valuation and price over different graphs")
     caps.check_n(v.graph.n)
-    D, paid = p.table()
-    L, val = v.table
-    support = sum(1 << i for i in v.support)
-    best, best_masks = 0, [0]
-    sub = support
-    while sub:
-        x = val[sub]
-        if x is not None:  # None: a -inf edge weight inside the support
-            u = x * D - paid[sub] * L
-            if u > best:
-                best, best_masks = u, [sub]
-            elif u == best:
-                best_masks.append(sub)
-        sub = (sub - 1) & support
+    scale, u = _utilities(v.table, p.table())
+    best, masks = _demanded(u)
     bundles = bundle_table(v.graph)
-    return DemandSet(frozenset(bundles[s] for s in best_masks), Fraction(best, L * D))
+    return DemandSet(frozenset(bundles[s] for s in masks), Fraction(best, scale))
 
 
 def _bundle_key(S: Bundle) -> tuple[int, ...]:
@@ -81,15 +87,21 @@ def _alloc_key(alloc: Sequence[Bundle]) -> tuple:
     return (tuple(sorted(per_agent)), per_agent)
 
 
+def _exact(w: Union[int, float], scale: int) -> Weight:
+    """An integer in units of 1 / scale as a Fraction; NEG_INF stays."""
+    return w if w is NEG_INF else Fraction(w, scale)
+
+
 def _assign(
-    parts: Sequence[Bundle], tables: Sequence[Sequence[Optional[int]]], scale: int
-) -> tuple[Weight, Allocation]:
+    parts: Sequence[Bundle], tables: Sequence[Sequence[Optional[int]]]
+) -> tuple[Union[int, float], Allocation]:
     """Best matching of the m parts to the m agents. tables[b][mask] is
     agent b's value of the bundle with that bitmask on one scale (see
     common_tables), None for -inf; the DP runs over subsets of parts:
     f(used) is the best total of giving the parts outside
     `used` to agents popcount(used)..m-1 (None when every way hits a -inf
-    value), in units of 1/scale. The witness gives each agent in turn the
+    value), on the tables' scale. The welfare returned is the integer
+    f(0), NEG_INF for -inf. The witness gives each agent in turn the
     part of least _bundle_key that still attains f, so it is the
     lexicographically least maximizer; when f(0) is -inf every matching
     ties and the witness is the parts sorted by _bundle_key."""
@@ -119,11 +131,12 @@ def _assign(
                 break
         used |= 1 << j
         alloc.append(parts[j])
-    return (NEG_INF if f[0] is None else Fraction(f[0], scale)), tuple(alloc)
+    return (NEG_INF if f[0] is None else f[0]), tuple(alloc)
 
 
 def _better(
-    cand: tuple[Weight, Allocation], cur: Optional[tuple[Weight, Allocation]]
+    cand: tuple[Union[int, float], Allocation],
+    cur: Optional[tuple[Union[int, float], Allocation]],
 ) -> bool:
     """Higher welfare wins; equal welfare goes to the lexicographically
     least allocation (its bundle multiset first, then the agent order)."""
@@ -132,6 +145,24 @@ def _better(
         or cand[0] > cur[0]
         or (cand[0] == cur[0] and _alloc_key(cand[1]) < _alloc_key(cur[1]))
     )
+
+
+def _best_splits(
+    vs: Sequence[Valuation], items: Iterable[tuple[GPoint, Sequence[Bundle]]]
+) -> tuple[int, dict[GPoint, tuple[Union[int, float], Allocation]]]:
+    """The best split of each point among the (point, parts) items, as
+    (L, best): each split is matched to the agents by _assign, and per
+    point the higher integer welfare (in units of 1 / L, NEG_INF for -inf)
+    wins, ties going to the least allocation (_better). Callers create
+    the items first: enumerate_* checks the caps when called, so an
+    instance over the caps raises before any table is built here."""
+    scale, tables = common_tables(vs)
+    best: dict[GPoint, tuple[Union[int, float], Allocation]] = {}
+    for a, parts in items:
+        cand = _assign(parts, tables)
+        if _better(cand, best.get(a)):
+            best[a] = cand
+    return scale, best
 
 
 def max_welfare(
@@ -144,38 +175,14 @@ def max_welfare(
     bundle multiset, then least agent order). The welfare bounds the
     revenue of any CE selling a: revenue = welfare - sum of utilities, and
     each utility is >= 0 because the empty bundle costs nothing."""
-    m = len(vs)
-    g = a.graph
-    if any(v.graph != g for v in vs):
+    if any(v.graph != a.graph for v in vs):
         raise ValueError("valuations and point over different graphs")
-    scale, tables = common_tables(vs)
-    best: Optional[tuple[Weight, Allocation]] = None
-    for parts in enumerate_decompositions(a, m, caps):
-        cand = _assign(parts, tables, scale)
-        if _better(cand, best):
-            best = cand
-    return best if best is not None else (NEG_INF, None)
-
-
-def point_welfares(
-    vs: Sequence[Valuation], supply: Sequence[int], caps: Caps = DEFAULT_CAPS
-) -> dict[GPoint, tuple[Weight, Allocation]]:
-    """max_welfare of every decomposable point projecting onto the supply,
-    from one enumeration of the multisets of m bundles that sell it: each
-    multiset is matched to the agents as it arrives and only the best split
-    per point is kept, with max_welfare's tie-break."""
-    if not vs:
-        raise ValueError("need at least one valuation")
-    g = vs[0].graph
-    if any(v.graph != g for v in vs):
-        raise ValueError("valuations over different graphs")
-    scale, tables = common_tables(vs)
-    best: dict[GPoint, tuple[Weight, Allocation]] = {}
-    for a, parts in enumerate_aggregates(g, supply, len(vs), caps):
-        cand = _assign(parts, tables, scale)
-        if _better(cand, best.get(a)):
-            best[a] = cand
-    return best
+    splits = ((a, parts) for parts in enumerate_decompositions(a, len(vs), caps))
+    scale, best = _best_splits(vs, splits)
+    if a not in best:
+        return NEG_INF, None
+    welfare, alloc = best[a]
+    return _exact(welfare, scale), alloc
 
 
 @dataclass(frozen=True)
@@ -210,18 +217,21 @@ def verify_ce(
     # aggregate also rejects items off the graph, before the bundle masks
     # below index the tables.
     revenue = p.dot(aggregate(g, alloc))
+    if any(v.graph != g for v in vs):
+        raise ValueError("valuation and price over different graphs")
+    caps.check_n(g.n)
+    prices = p.table()
+    bundles = bundle_table(g)
     failures = []
     for b, (v, S) in enumerate(zip(vs, alloc)):
-        ds = demand_set(v, p, caps)
-        if S in ds.bundles:
-            continue
-        D, paid = p.table()
-        L, val = v.table
+        scale, u = _utilities(v.table, prices)
+        best, masks = _demanded(u)
         s = sum(1 << i for i in S)
-        assigned_u = NEG_INF if val[s] is None else Fraction(val[s] * D - paid[s] * L, L * D)
-        better = min(ds.bundles, key=_bundle_key)
+        if u[s] == best:
+            continue
+        better = min((bundles[t] for t in masks), key=_bundle_key)
         failures.append(
-            AgentWitness(b, S, assigned_u, better, ds.utility_value)
+            AgentWitness(b, S, _exact(u[s], scale), better, Fraction(best, scale))
         )
     return CEVerdict(not failures, revenue, tuple(failures))
 

@@ -11,7 +11,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .caps import DEFAULT_CAPS, Caps
 from .model import (
@@ -39,7 +39,9 @@ def _is_int(x: Any) -> bool:
 # exponents ("1e10000000" builds a ten-million-digit integer), spaces and
 # underscores; digit strings stay bounded by Python's int conversion limit.
 _RATIONAL = re.compile(r"[+-]?(?:\d+|\d+/\d+|\d*\.\d+)", re.ASCII)
-_EDGE_KEY = re.compile(r"(\d+)-(\d+)", re.ASCII)
+# Edge keys are canonical, with no leading zero: "01-2" would name edge
+# 1-2 a second time, and the later key would silently replace the earlier.
+_EDGE_KEY = re.compile(r"([1-9]\d*)-([1-9]\d*)", re.ASCII)
 
 
 def _rational(x: Any, where: str) -> Fraction:
@@ -85,6 +87,23 @@ def _parse_edge_key(key: str, n: int, where: str) -> tuple[int, int]:
     if not (0 <= i < j < n):
         raise ParseError(f"{where}: edge {key!r} out of range for n={n}")
     return (i, j)
+
+
+def _edge_entries(
+    doc: Any, graph: ValueGraph, where: str, parse: Callable[[Any, str], Any]
+) -> list:
+    """The entries of an object keyed by 'i-j', in the graph's edge order
+    and 0 where absent. A key that is not an edge of the graph is a
+    ParseError, not a silently dropped entry."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"{where}: need an object keyed by 'i-j'")
+    by_edge = {
+        _parse_edge_key(k, graph.n, where): parse(x, f"{where}[{k}]") for k, x in doc.items()
+    }
+    for e in by_edge:
+        if not graph.has_edge(*e):
+            raise ParseError(f"{where}: {_edge_key(e)} is not an edge of the graph")
+    return [by_edge.get(e, Fraction(0)) for e in graph.edges]
 
 
 @dataclass(frozen=True)
@@ -137,21 +156,9 @@ def parse_instance(doc: dict, caps: Caps = DEFAULT_CAPS) -> InstanceFile:
         if not isinstance(vw, list) or len(vw) != n:
             raise ParseError(f"{where}.vertex_weights: need a list of {n} entries")
         weights = [_weight(x, f"{where}.vertex_weights[{i}]") for i, x in enumerate(vw)]
-        ew = agent.get("edge_weights", {})
-        if not isinstance(ew, dict):
-            raise ParseError(f"{where}.edge_weights: need an object keyed by 'i-j'")
-        by_edge = {
-            _parse_edge_key(k, n, f"{where}.edge_weights"): _weight(
-                x, f"{where}.edge_weights[{k}]"
-            )
-            for k, x in ew.items()
-        }
-        for e in by_edge:
-            if not graph.has_edge(*e):
-                raise ParseError(
-                    f"{where}.edge_weights: {_edge_key(e)} is not an edge of the graph"
-                )
-        weights.extend(by_edge.get(e, Fraction(0)) for e in graph.edges)
+        weights += _edge_entries(
+            agent.get("edge_weights", {}), graph, f"{where}.edge_weights", _weight
+        )
         vals.append(Valuation(graph, tuple(weights)))
 
     supply_raw = doc.get("supply")
@@ -251,13 +258,23 @@ def print_instance(inst: InstanceFile) -> dict:
     return doc
 
 
+def read_json(path: str) -> Any:
+    """The JSON document in a file. An unreadable path (missing, a
+    directory, no permission), invalid JSON and nesting too deep for the
+    decoder are ParseErrors naming the path."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
 def load_instance(path: str, caps: Caps = DEFAULT_CAPS) -> InstanceFile:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON at line {exc.lineno}") from exc
-    return parse_instance(doc, caps)
+    return parse_instance(read_json(path), caps)
 
 
 def parse_price(doc: dict, graph: ValueGraph, where: str = "price") -> PriceVector:
@@ -267,14 +284,7 @@ def parse_price(doc: dict, graph: ValueGraph, where: str = "price") -> PriceVect
     if not isinstance(vw, list) or len(vw) != graph.n:
         raise ParseError(f"{where}.vertex: need a list of {graph.n} rationals")
     entries = [_rational(x, f"{where}.vertex[{i}]") for i, x in enumerate(vw)]
-    ew = doc.get("edge", {})
-    if not isinstance(ew, dict):
-        raise ParseError(f"{where}.edge: need an object keyed by 'i-j'")
-    by_edge = {
-        _parse_edge_key(k, graph.n, f"{where}.edge"): _rational(x, f"{where}.edge[{k}]")
-        for k, x in ew.items()
-    }
-    entries.extend(by_edge.get(e, Fraction(0)) for e in graph.edges)
+    entries += _edge_entries(doc.get("edge", {}), graph, f"{where}.edge", _rational)
     return PriceVector(graph, tuple(entries), linear_only=_flag(doc, "linear_only", where))
 
 

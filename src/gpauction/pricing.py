@@ -11,8 +11,8 @@ with one row per price coordinate and one column per bundle constraint;
 the exponentially many columns are generated lazily by an exact scan, the
 prices are the row duals, and the optimum is verified against a full
 demand-set scan. Bundle values and prices are read from the integer
-tables of `model` (Valuation.table, bundle_sums), so the LP's costs and
-every comparison of the scan are integers.
+tables of `model`, and the scan compares the integer utilities of
+demand's one utility scan, the same one verify_ce runs.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .caps import DEFAULT_CAPS, Caps
-from .demand import max_welfare, point_welfares, verify_ce
+from .demand import _best_splits, _utilities, max_welfare, verify_ce
 from .linprog import InternalError, LinearProgram, OPTIMAL, UNBOUNDED, lp_solve
 from .model import (
     Allocation,
@@ -30,13 +30,11 @@ from .model import (
     PriceVector,
     Valuation,
     Weight,
-    bundle_sums,
     common_tables,
     is_finite,
-    scaled_ints,
     shared_fraction,
 )
-from .polytope import vertices_P
+from .polytope import enumerate_aggregates, vertices_P
 
 FOUND = "found"
 INFEASIBLE_AT_POINT = "infeasible-at-point"
@@ -87,7 +85,8 @@ def _solve_ce_lp_lazy(
     The costs are the values scaled by L, the common scale of the
     valuation tables, so the row duals are L times the prices and the
     optimum is -L times the revenue; a positive scale of the costs leaves
-    the pivot path unchanged.
+    the pivot path unchanged. Each round's price is the row duals over L,
+    and the scan reads its table.
     The returned price satisfies every constraint and attains the full
     LP's optimum; None certifies infeasibility (a relaxation already is).
     """
@@ -122,27 +121,21 @@ def _solve_ce_lp_lazy(
             raise InternalError(
                 f"dual pricing LP ended {res.status} although its seed columns are feasible"
             )
-        # D * <y, a_T> for every bundle T, y = L * p over the denominator D:
-        # utilities compare as value * D - paid, in units of 1 / (L * D).
-        D, Y = scaled_ints(res.y)
-        paid = bundle_sums(g, Y + [0] * (g.d - k))
+        entries = tuple(shared_fraction(y.numerator, y.denominator * L) for y in res.y)
+        entries += (shared_fraction(0),) * (g.d - k)
+        price = PriceVector(g, entries, linear_only=walrasian)
+        prices = price.table()
         clean = True
         for b in range(m):
-            t = vals[b]
-            own_u = t[own[b]] * D - paid[own[b]]
-            new = {
-                mask
-                for mask in finite[b]
-                if mask not in active[b] and t[mask] * D - paid[mask] > own_u
-            }
+            _, u = _utilities((L, vals[b]), prices)
+            own_u = u[own[b]]
+            new = {mask for mask in finite[b] if mask not in active[b] and u[mask] > own_u}
             if new:
                 clean = False
                 active[b] |= new
         if clean:
-            entries = tuple(shared_fraction(y.numerator, y.denominator * L) for y in res.y)
-            entries += (shared_fraction(0),) * (g.d - k)
             revenue = shared_fraction(-res.value.numerator, res.value.denominator * L)
-            return PriceVector(g, entries, linear_only=walrasian), revenue
+            return price, revenue
 
 
 def _price_at(
@@ -154,8 +147,9 @@ def _price_at(
     caps: Caps,
 ) -> CEResult:
     """Revenue-maximal CE price for the welfare-maximal split `alloc` of
-    `point` (as max_welfare returns it), certified against the full
-    demand-set scan."""
+    `point`, certified against the full demand-set scan. Only the
+    welfare's finiteness is read, so it may be max_welfare's Fraction or
+    the fold's integer."""
     if alloc is None or not is_finite(welfare):
         return CEResult(INFEASIBLE_AT_POINT, point=point)
     sol = _solve_ce_lp_lazy(vs, alloc, point, walrasian)
@@ -203,12 +197,13 @@ def optimal_ce(
     one).
 
     The points come from one enumeration of the multisets of m bundles
-    that sell the supply (point_welfares) and are priced in decreasing
-    max welfare, ties by point coordinates. Revenue never exceeds the
-    welfare at its point (revenue = welfare - sum of utilities, each
-    utility >= 0), so the search stops at the first point whose welfare is
-    below the best revenue found; points whose welfare equals it are still
-    priced, since they may win the tie on coordinates."""
+    that sell the supply, folded to the best split per point by the fold
+    max_welfare runs on one point's splits. They are priced in decreasing
+    max welfare (compared as integers), ties by point coordinates. Revenue
+    never exceeds the welfare at its point (revenue = welfare - sum of
+    utilities, each utility >= 0), so the search stops at the first point
+    whose welfare is below the best revenue found; points whose welfare
+    equals it are still priced, since they may win the tie on coordinates."""
     if not vs:
         raise ValueError("need at least one valuation")
     m = len(vs)
@@ -223,13 +218,11 @@ def optimal_ce(
     if not all(v.is_finite() for v in vs):
         raise ValueError("weights must be finite for optimal_ce")
 
-    order = sorted(
-        point_welfares(vs, supply, caps).items(),
-        key=lambda item: (-item[1][0], item[0].coords),
-    )
+    scale, splits = _best_splits(vs, enumerate_aggregates(g, supply, m, caps))
+    order = sorted(splits.items(), key=lambda item: (-item[1][0], item[0].coords))
     best: Optional[CEResult] = None
     for a, (welfare, alloc) in order:
-        if best is not None and welfare < best.revenue:
+        if best is not None and welfare < best.revenue * scale:
             break
         res = _price_at(vs, a, welfare, alloc, walrasian, caps)
         if res.status != FOUND:

@@ -289,6 +289,7 @@ VALID_AGENT = {"vertex_weights": ["1", "2"], "edge_weights": {}}
         ({"mode": {"walrasian": "false"}}, "mode.walrasian"),
         ({"mode": {"covering": "no"}}, "mode.covering"),
         ({"mode": {"walrasian": 0}}, "mode.walrasian"),
+        ({"edges": ["01-2"]}, "edges"),
     ],
 )
 def test_malformed_instance_is_input_error(tmp_path, capsys, patch, field):
@@ -359,15 +360,49 @@ CUTLERY_WITNESS = {
         ("verify", {**CUTLERY_WITNESS, "allocation": [[1.9, 2], [3], []]}),
         ("verify", {**CUTLERY_WITNESS, "allocation": ["12", [3], []]}),
         ("demand", {"vertex": ["0", "0", "0"], "linear_only": "false"}),
+        ("verify", {"allocation": [[1, 2, 3], [], []],
+                    "price": {"vertex": ["0", "0", "0"], "edge": {"1-3": "100"}}}),
+        ("demand", {"vertex": ["0", "0", "0"], "edge": {"1-3": "100"}}),
+        ("demand", {"vertex": ["0", "0", "0"], "edge": {"1-2": "100", "01-2": "0"}}),
     ],
 )
 def test_malformed_witness_or_price_is_input_error(tmp_path, capsys, command, bad):
-    inst = write_corpus(tmp_path, "cutlery")
+    """The instance is cutlery without edge 1-3, so a price on 1-3 names
+    an edge off the graph. Every other case fails before any edge key is
+    read."""
+    doc = print_instance(corpus_instance("cutlery"))
+    doc["edges"] = ["1-2", "2-3"]
+    for agent in doc["agents"]:
+        agent["edge_weights"].pop("1-3", None)
+    inst = tmp_path / "path.json"
+    inst.write_text(json.dumps(doc))
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
-    code, out, err = run(capsys, [command, inst, str(path)])
+    code, out, err = run(capsys, [command, str(inst), str(path)])
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["solve", "{bad}"], ["verify", "{inst}", "{bad}"],
+                                  ["demand", "{inst}", "{bad}"]])
+def test_invalid_json_names_the_file(tmp_path, capsys, argv):
+    """An instance, witness or price file that is not JSON is an input
+    error naming the file and the line."""
+    inst = write_corpus(tmp_path, "cutlery")
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"allocation": [[1, 2], [3], []],\n')
+    code, out, err = run(capsys, [a.format(inst=inst, bad=bad) for a in argv])
+    assert code == 1 and out == ""
+    assert err == f"error: {bad}: invalid JSON at line 2\n"
+
+
+def test_deeply_nested_json_is_input_error(tmp_path, capsys):
+    """json.load raises RecursionError on deep nesting, no traceback."""
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, ["solve", str(bad)])
+    assert code == 1 and out == ""
+    assert err == f"error: {bad}: JSON nested too deeply\n"
 
 
 @pytest.mark.parametrize("where", ["weight", "price"])

@@ -86,6 +86,26 @@ class TestDemandSet:
         with pytest.raises(CapExceededError):
             demand_set(Valuation.zero(g), PriceVector.zero(g))
 
+    @pytest.mark.parametrize("call", ["max_welfare", "verify_ce", "demand_set"])
+    def test_caps_checked_before_any_table(self, monkeypatch, call):
+        """An instance over the caps raises before a valuation or price
+        table (2^n entries) is built."""
+        from gpauction import model
+        from gpauction.caps import CapExceededError
+
+        built = []
+        monkeypatch.setattr(model, "bundle_sums", lambda *args: built.append(args))
+        g = ValueGraph.complete(20)
+        v, p = Valuation.zero(g), PriceVector.zero(g)
+        with pytest.raises(CapExceededError):
+            if call == "max_welfare":
+                max_welfare([v], GPoint.zero(g))
+            elif call == "verify_ce":
+                verify_ce([v], (EMPTY,), p)
+            else:
+                demand_set(v, p)
+        assert built == []
+
     def test_cap_is_on_the_graph_not_the_support(self):
         """The valuation and price tables span all 2^n bundles of the
         graph, so a small support does not lift the cap on n."""
@@ -203,6 +223,24 @@ class TestVerifyCE:
         assert w.agent == 0 and w.assigned == ABC
         assert w.assigned_utility == -2
         assert w.better_utility == 0
+
+    def test_one_price_table_per_call(self, monkeypatch):
+        """The price is tabulated once per verdict, not once per agent,
+        and an assigned bundle of value -inf fails with utility -inf."""
+        calls = []
+        table = PriceVector.table
+
+        def counted(p):
+            calls.append(p)
+            return table(p)
+
+        monkeypatch.setattr(PriceVector, "table", counted)
+        v = Valuation(K3, (F(1), NEG_INF, F(1), F(0), F(0), F(0)))
+        verdict = verify_ce((*CUTLERY[:2], v), (AB, EMPTY, B), P_EDGES)
+        assert len(calls) == 1
+        (w,) = verdict.failures
+        assert w.agent == 2 and w.assigned_utility == NEG_INF
+        assert w.better == A and w.better_utility == 1  # A, C and AC tie at 1
 
     def test_demand_level_equivalence(self):
         # pass iff each agent's utility equals their demand-set optimum

@@ -80,3 +80,16 @@ def test_one_valuation_path():
         if name != "model.py" and isinstance(node, ast.Call) and called_name(node) == "value"
     ]
     assert not found, f"calls of value outside model.py: {found}"
+
+
+def test_one_utility_scan():
+    """Bundles are tabulated in model alone: the demand sets, verify_ce
+    and the pricing LP's separation scan read the valuation and price
+    tables through demand's one utility scan."""
+    banned = {"bundle_sums", "scaled_ints"}
+    found = [
+        f"{name}:{node.lineno} calls {called_name(node)}"
+        for name, node in nodes()
+        if name != "model.py" and isinstance(node, ast.Call) and called_name(node) in banned
+    ]
+    assert not found, f"tables built outside model.py: {found}"
