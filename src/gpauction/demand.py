@@ -148,18 +148,38 @@ def _better(
 
 
 def _best_splits(
-    vs: Sequence[Valuation], items: Iterable[tuple[GPoint, Sequence[Bundle]]]
+    vs: Sequence[Valuation],
+    items: Iterable[tuple[GPoint, Sequence[Bundle]]],
+    *,
+    top_only: bool = False,
 ) -> tuple[int, dict[GPoint, tuple[Union[int, float], Allocation]]]:
     """The best split of each point among the (point, parts) items, as
     (L, best): each split is matched to the agents by _assign, and per
     point the higher integer welfare (in units of 1 / L, NEG_INF for -inf)
     wins, ties going to the least allocation (_better). Callers create
     the items first: enumerate_* checks the caps when called, so an
-    instance over the caps raises before any table is built here."""
+    instance over the caps raises before any table is built here.
+
+    With top_only, a split is matched only if its bound sum_j max_b
+    v_b(S_j) (the matching without the one-part-per-agent rule, -inf when
+    no agent values some part finitely) is not strictly below the highest
+    welfare matched so far. No split of maximal welfare is skipped, so
+    the entries of maximal welfare, their points and least allocations,
+    are exact; the other entries may not be."""
     scale, tables = common_tables(vs)
+    if top_only:
+        tops = {
+            S: max((x for x in col if x is not None), default=NEG_INF)
+            for S, col in zip(bundle_table(vs[0].graph), zip(*tables))
+        }
+    top: Union[int, float] = NEG_INF
     best: dict[GPoint, tuple[Union[int, float], Allocation]] = {}
     for a, parts in items:
+        if top_only and sum([tops[S] for S in parts]) < top:
+            continue
         cand = _assign(parts, tables)
+        if top_only and cand[0] > top:
+            top = cand[0]
         if _better(cand, best.get(a)):
             best[a] = cand
     return scale, best
@@ -257,12 +277,17 @@ def seller_demand(
     """Revenue-maximizing aggregates at a price: among all decomposable
     points projecting onto the supply, every one maximizing <p, a> (all
     ties are kept). The points come from enumerate_aggregates, so points
-    that are not sums of m bundles are never tried."""
-    g = p.graph
-    points = {a for a, _ in enumerate_aggregates(g, supply, m, caps)}
-    if not points:
+    that are not sums of m bundles are never tried. Each point is ranked
+    by the integer D * <p, a>, the sum of its first split's bundle prices
+    in the price table."""
+    items = enumerate_aggregates(p.graph, supply, m, caps)  # checks the caps first
+    paid = dict(zip(bundle_table(p.graph), p.table()[1]))
+    revenue: dict[GPoint, int] = {}
+    for a, parts in items:
+        if a not in revenue:
+            revenue[a] = sum([paid[S] for S in parts])
+    if not revenue:
         raise ValueError("no decomposable aggregate point projects onto the supply")
-    revenue = {a: p.dot(a) for a in points}
     best = max(revenue.values())
     return frozenset(a for a, rev in revenue.items() if rev == best)
 

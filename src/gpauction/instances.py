@@ -260,11 +260,21 @@ def print_instance(inst: InstanceFile) -> dict:
 
 def read_json(path: str) -> Any:
     """The JSON document in a file. An unreadable path (missing, a
-    directory, no permission), invalid JSON and nesting too deep for the
-    decoder are ParseErrors naming the path."""
+    directory, no permission), invalid JSON, nesting too deep for the
+    decoder and a key repeated within one object are ParseErrors naming
+    the path; json alone would keep the last value of a repeated key."""
+
+    def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise ParseError(f"{path}: duplicate key {key!r}")
+            doc[key] = value
+        return doc
+
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}") from exc
     except RecursionError as exc:

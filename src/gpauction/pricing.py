@@ -203,7 +203,24 @@ def optimal_ce(
     never exceeds the welfare at its point (revenue = welfare - sum of
     utilities, each utility >= 0), so the search stops at the first point
     whose welfare is below the best revenue found; points whose welfare
-    equals it are still priced, since they may win the tie on coordinates."""
+    equals it are still priced, since they may win the tie on coordinates.
+
+    Walrasian mode prices one point, the least of maximal welfare, at its
+    least welfare-maximal split. Linear prices charge p.s for every
+    allocation of the supply, so:
+    - any Walrasian CE (p, T) has T efficient: every agent's utility at T
+      is maximal, so the value of T minus p.s is at least the value of
+      any other allocation of the supply minus the same p.s;
+    - p then supports every efficient split (Gul and Stacchetti, JET 87,
+      1999): the utilities of an efficient split sum to that same
+      maximum, so each is maximal. So p supports the least
+      welfare-maximal split at the least point of maximal welfare;
+    - so that point's LP optimum is at least every Walrasian CE's
+      revenue, hence the best revenue; every CE point has maximal
+      welfare, so the tie-break on coordinates picks that point too.
+    If that LP is infeasible, no Walrasian CE exists: a certified
+    no-point-found. The fold need then only find the top welfare level,
+    so it skips the matching of each split bounded below it (top_only)."""
     if not vs:
         raise ValueError("need at least one valuation")
     m = len(vs)
@@ -218,8 +235,12 @@ def optimal_ce(
     if not all(v.is_finite() for v in vs):
         raise ValueError("weights must be finite for optimal_ce")
 
-    scale, splits = _best_splits(vs, enumerate_aggregates(g, supply, m, caps))
+    scale, splits = _best_splits(
+        vs, enumerate_aggregates(g, supply, m, caps), top_only=walrasian
+    )
     order = sorted(splits.items(), key=lambda item: (-item[1][0], item[0].coords))
+    if walrasian:
+        order = order[:1]
     best: Optional[CEResult] = None
     for a, (welfare, alloc) in order:
         if best is not None and welfare < best.revenue * scale:

@@ -396,6 +396,30 @@ def test_invalid_json_names_the_file(tmp_path, capsys, argv):
     assert err == f"error: {bad}: invalid JSON at line 2\n"
 
 
+@pytest.mark.parametrize("kind", ["instance", "witness", "price"])
+def test_duplicate_key_is_input_error(tmp_path, capsys, kind):
+    """A repeated key is an input error naming the file and the key.
+    json alone keeps the last value, and each file here would then be
+    accepted: the instance solves, the witness verifies, the demand sets
+    print."""
+    inst = write_corpus(tmp_path, "cutlery")
+    price = '{"vertex": ["0", "0", "0"], "edge": {"1-2": "1", "1-3": "100", "1-3": "1", "2-3": "1"}}'
+    bad = tmp_path / f"{kind}.json"
+    if kind == "instance":
+        text = Path(inst).read_text().replace('"supply"', '"supply": [0, 0, 0], "supply"')
+        bad.write_text(text)
+        argv, key = ["solve", str(bad)], "supply"
+    elif kind == "witness":
+        bad.write_text('{"allocation": [[1, 2], [3], []], "price": %s}' % price)
+        argv, key = ["verify", inst, str(bad)], "1-3"
+    else:
+        bad.write_text('{"price": %s}' % price)
+        argv, key = ["demand", inst, str(bad)], "1-3"
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {bad}: duplicate key {key!r}\n"
+
+
 def test_deeply_nested_json_is_input_error(tmp_path, capsys):
     """json.load raises RecursionError on deep nesting, no traceback."""
     bad = tmp_path / "deep.json"

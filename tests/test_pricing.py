@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gpauction import pricing
+from gpauction import demand, pricing
 from gpauction.caps import CapExceededError
 from gpauction.demand import CEVerdict, demand_set, max_welfare, verify_ce
 from gpauction.linprog import OPTIMAL, InternalError
@@ -18,6 +18,7 @@ from gpauction.model import (
     char_vector,
     is_finite,
 )
+from gpauction.polytope import enumerate_aggregates
 from gpauction.pricing import (
     CoveringError,
     FOUND,
@@ -32,6 +33,7 @@ from gpauction.randgen import (
     arbitrary_supply_instance,
     covering_instance,
     disjoint_clique_instance,
+    random_valuation,
 )
 from gpauction.instances import corpus_instance
 
@@ -256,6 +258,74 @@ class TestOptimalCe:
             assert (ours.status, ours.point, ours.revenue, ours.allocation) == (
                 ref.status, ref.point, ref.revenue, ref.allocation
             )
+
+    def test_walrasian_prices_one_point(self, monkeypatch):
+        priced = []
+        price_at = pricing._price_at
+
+        def spy(vs, point, *args):
+            priced.append(point)
+            return price_at(vs, point, *args)
+
+        monkeypatch.setattr(pricing, "_price_at", spy)
+        assert optimal_ce(CUTLERY, (1, 1, 1), walrasian=True).status == NO_POINT_FOUND
+        assert len(priced) == 1
+        assert optimal_ce(SHIFTED, (1, 1, 1), walrasian=True).status == FOUND
+        assert len(priced) == 2
+
+    def test_walrasian_equals_box_search_with_negatives(self):
+        """Walrasian mode prices only the least point of maximal welfare;
+        pricing every point of the box agrees, negatives included. K3
+        with unit supply and weights in [-5, 5] lacks a Walrasian price
+        often enough for the corpus to hold several negatives."""
+        rng = random.Random(1)
+        negatives = 0
+        for _ in range(80):
+            vs = [
+                Valuation(K3, tuple(F(rng.randint(-5, 5)) for _ in range(K3.d)))
+                for _ in range(rng.randint(2, 3))
+            ]
+            ours = optimal_ce(vs, (1, 1, 1), walrasian=True)
+            ref = box_optimal_ce(vs, (1, 1, 1), walrasian=True)
+            assert (ours.status, ours.point, ours.revenue, ours.allocation) == (
+                ref.status, ref.point, ref.revenue, ref.allocation
+            )
+            negatives += ours.status == NO_POINT_FOUND
+        assert negatives >= 3
+
+    def test_top_only_fold_keeps_the_top_entry(self, monkeypatch):
+        """The bounded fold's first entry in (-welfare, coords) order is the
+        plain fold's, and it never matches more splits."""
+        calls = []
+        assign = demand._assign
+
+        def counted(parts, tables):
+            calls.append(parts)
+            return assign(parts, tables)
+
+        monkeypatch.setattr(demand, "_assign", counted)
+        rng = random.Random(7)
+        plain_calls = top_calls = 0
+        for _ in range(40):
+            n, m = rng.randint(2, 4), rng.randint(2, 4)
+            g = ValueGraph.from_edges(
+                n, [e for e in ValueGraph.complete(n).edges if rng.random() < 0.8]
+            )
+            vs = [random_valuation(rng, g, -3, 3) for _ in range(m)]
+            supply = tuple(rng.randint(0, min(2, m)) for _ in range(n))
+            runs = []
+            for top_only in (False, True):
+                calls.clear()
+                _, splits = demand._best_splits(
+                    vs, enumerate_aggregates(g, supply, m), top_only=top_only
+                )
+                first = min(splits.items(), key=lambda item: (-item[1][0], item[0].coords))
+                runs.append((first, len(calls)))
+            (plain, plain_n), (top, top_n) = runs
+            assert top == plain and top_n <= plain_n
+            plain_calls += plain_n
+            top_calls += top_n
+        assert top_calls < plain_calls
 
     def test_dominates_every_candidate_point(self):
         from gpauction.demand import candidate_points

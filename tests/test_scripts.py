@@ -13,7 +13,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize(
     "argv",
-    [["scripts/solve_corpus.py"], ["scripts/run_suites.py", "--count", "2"]],
+    [
+        ["scripts/solve_corpus.py"],
+        ["scripts/run_suites.py", "--count", "2"],
+        ["scripts/ladder.py", "--rung", "4,4,2", "--seeds", "1"],
+    ],
 )
 def test_script_runs(argv):
     env = dict(os.environ)
