@@ -1,0 +1,137 @@
+#!/usr/bin/env python3
+"""Compare two source trees on the benchmark, in alternating pairs.
+
+For each workload, pair k runs ``perfbench/run.py --workload W --seed
+SEED+k --seconds S --trace 0`` once in the parent tree and once in the
+change tree, each from its own root. The side that runs first switches
+from pair to pair, so a drift of host speed over a session falls on both
+sides alike. The result goes to ``BENCH_<label>.json``:
+
+- every run: pair, seed, side, whether it ran first, the benchmark's
+  commit field, ``attempted``, ``failed`` and its end-to-end metrics;
+- per workload and metric: each side's median and quartiles, the
+  change/parent ratio of the medians, and the pairs the change won
+  (strictly better, in the direction ``BENCHMARK.json`` gives);
+- the Python version, ``os.cpu_count()`` and a digest of each tree's
+  ``src/``, so a file can be matched to the program it measured.
+
+    python scripts/bench.py --parent ../parent --change . --label lp-pivot \\
+        --workload point-pricing --pairs 10 --seconds 25 --seed 1
+"""
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def metric_directions() -> dict:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+
+def src_digest(tree: Path) -> str:
+    """sha256 over the relative paths and bytes of the tree's src/*.py."""
+    h = hashlib.sha256()
+    src = tree / "src"
+    for path in sorted(src.rglob("*.py")):
+        h.update(str(path.relative_to(src)).encode() + b"\0" + path.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run in ``tree``; its env and result lines."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or len(lines) < 2:
+        raise SystemExit(f"bench: {' '.join(cmd)} in {tree} exited {proc.returncode}\n{proc.stderr}")
+    env, result = json.loads(lines[-2])["env"], json.loads(lines[-1])
+    return {
+        "commit": env["commit"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "metrics": {k: m["value"] for k, m in result["metrics"].items()},
+    }
+
+
+def quartiles(values: list) -> list:
+    if len(values) == 1:
+        return values * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def summarize(runs: list, directions: dict) -> dict:
+    """Medians, quartiles, ratio and wins of each metric over the pairs."""
+    pairs = sorted({r["pair"] for r in runs})
+    side = {(r["pair"], r["side"]): r["metrics"] for r in runs}
+    out = {}
+    for name, better in directions.items():
+        parent = [side[k, "parent"][name] for k in pairs]
+        change = [side[k, "change"][name] for k in pairs]
+        pq, cq = quartiles(parent), quartiles(change)
+        wins = sum(c < p if better == "lower" else c > p for p, c in zip(parent, change))
+        out[name] = {
+            "parent_median": pq[1],
+            "parent_quartiles": [pq[0], pq[2]],
+            "change_median": cq[1],
+            "change_quartiles": [cq[0], cq[2]],
+            "ratio": cq[1] / pq[1] if pq[1] else None,
+            "wins": wins,
+            "pairs": len(pairs),
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", type=Path, required=True, help="root of the parent tree")
+    ap.add_argument("--change", type=Path, required=True, help="root of the changed tree")
+    ap.add_argument("--workload", action="append", required=True, help="repeat for several")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=25)
+    ap.add_argument("--seed", type=int, default=1, help="pair k runs seed SEED+k")
+    ap.add_argument("--label", required=True)
+    ap.add_argument("--out-dir", type=Path, default=ROOT)
+    args = ap.parse_args(argv)
+
+    directions = metric_directions()
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    workloads = {}
+    for workload in args.workload:
+        runs = []
+        for k in range(args.pairs):
+            seed = args.seed + k
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            for side in order:
+                run = run_once(trees[side], workload, seed, args.seconds)
+                runs.append({"pair": k, "seed": seed, "side": side,
+                             "first": side == order[0], **run})
+                print(f"{workload} pair {k} {side}: p50 "
+                      f"{run['metrics']['latency_p50_s']:.6f} s, failed {run['failed']}",
+                      file=sys.stderr, flush=True)
+        workloads[workload] = {"runs": runs, "summary": summarize(runs, directions)}
+
+    doc = {
+        "label": args.label,
+        "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
+        "seconds": args.seconds,
+        "src_sha256": {side: src_digest(tree) for side, tree in trees.items()},
+        "workloads": workloads,
+    }
+    path = args.out_dir / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(doc, indent=1) + "\n")
+    print(path, file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

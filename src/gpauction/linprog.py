@@ -10,6 +10,13 @@ denominator D (the determinant of the current basis), and each pivot
 divides exactly by the previous pivot. No rational number is formed until
 the answer is read off.
 
+The pricing LPs are nearly unimodular (their columns are 0/+-1
+differences of characteristic vectors), so almost every pivot p equals
+the previous one, D. Then (p * a - f * b) / D is a - (f / D) * b whenever
+D divides f, and a pivot subtracts a multiple of the pivot row at its
+nonzero entries only. The integers, hence every Bland choice and every
+certificate, are those of the dense update.
+
 Every status is certified before it is returned (Applegate, Cook, Dash
 and Espinoza, ORL 35, 2007): OPTIMAL by a primal x and row duals y with
 Ax = b, x >= 0, A^T y >= c and c.x = b.y; INFEASIBLE by a Farkas vector w
@@ -22,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Optional
 
 from .model import shared_fraction
@@ -64,8 +72,15 @@ class LPResult:
 
 def _scaled(coeffs, last) -> tuple[list[int], int]:
     """The integers of coeffs + [last] times the lcm L of their
-    denominators, with L negated when last < 0 so the last entry is >= 0."""
-    scale = lcm(last.denominator, *(c.denominator for c in coeffs))
+    denominators, with L negated when last < 0 so the last entry is >= 0.
+    An entry that is not an int or a Fraction raises TypeError."""
+    try:
+        scale = lcm(last.denominator, *(c.denominator for c in coeffs))
+    except AttributeError:
+        bad = next(x for x in (last, *coeffs) if not hasattr(x, "denominator"))
+        raise TypeError(
+            f"refusing LP entry {bad!r} of type {type(bad).__name__}; use int or Fraction"
+        ) from None
     if last < 0:
         scale = -scale
     return [c.numerator * (scale // c.denominator) for c in coeffs] + [
@@ -74,17 +89,31 @@ def _scaled(coeffs, last) -> tuple[list[int], int]:
 
 
 def _pivot(rows: list[list[int]], D: int, r: int, s: int) -> int:
-    """Fraction-free pivot on rows[r][s]: every other row i becomes
-    (p * row_i - row_i[s] * row_r) / D, an exact division. Returns the new
-    common denominator p."""
+    """Fraction-free pivot on p = rows[r][s]: every other row i becomes
+    (p * row_i - f * row_r) / D with f = row_i[s], an exact division.
+    Returns the new common denominator p.
+
+    When p = D and D divides f, that quotient is row_i - (f / D) * row_r
+    entry by entry, so only the pivot row's nonzero entries are touched;
+    when f = 0 and p = -D, it is -row_i. Either way the integers are the
+    ones the general formula gives."""
     prow = rows[r]
     p = prow[s]
+    if p == D:
+        nonzero = [(j, b) for j, b in enumerate(prow) if b]
     for row in rows:
         if row is prow:
             continue
         f = row[s]
         if f:
-            row[:] = [(p * a - f * b) // D for a, b in zip(row, prow)]
+            if p == D and not f % D:
+                q = f // D
+                for j, b in nonzero:
+                    row[j] -= q * b
+            else:
+                row[:] = [(p * a - f * b) // D for a, b in zip(row, prow)]
+        elif p == -D:
+            row[:] = [-a for a in row]
         elif p != D:
             row[:] = [p * a // D for a in row]
     return p
@@ -116,7 +145,7 @@ def _bland(rows, obj, basis, D: int, ncols: int) -> tuple[str, int, int]:
 
 
 def _dot(u, v) -> int:
-    return sum(a * b for a, b in zip(u, v) if a and b)
+    return sum(map(mul, u, v))
 
 
 def lp_solve(lp: LinearProgram) -> LPResult:

@@ -14,7 +14,8 @@ supportable ones. The full LP is built here rather than imported, so the
 reference stays independent of the column-generation dual LP in
 ``gpauction.pricing`` that it checks. ``box_optimal_ce`` is the
 point-by-point search over the whole candidate box, the reference for the
-welfare-ordered search of ``optimal_ce``.
+welfare-ordered search of ``optimal_ce``. ``dense_pivot`` is the
+production core's pivot without its sparse path, the reference for it.
 """
 import itertools
 from dataclasses import dataclass
@@ -116,6 +117,23 @@ def _ref_pivot(rows, obj, basis, li: int, ej: int) -> None:
     if f:
         obj[:] = [a - f * b if b else a for a, b in zip(obj, prow)]
     basis[li] = ej
+
+
+def dense_pivot(rows: list[list[int]], D: int, r: int, s: int) -> int:
+    """The fraction-free pivot of ``gpauction.linprog._pivot`` in its
+    dense form, every touched row rebuilt entry by entry: every other row
+    i becomes (p * row_i - row_i[s] * row_r) / D. Returns p."""
+    prow = rows[r]
+    p = prow[s]
+    for row in rows:
+        if row is prow:
+            continue
+        f = row[s]
+        if f:
+            row[:] = [(p * a - f * b) // D for a, b in zip(row, prow)]
+        elif p != D:
+            row[:] = [p * a // D for a in row]
+    return p
 
 
 def reference_lp_solve(lp: ReferenceLP) -> LPResult:

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,7 @@ from gpauction.linprog import (
     lp_solve,
 )
 
-from .oracle import EQ, GE, LE, ReferenceLP, reference_lp_solve
+from .oracle import EQ, GE, LE, ReferenceLP, dense_pivot, reference_lp_solve
 
 # The reference solver of tests/oracle.py: general rows, free variables,
 # fixings.
@@ -241,3 +242,94 @@ def test_core_matches_reference(data):
     assert (res.status, res.value) == (ref.status, ref.value)
     if res.status == OPTIMAL:
         assert_certified(lp, res)
+
+
+@pytest.mark.parametrize("bad", [0.5, "1", float("inf")])
+@pytest.mark.parametrize("where", ["objective", "row", "rhs"])
+def test_inexact_entry_raises_type_error(bad, where):
+    entries = {"objective": (1,), "row": (1,), "rhs": (1,)}
+    entries[where] = (bad,)
+    lp = LinearProgram(entries["objective"], (entries["row"],), entries["rhs"])
+    with pytest.raises(TypeError, match=f"of type {type(bad).__name__}"):
+        lp_solve(lp)
+
+
+# The sparse pivot: the same integers as the dense reference pivot.
+
+SHIPPED_PIVOT = linprog._pivot
+
+
+def checked_pivot(rows, D, r, s):
+    """The shipped pivot, checked against dense_pivot on a copy of the
+    tableau: the same new denominator and the same integers."""
+    dense = [row[:] for row in rows]
+    p = dense_pivot(dense, D, r, s)
+    assert SHIPPED_PIVOT(rows, D, r, s) == p
+    assert rows == dense
+    return p
+
+
+def solve_with(pivot, lp: LinearProgram) -> LPResult:
+    with mock.patch.object(linprog, "_pivot", pivot):
+        return lp_solve(lp)
+
+
+def pivots_taken(lp: LinearProgram) -> list[tuple[int, int, list[int]]]:
+    """(p, D, the other rows' entries f in the pivot column) per pivot."""
+    seen = []
+
+    def spy(rows, D, r, s):
+        seen.append((rows[r][s], D, [row[s] for i, row in enumerate(rows) if i != r]))
+        return SHIPPED_PIVOT(rows, D, r, s)
+
+    solve_with(spy, lp)
+    return seen
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_sparse_pivot_matches_dense(data):
+    """Every tableau the shipped pivot leaves equals the dense pivot's, so
+    the status, value, x and y do too. Unit entries take the sparse path;
+    small integers and fractions take the dense one as well."""
+    ncols = data.draw(st.integers(1, 5))
+    nrows = data.draw(st.integers(1, 4))
+    unit = st.integers(-1, 1)
+    frac = st.fractions(min_value=F(-3), max_value=F(3), max_denominator=3)
+    entry = data.draw(st.sampled_from((unit, st.integers(-3, 3), frac)))
+    lp = standard(
+        [data.draw(entry) for _ in range(ncols)],
+        [[data.draw(entry) for _ in range(ncols)] for _ in range(nrows)],
+        [data.draw(entry) for _ in range(nrows)],
+    )
+    res = solve_with(checked_pivot, lp)
+    assert res == solve_with(dense_pivot, lp) == lp_solve(lp)
+
+
+def test_pivot_off_unit_keeps_the_dense_update():
+    """A pivot p = 2 under D = 1 rebuilds the rows densely."""
+    lp = standard((1, 1), [(2, 1)], (3,))
+    assert any(p not in (D, -D) for p, D, _ in pivots_taken(lp))
+    res = solve_with(checked_pivot, lp)
+    assert res == solve_with(dense_pivot, lp)
+    assert (res.status, res.value, res.x) == (OPTIMAL, 3, (0, 3))
+
+
+def test_pivot_equal_to_d_updates_only_divisible_rows_sparsely():
+    """Under p = D = 2, the row with f = 2 takes the sparse update and the
+    row with f = 1 the dense one."""
+    lp = standard((1, 1), [(0, 1), (-2, -1)], (0, -2))
+    assert (2, 2, [1, 2]) in pivots_taken(lp)
+    res = solve_with(checked_pivot, lp)
+    assert res == solve_with(dense_pivot, lp)
+    assert (res.status, res.value, res.y) == (OPTIMAL, 1, (F(1, 2), F(-1, 2)))
+
+
+def test_pivot_under_minus_d_negates_a_zero_row():
+    """Pivoting a basic artificial out on a -1 entry gives p = -D; a row
+    with 0 in the pivot column is negated."""
+    lp = standard((1, -1), [(1, 0), (0, -1)], (1, 0))
+    assert any(p == -D and 0 in fs for p, D, fs in pivots_taken(lp))
+    res = solve_with(checked_pivot, lp)
+    assert res == solve_with(dense_pivot, lp)
+    assert (res.status, res.value, res.x) == (OPTIMAL, 1, (1, 0))

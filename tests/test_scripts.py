@@ -1,6 +1,7 @@
 """Smoke tests for the experiment scripts: each runs end to end in a fresh
 interpreter, so a library name they import that no longer exists fails
 here rather than at the next manual run."""
+import json
 import os
 import subprocess
 import sys
@@ -29,3 +30,21 @@ def test_script_runs(argv):
         capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_bench_pairs_the_repo_with_itself(tmp_path):
+    argv = ["scripts/bench.py", "--parent", str(ROOT), "--change", str(ROOT),
+            "--workload", "verify-pe", "--pairs", "1", "--seconds", "0",
+            "--label", "smoke", "--out-dir", str(tmp_path)]
+    proc = subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, cwd=ROOT, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert doc["src_sha256"]["parent"] == doc["src_sha256"]["change"]
+    bench = doc["workloads"]["verify-pe"]
+    assert [(r["side"], r["first"]) for r in bench["runs"]] == [("parent", True), ("change", False)]
+    assert all(r["attempted"] > 0 and r["failed"] == 0 for r in bench["runs"])
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert set(bench["summary"]) == {m["name"] for m in spec["end_to_end"]}
+    assert bench["summary"]["certified_ratio"]["ratio"] == 1
