@@ -12,6 +12,9 @@ sides alike. The result goes to ``BENCH_<label>.json``:
 - per workload and metric: each side's median and quartiles, the
   change/parent ratio of the medians, and the pairs the change won
   (strictly better, in the direction ``BENCHMARK.json`` gives);
+- per workload, under ``layers.parent`` and ``layers.change``, the
+  per-layer metrics of one ``--trace 1`` run per side at the first pair's
+  seed, run after the pairs, so a change in time can be read in counts;
 - the Python version, ``os.cpu_count()`` and a digest of each tree's
   ``src/``, so a file can be matched to the program it measured.
 
@@ -45,10 +48,11 @@ def src_digest(tree: Path) -> str:
     return h.hexdigest()
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in ``tree``; its env and result lines."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One benchmark run in ``tree``; its env and result lines. A traced
+    run's metrics are the per-layer ones."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
@@ -117,7 +121,10 @@ def main(argv=None) -> int:
                 print(f"{workload} pair {k} {side}: p50 "
                       f"{run['metrics']['latency_p50_s']:.6f} s, failed {run['failed']}",
                       file=sys.stderr, flush=True)
-        workloads[workload] = {"runs": runs, "summary": summarize(runs, directions)}
+        layers = {side: run_once(tree, workload, args.seed, args.seconds, trace=1)["metrics"]
+                  for side, tree in trees.items()}
+        workloads[workload] = {"runs": runs, "summary": summarize(runs, directions),
+                               "layers": layers}
 
     doc = {
         "label": args.label,

@@ -31,7 +31,7 @@ from .instances import (
     read_json,
 )
 from .linprog import InternalError
-from .model import GPoint, ValueGraph, char_vector
+from .model import GPoint, ValueGraph, aggregate, char_vector, project
 from .polytope import enumerate_decompositions
 from .pricing import (
     CEResult,
@@ -145,6 +145,8 @@ def cmd_solve(args) -> int:
     walrasian = args.walrasian or inst.walrasian
     covering = inst.covering or not all(v.is_finite() for v in inst.valuations)
     point = _parse_point(args.point, inst.graph) if args.point else None
+    if point is not None and project(point) != inst.supply:
+        return _err(f"point projects to {project(point)}, not the supply {inst.supply}")
     if covering:
         if walrasian:
             return _err("covering instances support quadratic pricing only")
@@ -176,6 +178,10 @@ def cmd_verify(args) -> int:
         verdict = verify_pe(inst.valuations, alloc, price, inst.supply, caps)
         ce = verdict.ce
     else:
+        # verify_pe makes this check itself, with the same message.
+        sold = project(aggregate(inst.graph, alloc))
+        if sold != inst.supply:
+            return _err(f"allocation sells {sold} but the supply is {inst.supply}")
         verdict = verify_ce(inst.valuations, alloc, price, caps)
         ce = verdict
     lines = [("competitive equilibrium", "pass" if ce.ok else "FAIL")]

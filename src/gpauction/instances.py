@@ -261,8 +261,9 @@ def print_instance(inst: InstanceFile) -> dict:
 def read_json(path: str) -> Any:
     """The JSON document in a file. An unreadable path (missing, a
     directory, no permission), invalid JSON, nesting too deep for the
-    decoder and a key repeated within one object are ParseErrors naming
-    the path; json alone would keep the last value of a repeated key."""
+    decoder, an integer too long for Python to convert and a key repeated
+    within one object are ParseErrors naming the path; json alone would
+    keep the last value of a repeated key."""
 
     def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
         doc = {}
@@ -281,6 +282,10 @@ def read_json(path: str) -> Any:
         raise ParseError(f"{path}: JSON nested too deeply") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
+    except ParseError:
+        raise
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def load_instance(path: str, caps: Caps = DEFAULT_CAPS) -> InstanceFile:

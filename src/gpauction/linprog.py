@@ -8,7 +8,9 @@ fraction-free (Edmonds 1967, Bareiss 1968): every row is scaled to
 integers once, the tableau then holds integers over one common
 denominator D (the determinant of the current basis), and each pivot
 divides exactly by the previous pivot. No rational number is formed until
-the answer is read off.
+the answer is read off. Every pivot is positive, so D > 0 throughout:
+Bland's ratio test picks a positive entry, and pivoting a basic
+artificial out after phase 1 on a negative entry negates its row first.
 
 The pricing LPs are nearly unimodular (their columns are 0/+-1
 differences of characteristic vectors), so almost every pivot p equals
@@ -91,12 +93,11 @@ def _scaled(coeffs, last) -> tuple[list[int], int]:
 def _pivot(rows: list[list[int]], D: int, r: int, s: int) -> int:
     """Fraction-free pivot on p = rows[r][s]: every other row i becomes
     (p * row_i - f * row_r) / D with f = row_i[s], an exact division.
-    Returns the new common denominator p.
+    Returns the new common denominator p; callers pivot only on p > 0.
 
     When p = D and D divides f, that quotient is row_i - (f / D) * row_r
-    entry by entry, so only the pivot row's nonzero entries are touched;
-    when f = 0 and p = -D, it is -row_i. Either way the integers are the
-    ones the general formula gives."""
+    entry by entry, so only the pivot row's nonzero entries are touched.
+    The integers are the ones the general formula gives."""
     prow = rows[r]
     p = prow[s]
     if p == D:
@@ -112,8 +113,6 @@ def _pivot(rows: list[list[int]], D: int, r: int, s: int) -> int:
                     row[j] -= q * b
             else:
                 row[:] = [(p * a - f * b) // D for a, b in zip(row, prow)]
-        elif p == -D:
-            row[:] = [-a for a in row]
         elif p != D:
             row[:] = [p * a // D for a in row]
     return p
@@ -186,18 +185,18 @@ def lp_solve(lp: LinearProgram) -> LPResult:
             raise InternalError("phase 1 ended without a valid Farkas certificate")
         return LPResult(INFEASIBLE)
     # Artificials left in the basis sit at 0: pivot each out on a nonzero
-    # structural entry of its row. A row with none is redundant; its
+    # structural entry of its row, negated first if negative so that the
+    # pivot, hence D, stays positive. A row with none is redundant; its
     # artificial stays basic at 0 and never leaves.
     for i in range(nrows):
         if basis[i] >= art:
-            s = next((j for j in range(ncols) if rows[i][j]), -1)
+            row = rows[i]
+            s = next((j for j in range(ncols) if row[j]), -1)
             if s >= 0:
+                if row[s] < 0:
+                    row[:] = [-a for a in row]
                 D = _pivot(rows, D, i, s)
                 basis[i] = s
-                if D < 0:
-                    D = -D
-                    for row in rows:
-                        row[:] = [-a for a in row]
 
     # Phase 2: D times the reduced costs of c in the current basis.
     cb = [c[j] if j < art else 0 for j in basis]

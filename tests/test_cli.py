@@ -78,6 +78,17 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["revenue"] == "0"
 
+    @pytest.mark.parametrize("mode", [[], ["--walrasian"]])
+    def test_point_must_sell_the_supply(self, tmp_path, capsys, mode):
+        """A point of projection (2, 2, 2) on cutlery, supply (1, 1, 1), is
+        an input error in either mode; decompose still takes it."""
+        path = write_corpus(tmp_path, "cutlery")
+        code, out, err = run(capsys, ["solve", path, "--point", "2,2,2,1,1,1", *mode])
+        assert code == 1 and out == ""
+        assert err == "error: point projects to (2, 2, 2), not the supply (1, 1, 1)\n"
+        code, _, _ = run(capsys, ["decompose", path, "--point", "2,2,2,1,1,1"])
+        assert code != 1
+
     def test_jobs_flag_is_rejected(self, tmp_path, capsys):
         path = write_corpus(tmp_path, "cutlery")
         with pytest.raises(SystemExit) as exc:
@@ -178,6 +189,16 @@ class TestVerify:
         wit = self.write_witness(tmp_path, [[]], ["0", "0"], {})
         code, out, _ = run(capsys, ["verify", str(inst), wit, "--pe"])
         assert code == 0 and json.loads(out)["pe"] is True
+
+    @pytest.mark.parametrize("pe", [[], ["--pe"]])
+    def test_allocation_must_sell_the_supply(self, tmp_path, capsys, pe):
+        """Every agent takes all of cutlery's items: (3, 3, 3) sold of a
+        supply (1, 1, 1) is an input error, with or without --pe."""
+        inst = write_corpus(tmp_path, "cutlery")
+        wit = self.write_witness(tmp_path, [[1, 2, 3]] * 3, ["0", "0", "0"], {})
+        code, out, err = run(capsys, ["verify", inst, wit, *pe])
+        assert code == 1 and out == ""
+        assert err == "error: allocation sells (3, 3, 3) but the supply is (1, 1, 1)\n"
 
     def test_dimension_mismatch(self, tmp_path, capsys):
         inst = write_corpus(tmp_path, "cutlery")
@@ -418,6 +439,23 @@ def test_duplicate_key_is_input_error(tmp_path, capsys, kind):
     code, out, err = run(capsys, argv)
     assert code == 1 and out == ""
     assert err == f"error: {bad}: duplicate key {key!r}\n"
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this Python has no integer digit limit",
+)
+def test_integer_past_the_digit_limit_names_the_file(tmp_path, capsys):
+    """json raises a plain ValueError on an integer longer than Python's
+    digit limit; it is an input error naming the file."""
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    text = Path(write_corpus(tmp_path, "cutlery")).read_text()
+    bad = tmp_path / "long.json"
+    bad.write_text(text.replace('"supply": [1, 1, 1]', f'"supply": [1, 1, {digits}]'))
+    assert digits in bad.read_text()
+    code, out, err = run(capsys, ["solve", str(bad)])
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {bad}: ") and len(err.splitlines()) == 1
 
 
 def test_deeply_nested_json_is_input_error(tmp_path, capsys):

@@ -261,7 +261,9 @@ SHIPPED_PIVOT = linprog._pivot
 
 def checked_pivot(rows, D, r, s):
     """The shipped pivot, checked against dense_pivot on a copy of the
-    tableau: the same new denominator and the same integers."""
+    tableau: the same new denominator and the same integers. Every pivot
+    is positive, and so is every denominator."""
+    assert D > 0 and rows[r][s] > 0
     dense = [row[:] for row in rows]
     p = dense_pivot(dense, D, r, s)
     assert SHIPPED_PIVOT(rows, D, r, s) == p
@@ -325,11 +327,14 @@ def test_pivot_equal_to_d_updates_only_divisible_rows_sparsely():
     assert (res.status, res.value, res.y) == (OPTIMAL, 1, (F(1, 2), F(-1, 2)))
 
 
-def test_pivot_under_minus_d_negates_a_zero_row():
-    """Pivoting a basic artificial out on a -1 entry gives p = -D; a row
-    with 0 in the pivot column is negated."""
+def test_pivot_out_on_a_negative_entry_negates_its_row_first():
+    """The basic artificial of the row (0, -1) is pivoted out on its -1
+    entry: the row is negated first, so the pivot is +1 = D and takes the
+    sparse path, and no pivot is negative."""
     lp = standard((1, -1), [(1, 0), (0, -1)], (1, 0))
-    assert any(p == -D and 0 in fs for p, D, fs in pivots_taken(lp))
+    taken = pivots_taken(lp)
+    assert all(p > 0 and D > 0 for p, D, _ in taken)
+    assert taken[-1] == (1, 1, [0])
     res = solve_with(checked_pivot, lp)
     assert res == solve_with(dense_pivot, lp)
     assert (res.status, res.value, res.x) == (OPTIMAL, 1, (1, 0))

@@ -48,3 +48,4 @@ def test_bench_pairs_the_repo_with_itself(tmp_path):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert set(bench["summary"]) == {m["name"] for m in spec["end_to_end"]}
     assert bench["summary"]["certified_ratio"]["ratio"] == 1
+    assert all("linprog.lp_solve.calls" in bench["layers"][side] for side in ("parent", "change"))
