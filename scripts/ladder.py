@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
-"""Time optimal_ce on a ladder of complete-graph auctions.
+"""Time optimal_ce and seller_demand on a ladder of complete-graph auctions.
 
 Each rung (n, m, r) is the complete graph on n items, m agents with
 integer weights drawn uniformly from [-3, 3], and the uniform supply r of
 every item. Every rung is solved for each seed in both modes, quadratic
 and Walrasian, and each run prints one JSON line: rung, mode, seed,
-status, revenue and seconds.
+status, revenue and seconds. Then the seller's revenue search runs at a
+price with integer entries drawn from [-3, 3] and at the zero price,
+where every point ties; each prints one line with mode "seller": rung,
+seed, price, the number of revenue-maximizing points, their revenue and
+seconds.
 
     PYTHONPATH=src python scripts/ladder.py
     PYTHONPATH=src python scripts/ladder.py --rung 4,4,2 --seeds 1
@@ -15,7 +19,8 @@ import json
 import random
 import time
 
-from gpauction.model import ValueGraph
+from gpauction.demand import seller_demand
+from gpauction.model import PriceVector, ValueGraph
 from gpauction.pricing import optimal_ce
 from gpauction.randgen import random_valuation
 
@@ -46,6 +51,19 @@ def main():
                     "rung": [n, m, r], "mode": mode, "seed": seed,
                     "status": res.status,
                     "revenue": None if res.revenue is None else str(res.revenue),
+                    "seconds": round(seconds, 4),
+                }), flush=True)
+            prices = {
+                "random": PriceVector(g, tuple(rng.randint(-3, 3) for _ in range(g.d))),
+                "zero": PriceVector.zero(g),
+            }
+            for name, p in prices.items():
+                start = time.perf_counter()
+                points = seller_demand(p, (r,) * n, m)
+                seconds = time.perf_counter() - start
+                print(json.dumps({
+                    "rung": [n, m, r], "mode": "seller", "seed": seed, "price": name,
+                    "points": len(points), "revenue": str(p.dot(next(iter(points)))),
                     "seconds": round(seconds, 4),
                 }), flush=True)
 

@@ -276,20 +276,28 @@ def seller_demand(
 ) -> frozenset[GPoint]:
     """Revenue-maximizing aggregates at a price: among all decomposable
     points projecting onto the supply, every one maximizing <p, a> (all
-    ties are kept). The points come from enumerate_aggregates, so points
-    that are not sums of m bundles are never tried. Each point is ranked
-    by the integer D * <p, a>, the sum of its first split's bundle prices
-    in the price table."""
-    items = enumerate_aggregates(p.graph, supply, m, caps)  # checks the caps first
-    paid = dict(zip(bundle_table(p.graph), p.table()[1]))
-    revenue: dict[GPoint, int] = {}
-    for a, parts in items:
-        if a not in revenue:
-            revenue[a] = sum([paid[S] for S in parts])
-    if not revenue:
+    ties are kept). The points come from the multiset search of
+    enumerate_aggregates, so points that are not sums of m bundles are
+    never tried, run on the price's integer table. Every such point has
+    the vertex part sum_i D * p_i * s_i, so the search ranks its splits
+    by the edge part alone, adding each bundle's share as it goes. It
+    drops a branch only when a closed-form bound on every split below it
+    is strictly below the best split found: each edge ij lies in between
+    max(0, r_i + r_j - k) and min(r_i, r_j) of the k bundles left, so a
+    positive edge price counts at most min(r_i, r_j) more times and a
+    negative one at least max(0, r_i + r_j - k). A split that ties the
+    best is never dropped, so every maximizer is returned. The splits
+    are folded as coordinate tuples; a GPoint is built only for the
+    points returned."""
+    top, best = None, set()
+    for acc in enumerate_aggregates(p.graph, supply, m, caps, p):
+        if acc[-1] != top:  # the scores yielded never fall
+            top, best = acc[-1], set()
+        best.add(acc)
+    if not best:
         raise ValueError("no decomposable aggregate point projects onto the supply")
-    best = max(revenue.values())
-    return frozenset(a for a, rev in revenue.items() if rev == best)
+    vertex = tuple(supply)
+    return frozenset(GPoint(p.graph, vertex + acc[:-1]) for acc in best)
 
 
 @dataclass(frozen=True)

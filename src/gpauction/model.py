@@ -204,11 +204,19 @@ def project(a: GPoint) -> tuple[int, ...]:
 
 
 def aggregate(graph: ValueGraph, alloc: Allocation) -> GPoint:
-    """Sum of the characteristic vectors of an allocation's bundles."""
-    total = GPoint.zero(graph)
+    """Sum of the characteristic vectors of an allocation's bundles: each
+    vertex and each edge counts the bundles holding it. An item off the
+    graph raises ValueError, as char_vector does."""
+    n = graph.n
+    coords = [0] * graph.d
     for S in alloc:
-        total = total + char_vector(S, graph)
-    return total
+        for i in S:
+            if not 0 <= i < n:
+                raise ValueError(f"bundle element {i} out of range [0, {n})")
+            coords[i] += 1
+    for e, (i, j) in enumerate(graph.edges, n):
+        coords[e] = sum([i in S and j in S for S in alloc])
+    return GPoint(graph, tuple(coords))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .caps import DEFAULT_CAPS, Caps, CapExceededError
 from .linprog import LinearProgram, OPTIMAL, lp_solve
-from .model import Bundle, EMPTY_BUNDLE, GPoint, ValueGraph, char_vector
+from .model import Bundle, EMPTY_BUNDLE, GPoint, NEG_INF, PriceVector, ValueGraph, char_vector
 
 VERTEX_CAP = 16
 VERTEX_PRODUCT_CAP = 10**8
@@ -98,13 +98,23 @@ def enumerate_decompositions(
 
 
 def enumerate_aggregates(
-    graph: ValueGraph, supply: Sequence[int], m: int, caps: Caps = DEFAULT_CAPS
-) -> Iterator[tuple[GPoint, tuple[Bundle, ...]]]:
+    graph: ValueGraph,
+    supply: Sequence[int],
+    m: int,
+    caps: Caps = DEFAULT_CAPS,
+    price: Optional[PriceVector] = None,
+) -> Iterator:
     """Yield (point, parts) for every multiset of m bundles that sells
     exactly the supply: parts in the canonical order of
     enumerate_decompositions, point their characteristic-vector sum. These
     points are exactly the decomposable ones projecting onto the supply; a
     point appears once per decomposition, so callers fold the items.
+
+    With a price, the search is bounded by revenue (see _splits): it
+    yields a split only if it pays at least as much as every split before
+    it, as its edge coordinates with its integer score appended, so the
+    items of the last score are exactly the splits of maximal <price, a>.
+    The caps and the supply are checked before the price is tabulated.
     """
     caps.check_n(graph.n)
     caps.check_m(m)
@@ -113,7 +123,11 @@ def enumerate_aggregates(
         raise ValueError(f"expected {graph.n} supply entries")
     if any(s < 0 for s in supply):
         raise ValueError("supply entries must be nonnegative")
-    return _splits(graph, supply, m, ())
+    if price is None:
+        return _splits(graph, supply, m, ())
+    if price.graph != graph:
+        raise ValueError("price and supply over different graphs")
+    return _splits(graph, supply, m, (), price.table()[1])
 
 
 def _splits(
@@ -121,7 +135,8 @@ def _splits(
     supply: tuple[int, ...],
     m: int,
     pins: Sequence[tuple[int, int, int, int]],
-) -> Iterator[tuple[GPoint, tuple[Bundle, ...]]]:
+    paid: Optional[Sequence[int]] = None,
+) -> Iterator:
     """(point, parts) for every multiset of m bundles that sells exactly
     the supply and puts each pinned edge in exactly its count of bundles:
     pins lists (i, j, e, c) for edge ij at coordinate e with count c. The
@@ -139,22 +154,61 @@ def _splits(
     check: its count is at most the uses of either end, so it stays in
     0..min(s_i, s_j), which are all the counts a split of the supply can
     give it.
+
+    With paid, the integer table of a price (paid[mask] is the price of
+    the bundle with that bitmask, times its denominator) and no pins, the
+    search ranks leaves by revenue. Its coordinates are P_i = paid[{i}]
+    and P_ij = paid[{i, j}] - P_i - P_j. Every leaf sells the supply, so
+    the vertex part sum_i P_i * s_i of its revenue is fixed and the edge
+    part ranks it. A node carries that part of its bundles' prices as its
+    score, and dies when its score plus the sum over P_e > 0 of
+    P_e * min(r_i, r_j) and over P_e < 0 of P_e * max(0, r_i + r_j - k)
+    is strictly below the best leaf found so far: by the range above that
+    bounds every leaf below it (ignoring the bitmask order), and a tie
+    never dies. A leaf is yielded when it is not below the best so far,
+    as its edge coordinates with its score appended; so the scores
+    yielded never fall, and the last ones are all the maximal ones.
     """
     n = graph.n
     table = _vertex_table(graph)
     bundles = bundle_table(graph)
     bits = [sorted(S) for S in bundles]
+    rows = [q.coords for q in table]
+    pos = neg = ()
+    if paid is not None:
+        P = [paid[1 << i] for i in range(n)]
+        rows = [r[n:] + (paid[s] - sum([P[i] for i in bits[s]]),) for s, r in enumerate(rows)]
+        priced = [(i, j, paid[1 << i | 1 << j] - P[i] - P[j]) for i, j in graph.edges]
+        pos = [(i, j, w) for i, j, w in priced if w > 0]
+        neg = [(i, j, w) for i, j, w in priced if w < 0]
+    bounded = bool(pos or neg)  # with every edge price zero, all leaves tie
+    best = NEG_INF
 
     def rec(top: int, k: int, res: list[int], acc: tuple[int, ...], path: list[Bundle]):
+        nonlocal best
         for i, j, e, c in pins:
             ri, rj = res[i], res[j]
             if not max(0, ri + rj - k) <= c - acc[e] <= min(ri, rj):
                 return
         if not any(res):
-            yield GPoint(graph, acc), tuple(path) + (EMPTY_BUNDLE,) * k
+            if paid is None:
+                yield GPoint(graph, acc), tuple(path) + (EMPTY_BUNDLE,) * k
+            elif acc[-1] >= best:
+                best = acc[-1]
+                yield acc
             return
         if max(res) > k:
             return
+        if bounded:
+            bound = acc[-1]
+            for i, j, w in pos:
+                bound += w * min(res[i], res[j])
+            for i, j, w in neg:
+                x = res[i] + res[j] - k
+                if x > 0:
+                    bound += w * x
+            if bound < best:
+                return
         spent = sum(1 << i for i in range(n) if not res[i])
         high = max(i for i in range(n) if res[i])
         for mask in range(top, (1 << high) - 1, -1):
@@ -163,13 +217,14 @@ def _splits(
             for i in bits[mask]:
                 res[i] -= 1
             path.append(bundles[mask])
-            nxt = tuple(x + y for x, y in zip(acc, table[mask].coords))
+            nxt = tuple(x + y for x, y in zip(acc, rows[mask]))
             yield from rec(mask, k - 1, res, nxt, path)
             path.pop()
             for i in bits[mask]:
                 res[i] += 1
 
-    return rec((1 << n) - 1, m, list(supply), (0,) * graph.d, [])
+    start = (0,) * (graph.d if paid is None else graph.d - n + 1)
+    return rec((1 << n) - 1, m, list(supply), start, [])
 
 
 @dataclass(frozen=True)

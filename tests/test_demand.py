@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -24,7 +25,8 @@ from gpauction.model import (
     shift,
     value,
 )
-from gpauction.polytope import enumerate_decompositions, vertices_P
+from gpauction import polytope
+from gpauction.polytope import enumerate_aggregates, enumerate_decompositions, vertices_P
 from gpauction.pricing import FOUND, NO_POINT_FOUND, optimal_ce
 from gpauction.instances import corpus_instance
 
@@ -291,6 +293,83 @@ class TestSellerDemand:
         best = P_SHIFTED.dot(next(iter(sd)))
         assert best == 7
         assert GPoint(K3, (1, 1, 1, 1, 1, 1)) in sd
+
+
+def folded_seller_demand(p, supply, m):
+    """Reference: every distinct point of the unpriced aggregate search,
+    keeping those of maximal <p, a>."""
+    points = {a for a, _ in enumerate_aggregates(p.graph, supply, m)}
+    best = max(p.dot(a) for a in points)
+    return {a for a in points if p.dot(a) == best}
+
+
+@st.composite
+def seller_cases(draw, edge_prices):
+    """(price, supply, m) on a graph of up to 5 vertices, m up to 5, with
+    the edge entries drawn by edge_prices; the supply stays small enough
+    for the unpriced search to list every split."""
+    g = draw(graphs(max_n=5))
+    m = draw(st.integers(1, 5))
+    supply = tuple(draw(st.integers(0, min(m, 2 if g.n > 3 else 3))) for _ in range(g.n))
+    vertex = [draw(small_fractions(-3, 3)) for _ in range(g.n)]
+    edges = [draw(edge_prices) for _ in g.edges]
+    return PriceVector(g, tuple(vertex + edges)), supply, m
+
+
+INTEGERS = st.integers(-3, 3).map(F)
+
+
+class TestBoundedSellerSearch:
+    """seller_demand prunes the multiset search by a bound on the revenue
+    still to come; it must keep exactly the argmax of the unpriced fold."""
+
+    @given(seller_cases(INTEGERS))
+    @settings(max_examples=60, deadline=None)
+    def test_random_prices(self, case):
+        assert seller_demand(*case) == folded_seller_demand(*case)
+
+    @given(seller_cases(st.just(F(0))))
+    @settings(max_examples=30, deadline=None)
+    def test_zero_edge_prices_keep_every_point(self, case):
+        p, supply, m = case
+        points = {a for a, _ in enumerate_aggregates(p.graph, supply, m)}
+        assert seller_demand(p, supply, m) == points
+
+    @given(seller_cases(st.integers(-3, -1).map(F)))
+    @settings(max_examples=40, deadline=None)
+    def test_negative_edge_prices(self, case):
+        assert seller_demand(*case) == folded_seller_demand(*case)
+
+    @given(seller_cases(small_fractions(-2, 2)))
+    @settings(max_examples=40, deadline=None)
+    def test_fractional_prices(self, case):
+        p, supply, m = case
+        # small_fractions has denominators up to 6, so adding 1/7 to one
+        # entry makes the common denominator D a multiple of 7.
+        entries = (p.entries[0] + F(1, 7),) + p.entries[1:]
+        p = PriceVector(p.graph, entries)
+        assert p.table()[0] % 7 == 0
+        assert seller_demand(p, supply, m) == folded_seller_demand(p, supply, m)
+
+    def test_bound_prunes_nodes(self, monkeypatch):
+        # The search tests `any(res)` once per node, so counting the calls
+        # of polytope's `any` counts the nodes each search visits.
+        g = ValueGraph.complete(5)
+        rng = random.Random(3)
+        p = PriceVector(g, tuple(F(rng.randint(-3, 3)) for _ in range(g.d)))
+        supply = (2,) * 5
+        calls = []
+
+        def counting_any(xs):
+            calls.append(None)
+            return any(xs)
+
+        monkeypatch.setattr(polytope, "any", counting_any, raising=False)
+        expected = folded_seller_demand(p, supply, 5)
+        unpriced = len(calls)
+        calls.clear()
+        assert seller_demand(p, supply, 5) == expected
+        assert len(calls) < unpriced
 
 
 class TestVerifyPE:

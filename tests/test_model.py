@@ -218,3 +218,17 @@ class TestAllocation:
         alloc = (frozenset({0}), frozenset({0}), frozenset({0}))
         agg = aggregate(K3, alloc)
         assert project(agg) == (3, 0, 0)
+
+    @given(graphs(), st.data())
+    def test_aggregate_sums_char_vectors(self, g, data):
+        alloc = tuple(data.draw(st.lists(bundles(g.n), max_size=6)))
+        total = GPoint.zero(g)
+        for S in alloc:
+            total = total + char_vector(S, g)
+        assert aggregate(g, alloc) == total
+
+    @pytest.mark.parametrize("item", [3, -1])
+    def test_aggregate_rejects_item_off_the_graph(self, item):
+        alloc = (frozenset({0, 1}), frozenset({item}))
+        with pytest.raises(ValueError, match="out of range"):
+            aggregate(K3, alloc)

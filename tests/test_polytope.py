@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gpauction.caps import CapExceededError
-from gpauction.model import GPoint, ValueGraph, aggregate, char_vector, project
+from gpauction.model import GPoint, PriceVector, ValueGraph, aggregate, char_vector, project
 from gpauction.polytope import (
     Face,
     enumerate_aggregates,
@@ -205,6 +205,19 @@ class TestEnumerateAggregates:
             enumerate_aggregates(K3, (1, 1), 2)
         with pytest.raises(ValueError, match="nonnegative"):
             enumerate_aggregates(K3, (1, -1, 0), 2)
+
+    def test_priced_search_checks_before_tabulating(self, monkeypatch):
+        def no_table(self):
+            raise AssertionError("price tabulated before the checks")
+
+        monkeypatch.setattr(PriceVector, "table", no_table)
+        K7 = ValueGraph.complete(7)
+        with pytest.raises(CapExceededError):
+            enumerate_aggregates(K7, (1,) * 7, 1, price=PriceVector.zero(K7))
+        with pytest.raises(ValueError, match="nonnegative"):
+            enumerate_aggregates(K3, (1, -1, 0), 2, price=PriceVector.zero(K3))
+        with pytest.raises(ValueError, match="different graphs"):
+            enumerate_aggregates(K3, (1, 1, 1), 2, price=PriceVector.zero(K4))
 
     @given(graphs(max_n=4), st.data())
     @settings(max_examples=40, deadline=None)

@@ -30,6 +30,11 @@ def test_script_runs(argv):
         capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    if argv[0] == "scripts/ladder.py":
+        lines = [json.loads(line) for line in proc.stdout.splitlines()]
+        seller = [line for line in lines if line["mode"] == "seller"]
+        assert [line["price"] for line in seller] == ["random", "zero"]
+        assert all(line["points"] > 0 for line in seller)
 
 
 def test_bench_pairs_the_repo_with_itself(tmp_path):

@@ -45,16 +45,22 @@ def test_one_search_path():
 def test_one_multiset_search():
     """polytope has one depth-first search over multisets of bundles,
     _splits: a point's decompositions are the aggregate search with its
-    edge counts pinned, so neither public enumerator has a search of its
-    own."""
-    tree = ast.parse((SRC / "polytope.py").read_text())
-    funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
-    for name in ("enumerate_decompositions", "enumerate_aggregates"):
+    edge counts pinned, and the seller's revenue search is the aggregate
+    search with a price, so neither public enumerator nor seller_demand
+    has a search of its own."""
+    searches = {"_splits", "enumerate_aggregates"}
+    for module, name, reaches in (
+        ("polytope.py", "enumerate_decompositions", {"_splits"}),
+        ("polytope.py", "enumerate_aggregates", {"_splits"}),
+        ("demand.py", "seller_demand", searches),
+    ):
+        tree = ast.parse((SRC / module).read_text())
+        funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
         body = list(ast.walk(funcs[name]))[1:]
         nested = [n.lineno for n in body if isinstance(n, (ast.FunctionDef, ast.Lambda))]
         assert not nested, f"{name} defines a function at lines {nested}"
         calls = {called_name(n) for n in body if isinstance(n, ast.Call)}
-        assert "_splits" in calls, f"{name} does not call _splits"
+        assert calls & reaches, f"{name} does not call {' or '.join(sorted(reaches))}"
 
 
 def test_no_gmpy2():
