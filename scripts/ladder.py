@@ -9,6 +9,11 @@ status, revenue and seconds. Then the seller's revenue search runs at a
 price with integer entries drawn from [-3, 3] and at the zero price,
 where every point ties; each prints one line with mode "seller": rung,
 seed, price, the number of revenue-maximizing points, their revenue and
+seconds. After each, the seller side of a PE check runs at the same
+price on a seeded random split of the supply (each item to r distinct
+agents): seller_demand with sold, which looks only for a split paying
+strictly more. It prints one line with mode "seller-check": rung, seed,
+price, whether the split is revenue-maximizing, the best revenue and
 seconds.
 
     PYTHONPATH=src python scripts/ladder.py
@@ -20,7 +25,7 @@ import random
 import time
 
 from gpauction.demand import seller_demand
-from gpauction.model import PriceVector, ValueGraph
+from gpauction.model import PriceVector, ValueGraph, aggregate
 from gpauction.pricing import optimal_ce
 from gpauction.randgen import random_valuation
 
@@ -30,6 +35,15 @@ RUNGS = ((4, 4, 2), (5, 5, 2), (6, 6, 2))
 def rung(text):
     n, m, r = (int(x) for x in text.split(","))
     return n, m, r
+
+
+def timed(f, *args, **kwargs):
+    """f's result and its seconds. The clock stops before the caller's
+    assignment frees the result it replaces, which can be every point of
+    a zero-price seller search."""
+    start = time.perf_counter()
+    out = f(*args, **kwargs)
+    return out, time.perf_counter() - start
 
 
 def main():
@@ -44,9 +58,7 @@ def main():
             rng = random.Random(seed)
             vs = [random_valuation(rng, g, -3, 3) for _ in range(m)]
             for mode in ("quadratic", "walrasian"):
-                start = time.perf_counter()
-                res = optimal_ce(vs, (r,) * n, walrasian=mode == "walrasian")
-                seconds = time.perf_counter() - start
+                res, seconds = timed(optimal_ce, vs, (r,) * n, walrasian=mode == "walrasian")
                 print(json.dumps({
                     "rung": [n, m, r], "mode": mode, "seed": seed,
                     "status": res.status,
@@ -57,13 +69,23 @@ def main():
                 "random": PriceVector(g, tuple(rng.randint(-3, 3) for _ in range(g.d))),
                 "zero": PriceVector.zero(g),
             }
+            sold = [set() for _ in range(m)]
+            for i in range(n):
+                for b in rng.sample(range(m), r):
+                    sold[b].add(i)
+            sold = tuple(map(frozenset, sold))
             for name, p in prices.items():
-                start = time.perf_counter()
-                points = seller_demand(p, (r,) * n, m)
-                seconds = time.perf_counter() - start
+                points, seconds = timed(seller_demand, p, (r,) * n, m)
                 print(json.dumps({
                     "rung": [n, m, r], "mode": "seller", "seed": seed, "price": name,
                     "points": len(points), "revenue": str(p.dot(next(iter(points)))),
+                    "seconds": round(seconds, 4),
+                }), flush=True)
+                points, seconds = timed(seller_demand, p, (r,) * n, m, sold=sold)
+                print(json.dumps({
+                    "rung": [n, m, r], "mode": "seller-check", "seed": seed, "price": name,
+                    "optimal": aggregate(g, sold) in points,
+                    "revenue": str(p.dot(next(iter(points)))),
                     "seconds": round(seconds, 4),
                 }), flush=True)
 

@@ -272,7 +272,12 @@ def candidate_points(graph: ValueGraph, supply: Sequence[int]) -> Iterator[GPoin
 
 
 def seller_demand(
-    p: PriceVector, supply: Sequence[int], m: int, caps: Caps = DEFAULT_CAPS
+    p: PriceVector,
+    supply: Sequence[int],
+    m: int,
+    caps: Caps = DEFAULT_CAPS,
+    *,
+    sold: Optional[Allocation] = None,
 ) -> frozenset[GPoint]:
     """Revenue-maximizing aggregates at a price: among all decomposable
     points projecting onto the supply, every one maximizing <p, a> (all
@@ -288,16 +293,30 @@ def seller_demand(
     negative one at least max(0, r_i + r_j - k). A split that ties the
     best is never dropped, so every maximizer is returned. The splits
     are folded as coordinate tuples; a GPoint is built only for the
-    points returned."""
+    points returned.
+
+    With sold, an allocation of m bundles whose aggregate projects onto
+    the supply (so that aggregate is decomposable), the question is
+    whether any split pays strictly more than sold. The search starts
+    with sold's revenue as its best, plus one unit, instead of -inf, so
+    every branch that cannot beat sold dies, and with every edge price
+    zero the search ends at its root. If some split beats sold, every
+    maximizer is returned as without sold; otherwise the result is sold's
+    aggregate alone, which then is a maximizer. A sold with the wrong
+    number of bundles, an item off the graph or another projection
+    raises ValueError, after the caps and the supply are checked and
+    before any search."""
     top, best = None, set()
-    for acc in enumerate_aggregates(p.graph, supply, m, caps, p):
+    for acc in enumerate_aggregates(p.graph, supply, m, caps, p, sold=sold):
         if acc[-1] != top:  # the scores yielded never fall
             top, best = acc[-1], set()
         best.add(acc)
-    if not best:
+    if best:
+        vertex = tuple(supply)
+        return frozenset(GPoint(p.graph, vertex + acc[:-1]) for acc in best)
+    if sold is None:
         raise ValueError("no decomposable aggregate point projects onto the supply")
-    vertex = tuple(supply)
-    return frozenset(GPoint(p.graph, vertex + acc[:-1]) for acc in best)
+    return frozenset({aggregate(p.graph, sold)})
 
 
 @dataclass(frozen=True)
@@ -317,7 +336,12 @@ def verify_pe(
     caps: Caps = DEFAULT_CAPS,
 ) -> PEVerdict:
     """CE check plus the seller side: the sold aggregate must attain the
-    maximal revenue among all decomposable points over the supply."""
+    maximal revenue among all decomposable points over the supply. That
+    aggregate is one such point, so the seller search is seller_demand
+    with sold=alloc: it looks only for a split that pays strictly more,
+    and returns the sold aggregate alone when there is none. Either way
+    its first point has the best revenue, and the aggregate is in it
+    exactly when the seller side holds."""
     g = p.graph
     agg = aggregate(g, alloc)
     if project(agg) != tuple(supply):
@@ -325,7 +349,7 @@ def verify_pe(
             f"allocation sells {project(agg)} but the supply is {tuple(supply)}"
         )
     ce = verify_ce(vs, alloc, p, caps)
-    sd = seller_demand(p, supply, len(vs), caps)
+    sd = seller_demand(p, supply, len(vs), caps, sold=alloc)
     best = p.dot(next(iter(sd)))
     seller_ok = agg in sd
     return PEVerdict(ce.ok and seller_ok, ce, ce.revenue, best, seller_ok)

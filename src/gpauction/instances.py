@@ -325,13 +325,19 @@ def parse_bundles(raw: Any, graph: ValueGraph, where: str) -> Allocation:
 
 
 def _bundle(items: Any, graph: ValueGraph, where: str) -> Bundle:
-    """A list of 1-based item numbers, each a JSON integer in 1..n."""
+    """A list of distinct 1-based item numbers, each a JSON integer in
+    1..n. A bundle is a set, so an item listed twice is an input error
+    rather than read as listed once."""
     if not isinstance(items, list) or not all(_is_int(i) for i in items):
         raise ParseError(f"{where}: bad bundle {items!r}, need a list of integers")
+    seen = set()
     for i in items:
         if not 1 <= i <= graph.n:
             raise ParseError(f"{where}: item {i} out of range")
-    return frozenset(i - 1 for i in items)
+        if i in seen:
+            raise ParseError(f"{where}: item {i} listed twice")
+        seen.add(i)
+    return frozenset(i - 1 for i in seen)
 
 
 def print_bundles(alloc: Sequence[Bundle]) -> list[list[int]]:

@@ -15,11 +15,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .caps import DEFAULT_CAPS, Caps, CapExceededError
 from .linprog import LinearProgram, OPTIMAL, lp_solve
-from .model import Bundle, EMPTY_BUNDLE, GPoint, NEG_INF, PriceVector, ValueGraph, char_vector
+from .model import (
+    Allocation,
+    Bundle,
+    EMPTY_BUNDLE,
+    GPoint,
+    NEG_INF,
+    PriceVector,
+    ValueGraph,
+    aggregate,
+    char_vector,
+    project,
+)
 
 VERTEX_CAP = 16
 VERTEX_PRODUCT_CAP = 10**8
@@ -103,6 +114,8 @@ def enumerate_aggregates(
     m: int,
     caps: Caps = DEFAULT_CAPS,
     price: Optional[PriceVector] = None,
+    *,
+    sold: Optional[Allocation] = None,
 ) -> Iterator:
     """Yield (point, parts) for every multiset of m bundles that sells
     exactly the supply: parts in the canonical order of
@@ -114,7 +127,16 @@ def enumerate_aggregates(
     yields a split only if it pays at least as much as every split before
     it, as its edge coordinates with its integer score appended, so the
     items of the last score are exactly the splits of maximal <price, a>.
-    The caps and the supply are checked before the price is tabulated.
+
+    With sold as well, an allocation of m bundles that sells the supply,
+    the search starts from sold's own score instead of from -inf: it
+    yields only the splits that pay strictly more than sold, and nothing
+    when no split does. Scores are integers, so the floor is sold's score
+    plus one, read from the table the search runs on.
+
+    The caps and the supply are checked first, then sold (its bundle
+    count, its items and what it sells), and only then is the price
+    tabulated.
     """
     caps.check_n(graph.n)
     caps.check_m(m)
@@ -124,10 +146,24 @@ def enumerate_aggregates(
     if any(s < 0 for s in supply):
         raise ValueError("supply entries must be nonnegative")
     if price is None:
+        if sold is not None:
+            raise ValueError("a sold allocation needs a price")
         return _splits(graph, supply, m, ())
     if price.graph != graph:
         raise ValueError("price and supply over different graphs")
-    return _splits(graph, supply, m, (), price.table()[1])
+    if sold is None:
+        return _splits(graph, supply, m, (), price.table()[1])
+    if len(sold) != m:
+        raise ValueError(f"expected {m} sold bundles, got {len(sold)}")
+    sells = project(aggregate(graph, sold))  # rejects items off the graph
+    if sells != supply:
+        raise ValueError(f"sold bundles sell {sells} but the supply is {supply}")
+    paid = price.table()[1]
+    # sold's score in _splits' units: its bundles' prices less the vertex
+    # part, which every split of the supply pays alike.
+    score = sum([paid[sum([1 << i for i in S])] for S in sold])
+    score -= sum([paid[1 << i] * s for i, s in enumerate(supply)])
+    return _splits(graph, supply, m, (), paid, score + 1)
 
 
 def _splits(
@@ -136,6 +172,7 @@ def _splits(
     m: int,
     pins: Sequence[tuple[int, int, int, int]],
     paid: Optional[Sequence[int]] = None,
+    floor: Union[int, float] = NEG_INF,
 ) -> Iterator:
     """(point, parts) for every multiset of m bundles that sells exactly
     the supply and puts each pinned edge in exactly its count of bundles:
@@ -168,6 +205,16 @@ def _splits(
     never dies. A leaf is yielded when it is not below the best so far,
     as its edge coordinates with its score appended; so the scores
     yielded never fall, and the last ones are all the maximal ones.
+
+    The best so far starts at floor, -inf unless given. A floor of s + 1
+    asks only for the leaves that pay strictly more than s, since scores
+    are integers: the same rule, a node dying below the best and a leaf
+    kept at or above it, then prunes every branch that cannot reach
+    s + 1 and keeps every leaf that does, and the ties among those, so
+    the last score's leaves are still all the maximal ones. Every priced
+    node tests its bound, even when no edge is priced: with every edge
+    price zero the root's bound is 0, below a floor of 1, and the search
+    ends there.
     """
     n = graph.n
     table = _vertex_table(graph)
@@ -181,8 +228,8 @@ def _splits(
         priced = [(i, j, paid[1 << i | 1 << j] - P[i] - P[j]) for i, j in graph.edges]
         pos = [(i, j, w) for i, j, w in priced if w > 0]
         neg = [(i, j, w) for i, j, w in priced if w < 0]
-    bounded = bool(pos or neg)  # with every edge price zero, all leaves tie
-    best = NEG_INF
+    bounded = paid is not None  # a local flag keeps the unpriced nodes' work as it was
+    best = floor
 
     def rec(top: int, k: int, res: list[int], acc: tuple[int, ...], path: list[Bundle]):
         nonlocal best

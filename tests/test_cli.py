@@ -404,6 +404,31 @@ def test_malformed_witness_or_price_is_input_error(tmp_path, capsys, command, ba
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv, doc, message",
+    [
+        (["verify", "{inst}", "{bad}"], {**CUTLERY_WITNESS, "allocation": [[1, 2], [3, 3], []]},
+         "allocation[1]: item 3 listed twice"),
+        (["verify", "--pe", "{inst}", "{bad}"],
+         {**CUTLERY_WITNESS, "allocation": [[1, 1, 2], [3], []]},
+         "allocation[0]: item 1 listed twice"),
+        (["solve", "{bad}"], {"n": 2, "agents": [VALID_AGENT], "supply": [1, 1],
+                              "faces": [[[1], [2, 2]]]},
+         "faces[0][1]: item 2 listed twice"),
+    ],
+)
+def test_repeated_item_is_input_error(tmp_path, capsys, argv, doc, message):
+    """A bundle is a set: an item listed twice is an input error naming
+    the bundle and the item, not the bundle with the item once (which
+    would verify the cutlery CE and solve the faced instance)."""
+    inst = write_corpus(tmp_path, "cutlery")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, [a.format(inst=inst, bad=bad) for a in argv])
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [["solve", "{bad}"], ["verify", "{inst}", "{bad}"],
                                   ["demand", "{inst}", "{bad}"]])
 def test_invalid_json_names_the_file(tmp_path, capsys, argv):

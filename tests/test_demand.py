@@ -20,6 +20,7 @@ from gpauction.model import (
     PriceVector,
     Valuation,
     ValueGraph,
+    aggregate,
     char_vector,
     is_finite,
     shift,
@@ -370,6 +371,82 @@ class TestBoundedSellerSearch:
         calls.clear()
         assert seller_demand(p, supply, 5) == expected
         assert len(calls) < unpriced
+
+
+EDGE_PRICES = {
+    "random": INTEGERS,
+    "zero": st.just(F(0)),
+    "negative": st.integers(-3, -1).map(F),
+    "fractional": small_fractions(-2, 2),
+}
+
+
+def counting_nodes(monkeypatch):
+    """Count the nodes the multiset search visits: it tests `any(res)`
+    once per node, so every call of polytope's `any` is counted."""
+    calls = []
+
+    def counting_any(xs):
+        calls.append(None)
+        return any(xs)
+
+    monkeypatch.setattr(polytope, "any", counting_any, raising=False)
+    return calls
+
+
+class TestSellerFloor:
+    """With sold, seller_demand looks only for a split paying strictly
+    more than sold; it must answer the PE question as the full fold does."""
+
+    @given(st.sampled_from(sorted(EDGE_PRICES)), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_agrees_with_the_fold(self, kind, data):
+        p, supply, m = data.draw(seller_cases(EDGE_PRICES[kind]))
+        expected = folded_seller_demand(p, supply, m)
+        splits = [parts for _, parts in enumerate_aggregates(p.graph, supply, m)]
+        # Half the time sold is a maximizer, so that it ties every other
+        # maximizer; with zero edge prices it always is.
+        if data.draw(st.booleans()):
+            splits = [parts for parts in splits if aggregate(p.graph, parts) in expected]
+        sold = data.draw(st.permutations(data.draw(st.sampled_from(splits))))
+        agg = aggregate(p.graph, sold)
+        sd = seller_demand(p, supply, m, sold=tuple(sold))
+        assert (agg in sd) == (agg in expected)
+        assert p.dot(next(iter(sd))) == p.dot(next(iter(expected)))
+        assert sd == ({agg} if agg in expected else expected)
+
+    def test_zero_edge_verify_pe_visits_one_node(self, monkeypatch):
+        calls = counting_nodes(monkeypatch)
+        enumerate_aggregates(K3, (1, 1, 1), 3, price=P_SHIFTED)
+        checks = len(calls)  # the supply check's own call of `any`
+        calls.clear()
+        verdict = verify_pe(SHIFTED, (ABC, EMPTY, EMPTY), P_SHIFTED, (1, 1, 1))
+        assert verdict.ok and verdict.seller_best_revenue == 7
+        assert len(calls) - checks == 1
+        calls.clear()
+        assert len(seller_demand(P_SHIFTED, (1, 1, 1), 3)) == 5
+        assert len(calls) - checks > 1
+
+    @pytest.mark.parametrize(
+        "sold, match",
+        [
+            ((ABC, EMPTY), "expected 3 sold bundles"),
+            ((ABC, frozenset({3}), EMPTY), "out of range"),
+            ((AB, EMPTY, EMPTY), "supply"),
+        ],
+    )
+    def test_bad_sold_rejected_before_any_search(self, monkeypatch, sold, match):
+        def no_search(*args, **kwargs):
+            pytest.fail("searched before checking sold")
+
+        monkeypatch.setattr(polytope, "_splits", no_search)
+        monkeypatch.setattr(PriceVector, "table", no_search)
+        with pytest.raises(ValueError, match=match):
+            seller_demand(P_SHIFTED, (1, 1, 1), 3, sold=sold)
+
+    def test_sold_needs_a_price(self):
+        with pytest.raises(ValueError, match="needs a price"):
+            enumerate_aggregates(K3, (1, 1, 1), 3, sold=(ABC, EMPTY, EMPTY))
 
 
 class TestVerifyPE:

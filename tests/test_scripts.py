@@ -35,6 +35,12 @@ def test_script_runs(argv):
         seller = [line for line in lines if line["mode"] == "seller"]
         assert [line["price"] for line in seller] == ["random", "zero"]
         assert all(line["points"] > 0 for line in seller)
+        check = [line for line in lines if line["mode"] == "seller-check"]
+        assert [line["price"] for line in check] == ["random", "zero"]
+        # At the zero price every split ties, so the sold split is optimal.
+        assert check[1]["optimal"] and check[1]["revenue"] == "0"
+        best = {line["price"]: line["revenue"] for line in seller}
+        assert [line["revenue"] for line in check] == [best["random"], best["zero"]]
 
 
 def test_bench_pairs_the_repo_with_itself(tmp_path):
