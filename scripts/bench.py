@@ -10,8 +10,9 @@ sides alike. The result goes to ``BENCH_<label>.json``:
 - every run: pair, seed, side, whether it ran first, the benchmark's
   commit field, ``attempted``, ``failed`` and its end-to-end metrics;
 - per workload and metric: each side's median and quartiles, the
-  change/parent ratio of the medians, and the pairs the change won
-  (strictly better, in the direction ``BENCHMARK.json`` gives);
+  change/parent ratio of the medians, the pairs the change won
+  (strictly better, in the direction ``BENCHMARK.json`` gives), and the
+  verdicts ``gain`` and ``regressed`` (see ``summarize``);
 - per workload, under ``layers.parent`` and ``layers.change``, the
   per-layer metrics of one ``--trace 1`` run per side at the first pair's
   seed, run after the pairs, so a change in time can be read in counts;
@@ -32,11 +33,13 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+MIN_PAIRS = 10  # the fewest pairs on which a gain or a regression is judged
 
 
-def metric_directions() -> dict:
+def metric_rules() -> dict:
+    """Each end-to-end metric's direction and regression bound."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
 
 
 def src_digest(tree: Path) -> str:
@@ -72,16 +75,27 @@ def quartiles(values: list) -> list:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
-def summarize(runs: list, directions: dict) -> dict:
-    """Medians, quartiles, ratio and wins of each metric over the pairs."""
+def summarize(runs: list, rules: dict) -> dict:
+    """Medians, quartiles, ratio, wins and two verdicts of each metric
+    over the pairs. A verdict needs at least ``MIN_PAIRS`` pairs; with
+    fewer, neither is set.
+
+    - ``gain``: the change won at least nine tenths of the pairs, and its
+      median is better than the parent's by more than the parent's
+      interquartile range;
+    - ``regressed``: the change's median is worse than the parent's by
+      more than the metric's bound, as a fraction of the parent's median.
+    """
     pairs = sorted({r["pair"] for r in runs})
     side = {(r["pair"], r["side"]): r["metrics"] for r in runs}
+    judged = len(pairs) >= MIN_PAIRS
     out = {}
-    for name, better in directions.items():
+    for name, (better, bound) in rules.items():
         parent = [side[k, "parent"][name] for k in pairs]
         change = [side[k, "change"][name] for k in pairs]
         pq, cq = quartiles(parent), quartiles(change)
         wins = sum(c < p if better == "lower" else c > p for p, c in zip(parent, change))
+        worse_by = cq[1] - pq[1] if better == "lower" else pq[1] - cq[1]
         out[name] = {
             "parent_median": pq[1],
             "parent_quartiles": [pq[0], pq[2]],
@@ -90,6 +104,8 @@ def summarize(runs: list, directions: dict) -> dict:
             "ratio": cq[1] / pq[1] if pq[1] else None,
             "wins": wins,
             "pairs": len(pairs),
+            "gain": judged and 10 * wins >= 9 * len(pairs) and -worse_by > pq[2] - pq[0],
+            "regressed": judged and worse_by > bound * abs(pq[1]),
         }
     return out
 
@@ -106,7 +122,7 @@ def main(argv=None) -> int:
     ap.add_argument("--out-dir", type=Path, default=ROOT)
     args = ap.parse_args(argv)
 
-    directions = metric_directions()
+    rules = metric_rules()
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     workloads = {}
     for workload in args.workload:
@@ -123,7 +139,7 @@ def main(argv=None) -> int:
                       file=sys.stderr, flush=True)
         layers = {side: run_once(tree, workload, args.seed, args.seconds, trace=1)["metrics"]
                   for side, tree in trees.items()}
-        workloads[workload] = {"runs": runs, "summary": summarize(runs, directions),
+        workloads[workload] = {"runs": runs, "summary": summarize(runs, rules),
                                "layers": layers}
 
     doc = {

@@ -29,6 +29,7 @@ from .model import (
     ValueGraph,
     Weight,
     aggregate,
+    bundle_mask,
     common_tables,
     project,
 )
@@ -234,22 +235,24 @@ def verify_ce(
     if len(alloc) != len(vs):
         raise ValueError("allocation and valuation counts differ")
     g = p.graph
-    # aggregate also rejects items off the graph, before the bundle masks
-    # below index the tables.
-    revenue = p.dot(aggregate(g, alloc))
+    # Items off the graph are rejected before the bundle masks below
+    # index the tables.
+    masks = [bundle_mask(g, S) for S in alloc]
     if any(v.graph != g for v in vs):
         raise ValueError("valuation and price over different graphs")
     caps.check_n(g.n)
     prices = p.table()
+    D, paid = prices
+    # The price of the aggregate is the sum of its bundles' prices.
+    revenue = Fraction(sum([paid[s] for s in masks]), D)
     bundles = bundle_table(g)
     failures = []
-    for b, (v, S) in enumerate(zip(vs, alloc)):
+    for b, (v, S, s) in enumerate(zip(vs, alloc, masks)):
         scale, u = _utilities(v.table, prices)
-        best, masks = _demanded(u)
-        s = sum(1 << i for i in S)
+        best, best_masks = _demanded(u)
         if u[s] == best:
             continue
-        better = min((bundles[t] for t in masks), key=_bundle_key)
+        better = min((bundles[t] for t in best_masks), key=_bundle_key)
         failures.append(
             AgentWitness(b, S, _exact(u[s], scale), better, Fraction(best, scale))
         )

@@ -75,7 +75,12 @@ class LPResult:
 def _scaled(coeffs, last) -> tuple[list[int], int]:
     """The integers of coeffs + [last] times the lcm L of their
     denominators, with L negated when last < 0 so the last entry is >= 0.
-    An entry that is not an int or a Fraction raises TypeError."""
+    An all-int row has L = 1 and skips the lcm pass. An entry that is not
+    an int or a Fraction raises TypeError."""
+    if type(last) is int and set(map(type, coeffs)) <= {int}:
+        if last < 0:
+            return [-c for c in coeffs] + [-last], -1
+        return [*coeffs, last], 1
     try:
         scale = lcm(last.denominator, *(c.denominator for c in coeffs))
     except AttributeError:
@@ -206,14 +211,20 @@ def lp_solve(lp: LinearProgram) -> LPResult:
             obj = [o - cb[i] * a for o, a in zip(obj, row)]
     status, D, s = _bland(rows, obj, basis, D, ncols)
 
-    # The basic solution, D times x.
-    X = [0] * ncols
+    # The basic solution, D times x. X is zero off the basis, so Ax sums
+    # the basic columns alone.
+    X, Ax = [0] * ncols, [0] * nrows
     for i, j in enumerate(basis):
-        if j < art:
-            X[j] = rows[i][-1]
-        elif rows[i][-1]:
-            raise InternalError("an artificial variable is basic at a nonzero value")
-    if any(x < 0 for x in X) or any(_dot(row, X) != bi * D for row, bi in zip(A, b)):
+        x = rows[i][-1]
+        if j >= art:
+            if x:
+                raise InternalError("an artificial variable is basic at a nonzero value")
+            continue
+        X[j] = x
+        for k, a in enumerate(cols[j]):
+            if a:
+                Ax[k] += a * x
+    if any(x < 0 for x in X) or Ax != [bi * D for bi in b]:
         raise InternalError("the basic solution fails Ax = b, x >= 0")
 
     if status == UNBOUNDED:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 NEG_INF = float("-inf")
@@ -203,6 +203,17 @@ def project(a: GPoint) -> tuple[int, ...]:
     return a.coords[: a.graph.n]
 
 
+def bundle_mask(graph: ValueGraph, S: Iterable[int]) -> int:
+    """The bitmask of a bundle. An item off the graph raises ValueError,
+    as char_vector does."""
+    n, mask = graph.n, 0
+    for i in S:
+        if not 0 <= i < n:
+            raise ValueError(f"bundle element {i} out of range [0, {n})")
+        mask |= 1 << i
+    return mask
+
+
 def aggregate(graph: ValueGraph, alloc: Allocation) -> GPoint:
     """Sum of the characteristic vectors of an allocation's bundles: each
     vertex and each edge counts the bundles holding it. An item off the
@@ -273,16 +284,23 @@ def common_tables(vs: Sequence[Valuation]) -> tuple[int, list[Sequence[Optional[
     ]
 
 
+@lru_cache(maxsize=None)
+def _later_edges(graph: ValueGraph) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per vertex i, the (bit of j, coordinate of ij) of every edge ij
+    with j > i, in increasing j."""
+    later = [[] for _ in range(graph.n)]
+    for e, (i, j) in enumerate(graph.edges, graph.n):
+        later[i].append((1 << j, e))
+    return tuple(map(tuple, later))
+
+
 def bundle_sums(graph: ValueGraph, w: Sequence[Optional[int]]) -> list[Optional[int]]:
     """<w, a_S> for every bundle bitmask S of the graph, by the subset
     recurrence t[S] = t[S - i] + w_i + sum of w_ij over j in S - i with ij
     an edge, where i is the lowest vertex of S. A None entry stands for
     -inf: every bundle touching it is None."""
     n = graph.n
-    later = [
-        [(1 << j, w[graph.edge_coord(i, j)]) for j in range(i + 1, n) if graph.has_edge(i, j)]
-        for i in range(n)
-    ]
+    later = [[(bit, w[e]) for bit, e in row] for row in _later_edges(graph)]
     t: list[Optional[int]] = [0] * (1 << n)
     for S in range(1, 1 << n):
         low = S & -S
@@ -296,6 +314,21 @@ def bundle_sums(graph: ValueGraph, w: Sequence[Optional[int]]) -> list[Optional[
                 x = None if wij is None else x + wij
         t[S] = x
     return t
+
+
+def dual_table(graph: ValueGraph, y: Sequence[Fraction], L: int) -> tuple[int, list[int]]:
+    """The table of the price whose entries are y / L, padded with zeros
+    to the graph's d entries, as PriceVector.table gives it: (D, t) with
+    D the common denominator of those entries and t[mask] D times the
+    price of the bundle with that bitmask. No Fraction is formed: the
+    entries are Y / M over M = L * lcm of y's denominators, and the
+    least common denominator is M over gcd(M, Y)."""
+    M, Y = scaled_ints(y)
+    M *= L
+    g = gcd(M, *Y)
+    P = [x // g for x in Y]
+    P += [0] * (graph.d - len(P))
+    return M // g, bundle_sums(graph, P)
 
 
 def value(v: Valuation, S: Iterable[int]) -> Weight:

@@ -27,9 +27,8 @@ from .model import (
     NEG_INF,
     PriceVector,
     ValueGraph,
-    aggregate,
+    bundle_mask,
     char_vector,
-    project,
 )
 
 VERTEX_CAP = 16
@@ -155,13 +154,14 @@ def enumerate_aggregates(
         return _splits(graph, supply, m, (), price.table()[1])
     if len(sold) != m:
         raise ValueError(f"expected {m} sold bundles, got {len(sold)}")
-    sells = project(aggregate(graph, sold))  # rejects items off the graph
+    masks = [bundle_mask(graph, S) for S in sold]  # rejects items off the graph
+    sells = tuple(sum([s >> i & 1 for s in masks]) for i in range(graph.n))
     if sells != supply:
         raise ValueError(f"sold bundles sell {sells} but the supply is {supply}")
     paid = price.table()[1]
     # sold's score in _splits' units: its bundles' prices less the vertex
     # part, which every split of the supply pays alike.
-    score = sum([paid[sum([1 << i for i in S])] for S in sold])
+    score = sum([paid[s] for s in masks])
     score -= sum([paid[1 << i] * s for i, s in enumerate(supply)])
     return _splits(graph, supply, m, (), paid, score + 1)
 

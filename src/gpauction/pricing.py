@@ -31,6 +31,7 @@ from .model import (
     Valuation,
     Weight,
     common_tables,
+    dual_table,
     is_finite,
     shared_fraction,
 )
@@ -97,45 +98,50 @@ def _solve_ce_lp_lazy(
     m = len(alloc)
     own = [sum(1 << i for i in S) for S in alloc]
     L, vals = common_tables(vs)
-    finite = [[mask for mask, x in enumerate(t) if x is not None] for t in vals]
     rhs = tuple(-c for c in point.coords[:k])
 
-    active: list[set[int]] = []
+    # active[b] maps each mask of agent b's columns to its (column, cost),
+    # built once and kept in ascending mask order.
+    active: list[dict[int, tuple[tuple[int, ...], int]]] = [{} for _ in range(m)]
+
+    def add(b: int, masks) -> None:
+        ab, vb = verts[own[b]], vals[b]
+        cols = active[b]
+        for mask in masks:
+            cols[mask] = tuple(x - y for x, y in zip(verts[mask], ab)), vb[mask] - vb[own[b]]
+        active[b] = dict(sorted(cols.items()))
+
     for b in range(m):
         seed = {0} | {1 << i for i in range(n)} | set(own)
         seed.discard(own[b])
-        active.append(seed.intersection(finite[b]))
+        add(b, [mask for mask in seed if vals[b][mask] is not None])
 
     while True:
-        cols, costs = [], []
-        for b in range(m):
-            ab = verts[own[b]]
-            for mask in sorted(active[b]):
-                cols.append(tuple(x - y for x, y in zip(verts[mask], ab)))
-                costs.append(vals[b][mask] - vals[b][own[b]])
-        rows = tuple(zip(*cols)) if cols else ((),) * k
-        res = lp_solve(LinearProgram(tuple(costs), rows, rhs))
+        columns = [c for cols in active for c in cols.values()]
+        costs = tuple(cost for _, cost in columns)
+        rows = tuple(zip(*[col for col, _ in columns])) if columns else ((),) * k
+        res = lp_solve(LinearProgram(costs, rows, rhs))
         if res.status == UNBOUNDED:
             return None
         if res.status != OPTIMAL:
             raise InternalError(
                 f"dual pricing LP ended {res.status} although its seed columns are feasible"
             )
-        entries = tuple(shared_fraction(y.numerator, y.denominator * L) for y in res.y)
-        entries += (shared_fraction(0),) * (g.d - k)
-        price = PriceVector(g, entries, linear_only=walrasian)
-        prices = price.table()
+        prices = dual_table(g, res.y, L)
         clean = True
         for b in range(m):
             _, u = _utilities((L, vals[b]), prices)
-            own_u = u[own[b]]
-            new = {mask for mask in finite[b] if mask not in active[b] and u[mask] > own_u}
+            own_u, cols = u[own[b]], active[b]
+            # A -inf value's utility is NEG_INF, never above own_u.
+            new = [mask for mask, x in enumerate(u) if x > own_u and mask not in cols]
             if new:
                 clean = False
-                active[b] |= new
+                add(b, new)
         if clean:
+            entries = tuple(shared_fraction(y.numerator, y.denominator * L) for y in res.y)
+            entries += (shared_fraction(0),) * (g.d - k)
             revenue = shared_fraction(-res.value.numerator, res.value.denominator * L)
-            return price, revenue
+            return PriceVector(g, entries, linear_only=walrasian), revenue
 
 
 def _price_at(

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -26,7 +27,7 @@ from gpauction.model import (
     shift,
     value,
 )
-from gpauction import polytope
+from gpauction import model, polytope
 from gpauction.polytope import enumerate_aggregates, enumerate_decompositions, vertices_P
 from gpauction.pricing import FOUND, NO_POINT_FOUND, optimal_ce
 from gpauction.instances import corpus_instance
@@ -474,6 +475,38 @@ class TestVerifyPE:
     def test_pe_implies_ce(self):
         verdict = verify_pe(SHIFTED, (ABC, EMPTY, EMPTY), P_SHIFTED, (1, 1, 1))
         assert verdict.ok and verdict.ce.ok
+
+    def test_aggregate_built_at_most_twice(self, monkeypatch):
+        """verify_pe builds the sold aggregate itself, and once more when
+        no split beats it; verify_ce and the seller search read the
+        bundles' bitmasks instead."""
+        calls = []
+        real = model.aggregate
+
+        def spy(graph, alloc):
+            calls.append(alloc)
+            return real(graph, alloc)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("gpauction") and getattr(mod, "aggregate", None) is real:
+                monkeypatch.setattr(mod, "aggregate", spy)
+        for vs, alloc, p, ok in (
+            (SHIFTED, (ABC, EMPTY, EMPTY), P_SHIFTED, True),
+            (CUTLERY, (AB, C, EMPTY), P_EDGES, False),
+        ):
+            calls.clear()
+            verdict = verify_pe(vs, alloc, p, (1, 1, 1))
+            assert verdict.ok == ok and verdict.revenue == p.dot(real(K3, alloc))
+            assert 1 <= len(calls) <= 2
+
+    def test_item_off_the_graph_is_rejected_first(self):
+        """verify_ce rejects an item off the price's graph before it
+        compares the valuations' graphs."""
+        vs = [Valuation.zero(ValueGraph.complete(4))] * 3
+        with pytest.raises(ValueError, match="out of range"):
+            verify_ce(vs, (frozenset({3}), EMPTY, EMPTY), P_EDGES)
+        with pytest.raises(ValueError, match="different graphs"):
+            verify_ce(vs, (ABC, EMPTY, EMPTY), P_EDGES)
 
 
 class TestWalrasian:

@@ -19,6 +19,7 @@ for s = 0-29. Record the fixture again with
 which only an intended change of the solver's outputs may call for.
 """
 import json
+from functools import partial
 from pathlib import Path
 from random import Random
 
@@ -42,21 +43,25 @@ def record(res) -> dict:
     return out
 
 
-def golden_outputs() -> dict:
-    out = {}
+def golden_cases():
+    """(key, solve) for each of the 94 cases; solve() returns the result."""
     for s in SEEDS:
         vs, _, point = arbitrary_supply_instance(Random(s))
         for mode, walrasian in MODES.items():
-            out[f"point/{s}/{mode}"] = record(ce_price_at_point(vs, point, walrasian=walrasian))
+            yield f"point/{s}/{mode}", partial(ce_price_at_point, vs, point, walrasian=walrasian)
     for s in SEEDS:
         vs, supply, point = covering_instance(Random(s))
-        out[f"covering/{s}"] = record(ce_for_covering(vs, supply, point))
+        yield f"covering/{s}", partial(ce_for_covering, vs, supply, point)
     for name in ("cutlery", "cutlery-shifted"):
         inst = corpus_instance(name)
         for mode, walrasian in MODES.items():
-            res = optimal_ce(inst.valuations, inst.supply, walrasian=walrasian)
-            out[f"optimal/{name}/{mode}"] = record(res)
-    return out
+            yield f"optimal/{name}/{mode}", partial(
+                optimal_ce, inst.valuations, inst.supply, walrasian=walrasian
+            )
+
+
+def golden_outputs() -> dict:
+    return {key: record(solve()) for key, solve in golden_cases()}
 
 
 def test_outputs_equal_the_recorded_ones():

@@ -244,6 +244,26 @@ def test_core_matches_reference(data):
         assert_certified(lp, res)
 
 
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_integer_rows_match_fraction_rows(data):
+    """An all-int LP skips the lcm pass; its result equals that of the
+    same LP with Fraction entries. The first row's rhs is negative (the
+    row is negated) and the second's zero (it is not)."""
+    ncols = data.draw(st.integers(0, 6))
+    nrows = data.draw(st.integers(2, 5))
+    small = st.integers(-3, 3)
+    rows = [[data.draw(small) for _ in range(ncols)] for _ in range(nrows)]
+    rhs = [data.draw(st.integers(-4, -1)), 0] + [data.draw(small) for _ in range(nrows - 2)]
+    objective = [data.draw(small) for _ in range(ncols)]
+    ints = standard(objective, rows, rhs)
+    fractions = standard(map(F, objective), [map(F, row) for row in rows], map(F, rhs))
+    res = lp_solve(ints)
+    assert res == lp_solve(fractions)
+    if res.status == OPTIMAL:
+        assert_certified(ints, res)
+
+
 @pytest.mark.parametrize("bad", [0.5, "1", float("inf")])
 @pytest.mark.parametrize("where", ["objective", "row", "rhs"])
 def test_inexact_entry_raises_type_error(bad, where):

@@ -13,6 +13,7 @@ from gpauction.model import (
     aggregate,
     char_vector,
     common_tables,
+    dual_table,
     is_finite,
     project,
     shift,
@@ -159,11 +160,17 @@ class TestTables:
 
     @given(graphs(), st.data())
     def test_price_table_is_scaled_price(self, g, data):
-        p = PriceVector(g, tuple(data.draw(small_fractions()) for _ in range(g.d)))
+        """Also the table dual_table gives for the duals y at scale L: the
+        price y / L, padded with zero edge prices when y has n entries."""
+        k = data.draw(st.sampled_from((g.n, g.d)))
+        y = [data.draw(small_fractions()) for _ in range(k)]
+        L = data.draw(st.integers(1, 12))
+        p = PriceVector(g, tuple(x / L for x in y) + (F(0),) * (g.d - k))
         D, t = p.table()
         assert D == math.lcm(*(e.denominator for e in p.entries))
         for mask in range(1 << g.n):
             assert t[mask] == D * p.of_bundle(bundle_of(mask, g.n))
+        assert dual_table(g, y, L) == (D, t)
 
 
 class TestShift:

@@ -1,6 +1,7 @@
 """Smoke tests for the experiment scripts: each runs end to end in a fresh
 interpreter, so a library name they import that no longer exists fails
 here rather than at the next manual run."""
+import importlib.util
 import json
 import os
 import subprocess
@@ -59,4 +60,47 @@ def test_bench_pairs_the_repo_with_itself(tmp_path):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert set(bench["summary"]) == {m["name"] for m in spec["end_to_end"]}
     assert bench["summary"]["certified_ratio"]["ratio"] == 1
+    # One pair is too few to judge a gain or a regression.
+    assert not any(m["gain"] or m["regressed"] for m in bench["summary"].values())
     assert all("linprog.lp_solve.calls" in bench["layers"][side] for side in ("parent", "change"))
+
+
+def load_bench():
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
+
+
+def paired(parent: list, change: list) -> list:
+    return [
+        {"pair": k, "side": side, "metrics": {"t": value}}
+        for k, values in enumerate(zip(parent, change))
+        for side, value in zip(("parent", "change"), values)
+    ]
+
+
+@pytest.mark.parametrize(
+    "better, change, gain, regressed",
+    [
+        ("lower", lambda k, p: p - 0.1, True, False),  # 10/10 wins, beyond the IQR
+        ("lower", lambda k, p: p + 0.01 if k < 2 else p - 0.1, False, False),  # 8/10 wins
+        ("lower", lambda k, p: p - 0.01, False, False),  # 10/10 wins, within the IQR
+        ("lower", lambda k, p: p * 1.3, False, True),
+        ("lower", lambda k, p: p * 1.1, False, False),  # worse, within the bound
+        ("higher", lambda k, p: p * 0.7, False, True),
+        ("higher", lambda k, p: p + 0.1, True, False),
+    ],
+)
+def test_bench_verdicts(better, change, gain, regressed):
+    """gain: 9 in 10 pairs won and the medians apart by more than the
+    parent's interquartile range (0.045 here); regressed: the median worse
+    by more than the bound, 20% of the parent's median."""
+    bench = load_bench()
+    parent = [1 + 0.01 * k for k in range(10)]
+    runs = paired(parent, [change(k, p) for k, p in enumerate(parent)])
+    got = bench.summarize(runs, {"t": (better, 0.2)})["t"]
+    assert (got["gain"], got["regressed"]) == (gain, regressed)
+    # Nine pairs are too few for either verdict.
+    got = bench.summarize([r for r in runs if r["pair"] < 9], {"t": (better, 0.2)})["t"]
+    assert not got["gain"] and not got["regressed"]
