@@ -11,10 +11,11 @@ where every point ties; each prints one line with mode "seller": rung,
 seed, price, the number of revenue-maximizing points, their revenue and
 seconds. After each, the seller side of a PE check runs at the same
 price on a seeded random split of the supply (each item to r distinct
-agents): seller_demand with sold, which looks only for a split paying
-strictly more. It prints one line with mode "seller-check": rung, seed,
-price, whether the split is revenue-maximizing, the best revenue and
-seconds.
+agents): seller_demand with above set to the split's revenue, which
+looks only for a point paying strictly more. It prints one line with
+mode "seller-check": rung, seed, price, whether the split is
+revenue-maximizing (no point pays more), the best revenue (the split's
+own when it is) and seconds.
 
     PYTHONPATH=src python scripts/ladder.py
     PYTHONPATH=src python scripts/ladder.py --rung 4,4,2 --seeds 1
@@ -81,11 +82,12 @@ def main():
                     "points": len(points), "revenue": str(p.dot(next(iter(points)))),
                     "seconds": round(seconds, 4),
                 }), flush=True)
-                points, seconds = timed(seller_demand, p, (r,) * n, m, sold=sold)
+                paid = p.dot(aggregate(g, sold))
+                better, seconds = timed(seller_demand, p, (r,) * n, m, above=paid)
                 print(json.dumps({
                     "rung": [n, m, r], "mode": "seller-check", "seed": seed, "price": name,
-                    "optimal": aggregate(g, sold) in points,
-                    "revenue": str(p.dot(next(iter(points)))),
+                    "optimal": not better,
+                    "revenue": str(p.dot(next(iter(better))) if better else paid),
                     "seconds": round(seconds, 4),
                 }), flush=True)
 

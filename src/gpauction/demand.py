@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .caps import DEFAULT_CAPS, Caps
@@ -29,11 +30,12 @@ from .model import (
     ValueGraph,
     Weight,
     aggregate,
+    as_fraction,
     bundle_mask,
     common_tables,
     project,
 )
-from .polytope import bundle_table, enumerate_aggregates, enumerate_decompositions
+from .polytope import _checked_supply, _splits, bundle_table, enumerate_decompositions
 
 
 @dataclass(frozen=True)
@@ -280,46 +282,42 @@ def seller_demand(
     m: int,
     caps: Caps = DEFAULT_CAPS,
     *,
-    sold: Optional[Allocation] = None,
+    above: Optional[Union[int, str, Fraction]] = None,
 ) -> frozenset[GPoint]:
     """Revenue-maximizing aggregates at a price: among all decomposable
     points projecting onto the supply, every one maximizing <p, a> (all
-    ties are kept). The points come from the multiset search of
-    enumerate_aggregates, so points that are not sums of m bundles are
-    never tried, run on the price's integer table. Every such point has
-    the vertex part sum_i D * p_i * s_i, so the search ranks its splits
-    by the edge part alone, adding each bundle's share as it goes. It
-    drops a branch only when a closed-form bound on every split below it
-    is strictly below the best split found: each edge ij lies in between
-    max(0, r_i + r_j - k) and min(r_i, r_j) of the k bundles left, so a
-    positive edge price counts at most min(r_i, r_j) more times and a
-    negative one at least max(0, r_i + r_j - k). A split that ties the
-    best is never dropped, so every maximizer is returned. The splits
-    are folded as coordinate tuples; a GPoint is built only for the
-    points returned.
+    ties are kept). They come from the multiset search run on the price's
+    integers (D, P), so points that are not sums of m bundles are never
+    tried. Every such point pays the vertex part sum_i P_i * s_i, so the
+    search ranks its splits by the edge part alone and drops a branch only
+    when a closed-form bound on every split below it is strictly below the
+    best split found (see _splits). The splits are folded as coordinate
+    tuples; a GPoint is built only for the points returned.
 
-    With sold, an allocation of m bundles whose aggregate projects onto
-    the supply (so that aggregate is decomposable), the question is
-    whether any split pays strictly more than sold. The search starts
-    with sold's revenue as its best, plus one unit, instead of -inf, so
-    every branch that cannot beat sold dies, and with every edge price
-    zero the search ends at its root. If some split beats sold, every
-    maximizer is returned as without sold; otherwise the result is sold's
-    aggregate alone, which then is a maximizer. A sold with the wrong
-    number of bundles, an item off the graph or another projection
-    raises ValueError, after the caps and the supply are checked and
-    before any search."""
+    With above, an exact rational, only the maximizers paying strictly
+    more than above are returned, and none when no point does. An edge
+    score pays more exactly when it is at least
+    floor(above * D) - sum_i P_i * s_i + 1, so the search starts with that
+    as its best instead of -inf and every branch that cannot reach it
+    dies; with every edge price zero and above at least the vertex part,
+    it ends at the root. The caps and the supply are checked first, then
+    above (a float raises TypeError), and only then is the price read."""
+    g = p.graph
+    supply = _checked_supply(g, supply, m, caps)
+    above = None if above is None else as_fraction(above)
+    D, P = p.scaled()
+    floor = NEG_INF
+    if above is not None:
+        vertex = sum(map(mul, P, supply))  # map stops at the n vertex entries
+        floor = above.numerator * D // above.denominator - vertex + 1
     top, best = None, set()
-    for acc in enumerate_aggregates(p.graph, supply, m, caps, p, sold=sold):
+    for acc in _splits(g, supply, m, (), P[g.n :], floor):
         if acc[-1] != top:  # the scores yielded never fall
             top, best = acc[-1], set()
         best.add(acc)
-    if best:
-        vertex = tuple(supply)
-        return frozenset(GPoint(p.graph, vertex + acc[:-1]) for acc in best)
-    if sold is None:
+    if not best and above is None:
         raise ValueError("no decomposable aggregate point projects onto the supply")
-    return frozenset({aggregate(p.graph, sold)})
+    return frozenset(GPoint(g, supply + acc[:-1]) for acc in best)
 
 
 @dataclass(frozen=True)
@@ -340,20 +338,16 @@ def verify_pe(
 ) -> PEVerdict:
     """CE check plus the seller side: the sold aggregate must attain the
     maximal revenue among all decomposable points over the supply. That
-    aggregate is one such point, so the seller search is seller_demand
-    with sold=alloc: it looks only for a split that pays strictly more,
-    and returns the sold aggregate alone when there is none. Either way
-    its first point has the best revenue, and the aggregate is in it
-    exactly when the seller side holds."""
-    g = p.graph
-    agg = aggregate(g, alloc)
+    aggregate is one such point and pays the CE's revenue, so the seller
+    side holds exactly when seller_demand finds no point paying strictly
+    more; the best revenue is that of the points it finds, or the CE's
+    own when there are none."""
+    agg = aggregate(p.graph, alloc)
     if project(agg) != tuple(supply):
         raise ValueError(
             f"allocation sells {project(agg)} but the supply is {tuple(supply)}"
         )
     ce = verify_ce(vs, alloc, p, caps)
-    sd = seller_demand(p, supply, len(vs), caps, sold=alloc)
-    best = p.dot(next(iter(sd)))
-    seller_ok = agg in sd
-    return PEVerdict(ce.ok and seller_ok, ce, ce.revenue, best, seller_ok)
-
+    better = seller_demand(p, supply, len(vs), caps, above=ce.revenue)
+    best = p.dot(next(iter(better))) if better else ce.revenue
+    return PEVerdict(ce.ok and not better, ce, ce.revenue, best, not better)

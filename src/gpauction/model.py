@@ -58,7 +58,9 @@ def as_fraction(x: Union[int, str, Fraction]) -> Fraction:
 
 def as_weight(x) -> Weight:
     """Like :func:`as_fraction` but also accepting the symbol ``-inf``."""
-    if x == NEG_INF:
+    # Only a float can be -inf; testing the type first keeps every
+    # Fraction out of Fraction.__eq__'s float path.
+    if isinstance(x, float) and x == NEG_INF:
         return NEG_INF
     return as_fraction(x)
 
@@ -388,9 +390,14 @@ class PriceVector:
     def zero(cls, graph: ValueGraph, linear_only: bool = False) -> "PriceVector":
         return cls(graph, (Fraction(0),) * graph.d, linear_only)
 
+    def scaled(self) -> tuple[int, list[int]]:
+        """(D, P): D is the common denominator of the entries and P the
+        integers D times each entry, in coordinate order."""
+        return scaled_ints(self.entries)
+
     def dot(self, a: GPoint) -> Fraction:
         """<p, a>, summed as integers over the common denominator."""
-        D, P = scaled_ints(self.entries)
+        D, P = self.scaled()
         return Fraction(sum(x * c for x, c in zip(P, a.coords) if c), D)
 
     def of_bundle(self, S: Iterable[int]) -> Fraction:
@@ -400,5 +407,4 @@ class PriceVector:
         """(D, t): D is the common denominator of the entries and t[mask]
         is D times the price of the bundle with that bitmask. Built per
         call; a price keeps no table."""
-        D, P = scaled_ints(self.entries)
-        return D, bundle_sums(self.graph, P)
+        return dual_table(self.graph, self.entries, 1)

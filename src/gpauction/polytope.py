@@ -15,23 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .caps import DEFAULT_CAPS, Caps, CapExceededError
 from .linprog import LinearProgram, OPTIMAL, lp_solve
-from .model import (
-    Allocation,
-    Bundle,
-    EMPTY_BUNDLE,
-    GPoint,
-    NEG_INF,
-    PriceVector,
-    ValueGraph,
-    bundle_mask,
-    char_vector,
-)
+from .model import Bundle, EMPTY_BUNDLE, GPoint, NEG_INF, ValueGraph, char_vector
 
-VERTEX_CAP = 16
 VERTEX_PRODUCT_CAP = 10**8
 
 
@@ -52,11 +42,11 @@ def bundle_table(graph: ValueGraph) -> tuple[Bundle, ...]:
     )
 
 
-def vertices_P(graph: ValueGraph) -> list[GPoint]:
+def vertices_P(graph: ValueGraph, caps: Caps = DEFAULT_CAPS) -> list[GPoint]:
     """All 2^n characteristic vectors, ordered by subset bitmask. These are
-    exactly the vertices and the lattice points of P(G)."""
-    if graph.n > VERTEX_CAP:
-        raise CapExceededError(f"n={graph.n} exceeds vertex enumeration cap {VERTEX_CAP}")
+    exactly the vertices and the lattice points of P(G). The n cap is
+    checked first."""
+    caps.check_n(graph.n)
     return list(_vertex_table(graph))
 
 
@@ -108,35 +98,22 @@ def enumerate_decompositions(
 
 
 def enumerate_aggregates(
-    graph: ValueGraph,
-    supply: Sequence[int],
-    m: int,
-    caps: Caps = DEFAULT_CAPS,
-    price: Optional[PriceVector] = None,
-    *,
-    sold: Optional[Allocation] = None,
-) -> Iterator:
+    graph: ValueGraph, supply: Sequence[int], m: int, caps: Caps = DEFAULT_CAPS
+) -> Iterator[tuple[GPoint, tuple[Bundle, ...]]]:
     """Yield (point, parts) for every multiset of m bundles that sells
     exactly the supply: parts in the canonical order of
     enumerate_decompositions, point their characteristic-vector sum. These
     points are exactly the decomposable ones projecting onto the supply; a
-    point appears once per decomposition, so callers fold the items.
+    point appears once per decomposition, so callers fold the items. The
+    caps and the supply are checked when called, before any work."""
+    return _splits(graph, _checked_supply(graph, supply, m, caps), m, ())
 
-    With a price, the search is bounded by revenue (see _splits): it
-    yields a split only if it pays at least as much as every split before
-    it, as its edge coordinates with its integer score appended, so the
-    items of the last score are exactly the splits of maximal <price, a>.
 
-    With sold as well, an allocation of m bundles that sells the supply,
-    the search starts from sold's own score instead of from -inf: it
-    yields only the splits that pay strictly more than sold, and nothing
-    when no split does. Scores are integers, so the floor is sold's score
-    plus one, read from the table the search runs on.
-
-    The caps and the supply are checked first, then sold (its bundle
-    count, its items and what it sells), and only then is the price
-    tabulated.
-    """
+def _checked_supply(
+    graph: ValueGraph, supply: Sequence[int], m: int, caps: Caps
+) -> tuple[int, ...]:
+    """The supply as a tuple, after the caps on graph.n and m and the
+    supply's length and signs are checked."""
     caps.check_n(graph.n)
     caps.check_m(m)
     supply = tuple(supply)
@@ -144,26 +121,7 @@ def enumerate_aggregates(
         raise ValueError(f"expected {graph.n} supply entries")
     if any(s < 0 for s in supply):
         raise ValueError("supply entries must be nonnegative")
-    if price is None:
-        if sold is not None:
-            raise ValueError("a sold allocation needs a price")
-        return _splits(graph, supply, m, ())
-    if price.graph != graph:
-        raise ValueError("price and supply over different graphs")
-    if sold is None:
-        return _splits(graph, supply, m, (), price.table()[1])
-    if len(sold) != m:
-        raise ValueError(f"expected {m} sold bundles, got {len(sold)}")
-    masks = [bundle_mask(graph, S) for S in sold]  # rejects items off the graph
-    sells = tuple(sum([s >> i & 1 for s in masks]) for i in range(graph.n))
-    if sells != supply:
-        raise ValueError(f"sold bundles sell {sells} but the supply is {supply}")
-    paid = price.table()[1]
-    # sold's score in _splits' units: its bundles' prices less the vertex
-    # part, which every split of the supply pays alike.
-    score = sum([paid[s] for s in masks])
-    score -= sum([paid[1 << i] * s for i, s in enumerate(supply)])
-    return _splits(graph, supply, m, (), paid, score + 1)
+    return supply
 
 
 def _splits(
@@ -171,7 +129,7 @@ def _splits(
     supply: tuple[int, ...],
     m: int,
     pins: Sequence[tuple[int, int, int, int]],
-    paid: Optional[Sequence[int]] = None,
+    edge_prices: Optional[Sequence[int]] = None,
     floor: Union[int, float] = NEG_INF,
 ) -> Iterator:
     """(point, parts) for every multiset of m bundles that sells exactly
@@ -192,29 +150,27 @@ def _splits(
     0..min(s_i, s_j), which are all the counts a split of the supply can
     give it.
 
-    With paid, the integer table of a price (paid[mask] is the price of
-    the bundle with that bitmask, times its denominator) and no pins, the
-    search ranks leaves by revenue. Its coordinates are P_i = paid[{i}]
-    and P_ij = paid[{i, j}] - P_i - P_j. Every leaf sells the supply, so
-    the vertex part sum_i P_i * s_i of its revenue is fixed and the edge
-    part ranks it. A node carries that part of its bundles' prices as its
-    score, and dies when its score plus the sum over P_e > 0 of
-    P_e * min(r_i, r_j) and over P_e < 0 of P_e * max(0, r_i + r_j - k)
-    is strictly below the best leaf found so far: by the range above that
-    bounds every leaf below it (ignoring the bitmask order), and a tie
-    never dies. A leaf is yielded when it is not below the best so far,
-    as its edge coordinates with its score appended; so the scores
-    yielded never fall, and the last ones are all the maximal ones.
+    With edge_prices, the integer prices P_e of the graph's edges in
+    coordinate order, and no pins, the search ranks leaves by revenue.
+    Every leaf sells the supply, so the vertex part of its revenue is
+    fixed and the edge part ranks it: a bundle scores its edge coordinates
+    dotted with the P_e, and a node carries its bundles' scores summed. It
+    dies when its score plus the sum over P_e > 0 of P_e * min(r_i, r_j)
+    and over P_e < 0 of P_e * max(0, r_i + r_j - k) is strictly below the
+    best leaf found so far: by the range above that bounds every leaf
+    below it (ignoring the bitmask order), and a tie never dies. A leaf is
+    yielded when it is not below the best so far, as its edge coordinates
+    with its score appended; so the scores yielded never fall, and the
+    last ones are all the maximal ones.
 
     The best so far starts at floor, -inf unless given. A floor of s + 1
-    asks only for the leaves that pay strictly more than s, since scores
-    are integers: the same rule, a node dying below the best and a leaf
-    kept at or above it, then prunes every branch that cannot reach
-    s + 1 and keeps every leaf that does, and the ties among those, so
-    the last score's leaves are still all the maximal ones. Every priced
-    node tests its bound, even when no edge is priced: with every edge
-    price zero the root's bound is 0, below a floor of 1, and the search
-    ends there.
+    asks only for the leaves that score strictly more than s, since scores
+    are integers: the same rule then prunes every branch that cannot reach
+    s + 1 and keeps every leaf that does, and the ties among those, so the
+    last score's leaves are still all the maximal ones. Every priced node
+    tests its bound, even when no edge is priced: with every edge price
+    zero the root's bound is 0, below a floor of 1, and the search ends
+    there.
     """
     n = graph.n
     table = _vertex_table(graph)
@@ -222,13 +178,12 @@ def _splits(
     bits = [sorted(S) for S in bundles]
     rows = [q.coords for q in table]
     pos = neg = ()
-    if paid is not None:
-        P = [paid[1 << i] for i in range(n)]
-        rows = [r[n:] + (paid[s] - sum([P[i] for i in bits[s]]),) for s, r in enumerate(rows)]
-        priced = [(i, j, paid[1 << i | 1 << j] - P[i] - P[j]) for i, j in graph.edges]
-        pos = [(i, j, w) for i, j, w in priced if w > 0]
-        neg = [(i, j, w) for i, j, w in priced if w < 0]
-    bounded = paid is not None  # a local flag keeps the unpriced nodes' work as it was
+    bounded = edge_prices is not None
+    if bounded:
+        rows = [r[n:] + (sum(map(mul, r[n:], edge_prices)),) for r in rows]
+        priced = list(zip(graph.edges, edge_prices))
+        pos = [(i, j, w) for (i, j), w in priced if w > 0]
+        neg = [(i, j, w) for (i, j), w in priced if w < 0]
     best = floor
 
     def rec(top: int, k: int, res: list[int], acc: tuple[int, ...], path: list[Bundle]):
@@ -238,7 +193,7 @@ def _splits(
             if not max(0, ri + rj - k) <= c - acc[e] <= min(ri, rj):
                 return
         if not any(res):
-            if paid is None:
+            if not bounded:
                 yield GPoint(graph, acc), tuple(path) + (EMPTY_BUNDLE,) * k
             elif acc[-1] >= best:
                 best = acc[-1]
@@ -270,7 +225,7 @@ def _splits(
             for i in bits[mask]:
                 res[i] += 1
 
-    start = (0,) * (graph.d if paid is None else graph.d - n + 1)
+    start = (0,) * (graph.d - n + 1 if bounded else graph.d)
     return rec((1 << n) - 1, m, list(supply), start, [])
 
 

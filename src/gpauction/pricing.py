@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Optional, Sequence
 
 from .caps import DEFAULT_CAPS, Caps
@@ -35,7 +36,7 @@ from .model import (
     is_finite,
     shared_fraction,
 )
-from .polytope import enumerate_aggregates, vertices_P
+from .polytope import _vertex_table, enumerate_aggregates
 
 FOUND = "found"
 INFEASIBLE_AT_POINT = "infeasible-at-point"
@@ -94,7 +95,8 @@ def _solve_ce_lp_lazy(
     g = point.graph
     n = g.n
     k = n if walrasian else g.d
-    verts = [q.coords[:k] for q in vertices_P(g)]
+    # The callers checked the caps, so the vertex table is read as it is.
+    verts = [q.coords[:k] for q in _vertex_table(g)]
     m = len(alloc)
     own = [sum(1 << i for i in S) for S in alloc]
     L, vals = common_tables(vs)
@@ -108,7 +110,7 @@ def _solve_ce_lp_lazy(
         ab, vb = verts[own[b]], vals[b]
         cols = active[b]
         for mask in masks:
-            cols[mask] = tuple(x - y for x, y in zip(verts[mask], ab)), vb[mask] - vb[own[b]]
+            cols[mask] = tuple(map(sub, verts[mask], ab)), vb[mask] - vb[own[b]]
         active[b] = dict(sorted(cols.items()))
 
     for b in range(m):

@@ -27,7 +27,8 @@ from gpauction.model import (
     shift,
     value,
 )
-from gpauction import model, polytope
+from gpauction import demand, model, polytope
+from gpauction.caps import CapExceededError
 from gpauction.polytope import enumerate_aggregates, enumerate_decompositions, vertices_P
 from gpauction.pricing import FOUND, NO_POINT_FOUND, optimal_ce
 from gpauction.instances import corpus_instance
@@ -396,29 +397,28 @@ def counting_nodes(monkeypatch):
 
 
 class TestSellerFloor:
-    """With sold, seller_demand looks only for a split paying strictly
-    more than sold; it must answer the PE question as the full fold does."""
+    """With above, seller_demand keeps only the maximizers that pay
+    strictly more than above, and returns nothing when none does."""
 
     @given(st.sampled_from(sorted(EDGE_PRICES)), st.data())
     @settings(max_examples=120, deadline=None)
     def test_agrees_with_the_fold(self, kind, data):
         p, supply, m = data.draw(seller_cases(EDGE_PRICES[kind]))
         expected = folded_seller_demand(p, supply, m)
-        splits = [parts for _, parts in enumerate_aggregates(p.graph, supply, m)]
-        # Half the time sold is a maximizer, so that it ties every other
-        # maximizer; with zero edge prices it always is.
-        if data.draw(st.booleans()):
-            splits = [parts for parts in splits if aggregate(p.graph, parts) in expected]
-        sold = data.draw(st.permutations(data.draw(st.sampled_from(splits))))
-        agg = aggregate(p.graph, sold)
-        sd = seller_demand(p, supply, m, sold=tuple(sold))
-        assert (agg in sd) == (agg in expected)
-        assert p.dot(next(iter(sd))) == p.dot(next(iter(expected)))
-        assert sd == ({agg} if agg in expected else expected)
+        best = p.dot(next(iter(expected)))
+        # Revenues are multiples of 1/D: above is drawn at the best, one
+        # unit below it, between two units, and at fractions around it.
+        D = p.scaled()[0]
+        offset = data.draw(
+            st.sampled_from([F(0), F(-1, D), F(-1, 7 * D), F(1, 7 * D)]) | small_fractions(-2, 2)
+        )
+        above = best + offset
+        sd = seller_demand(p, supply, m, above=data.draw(st.sampled_from([above, str(above)])))
+        assert sd == {a for a in expected if p.dot(a) > above}
 
     def test_zero_edge_verify_pe_visits_one_node(self, monkeypatch):
         calls = counting_nodes(monkeypatch)
-        enumerate_aggregates(K3, (1, 1, 1), 3, price=P_SHIFTED)
+        enumerate_aggregates(K3, (1, 1, 1), 3)
         checks = len(calls)  # the supply check's own call of `any`
         calls.clear()
         verdict = verify_pe(SHIFTED, (ABC, EMPTY, EMPTY), P_SHIFTED, (1, 1, 1))
@@ -428,26 +428,24 @@ class TestSellerFloor:
         assert len(seller_demand(P_SHIFTED, (1, 1, 1), 3)) == 5
         assert len(calls) - checks > 1
 
-    @pytest.mark.parametrize(
-        "sold, match",
-        [
-            ((ABC, EMPTY), "expected 3 sold bundles"),
-            ((ABC, frozenset({3}), EMPTY), "out of range"),
-            ((AB, EMPTY, EMPTY), "supply"),
-        ],
-    )
-    def test_bad_sold_rejected_before_any_search(self, monkeypatch, sold, match):
+    def test_caps_and_supply_checked_before_the_price(self, monkeypatch):
         def no_search(*args, **kwargs):
-            pytest.fail("searched before checking sold")
+            pytest.fail("read the price before checking the caps and the supply")
 
-        monkeypatch.setattr(polytope, "_splits", no_search)
+        monkeypatch.setattr(demand, "_splits", no_search)
+        monkeypatch.setattr(PriceVector, "scaled", no_search)
         monkeypatch.setattr(PriceVector, "table", no_search)
-        with pytest.raises(ValueError, match=match):
-            seller_demand(P_SHIFTED, (1, 1, 1), 3, sold=sold)
-
-    def test_sold_needs_a_price(self):
-        with pytest.raises(ValueError, match="needs a price"):
-            enumerate_aggregates(K3, (1, 1, 1), 3, sold=(ABC, EMPTY, EMPTY))
+        K7 = ValueGraph.complete(7)
+        with pytest.raises(CapExceededError, match="max_n"):
+            seller_demand(PriceVector.zero(K7), (1,) * 7, 1, above=0)
+        with pytest.raises(CapExceededError, match="max_m"):
+            seller_demand(P_SHIFTED, (1, 1, 1), 7, above=7)
+        with pytest.raises(ValueError, match="supply entries"):
+            seller_demand(P_SHIFTED, (1, 1), 3, above=7)
+        with pytest.raises(ValueError, match="nonnegative"):
+            seller_demand(P_SHIFTED, (1, -1, 0), 3)
+        with pytest.raises(TypeError, match="inexact"):
+            seller_demand(P_SHIFTED, (1, 1, 1), 3, above=7.0)
 
 
 class TestVerifyPE:
@@ -476,28 +474,33 @@ class TestVerifyPE:
         verdict = verify_pe(SHIFTED, (ABC, EMPTY, EMPTY), P_SHIFTED, (1, 1, 1))
         assert verdict.ok and verdict.ce.ok
 
-    def test_aggregate_built_at_most_twice(self, monkeypatch):
-        """verify_pe builds the sold aggregate itself, and once more when
-        no split beats it; verify_ce and the seller search read the
-        bundles' bitmasks instead."""
-        calls = []
-        real = model.aggregate
+    def test_one_aggregate_and_one_price_table(self, monkeypatch):
+        """verify_pe builds the sold aggregate once and tabulates its price
+        once, in verify_ce; the seller search reads the price's integers
+        and bounds itself by the CE's revenue."""
+        calls = {"aggregate": [], "bundle_sums": []}
+        for name in calls:
+            real = getattr(model, name)
 
-        def spy(graph, alloc):
-            calls.append(alloc)
-            return real(graph, alloc)
+            def spy(*args, real=real, name=name):
+                calls[name].append(args)
+                return real(*args)
 
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("gpauction") and getattr(mod, "aggregate", None) is real:
-                monkeypatch.setattr(mod, "aggregate", spy)
+            for modname, mod in list(sys.modules.items()):
+                if modname.startswith("gpauction") and getattr(mod, name, None) is real:
+                    monkeypatch.setattr(mod, name, spy)
         for vs, alloc, p, ok in (
             (SHIFTED, (ABC, EMPTY, EMPTY), P_SHIFTED, True),
             (CUTLERY, (AB, C, EMPTY), P_EDGES, False),
         ):
-            calls.clear()
+            for v in vs:
+                v.table  # the valuations' tables are cached on first use
+            for found in calls.values():
+                found.clear()
             verdict = verify_pe(vs, alloc, p, (1, 1, 1))
-            assert verdict.ok == ok and verdict.revenue == p.dot(real(K3, alloc))
-            assert 1 <= len(calls) <= 2
+            assert verdict.ok == ok and verdict.revenue == p.dot(aggregate(K3, alloc))
+            assert len(calls["aggregate"]) == 1
+            assert len(calls["bundle_sums"]) == 1
 
     def test_item_off_the_graph_is_rejected_first(self):
         """verify_ce rejects an item off the price's graph before it

@@ -3,8 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gpauction.caps import CapExceededError
-from gpauction.model import GPoint, PriceVector, ValueGraph, aggregate, char_vector, project
+from gpauction.caps import Caps, CapExceededError
+from gpauction.model import GPoint, ValueGraph, aggregate, char_vector, project
 from gpauction.polytope import (
     Face,
     enumerate_aggregates,
@@ -73,8 +73,11 @@ class TestVerticesP:
         assert len(full) == 1 and full[0].coords == (1, 1, 1, 1, 1, 1)
 
     def test_cap(self):
-        with pytest.raises(CapExceededError):
-            vertices_P(ValueGraph.complete(17))
+        """The n cap of the caps, checked before the 2^n table is built."""
+        K7 = ValueGraph.complete(7)
+        with pytest.raises(CapExceededError, match="max_n=6"):
+            vertices_P(K7)
+        assert len(vertices_P(K7, Caps(max_n=7))) == 1 << 7
 
 
 class TestNestedChain:
@@ -205,19 +208,6 @@ class TestEnumerateAggregates:
             enumerate_aggregates(K3, (1, 1), 2)
         with pytest.raises(ValueError, match="nonnegative"):
             enumerate_aggregates(K3, (1, -1, 0), 2)
-
-    def test_priced_search_checks_before_tabulating(self, monkeypatch):
-        def no_table(self):
-            raise AssertionError("price tabulated before the checks")
-
-        monkeypatch.setattr(PriceVector, "table", no_table)
-        K7 = ValueGraph.complete(7)
-        with pytest.raises(CapExceededError):
-            enumerate_aggregates(K7, (1,) * 7, 1, price=PriceVector.zero(K7))
-        with pytest.raises(ValueError, match="nonnegative"):
-            enumerate_aggregates(K3, (1, -1, 0), 2, price=PriceVector.zero(K3))
-        with pytest.raises(ValueError, match="different graphs"):
-            enumerate_aggregates(K3, (1, 1, 1), 2, price=PriceVector.zero(K4))
 
     @given(graphs(max_n=4), st.data())
     @settings(max_examples=40, deadline=None)

@@ -4,6 +4,7 @@ here rather than at the next manual run."""
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -45,7 +46,15 @@ def test_script_runs(argv):
 
 
 def test_bench_pairs_the_repo_with_itself(tmp_path):
-    argv = ["scripts/bench.py", "--parent", str(ROOT), "--change", str(ROOT),
+    """A copy of the tree's src/, perfbench/ and BENCHMARK.json stands in
+    for both sides, so the traced runs write their span files there and
+    not into the checkout."""
+    tree = tmp_path / "tree"
+    shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(ROOT / "perfbench", tree / "perfbench",
+                    ignore=shutil.ignore_patterns("out", "__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", tree)
+    argv = ["scripts/bench.py", "--parent", str(tree), "--change", str(tree),
             "--workload", "verify-pe", "--pairs", "1", "--seconds", "0",
             "--label", "smoke", "--out-dir", str(tmp_path)]
     proc = subprocess.run(
