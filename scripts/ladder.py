@@ -5,17 +5,18 @@ Each rung (n, m, r) is the complete graph on n items, m agents with
 integer weights drawn uniformly from [-3, 3], and the uniform supply r of
 every item. Every rung is solved for each seed in both modes, quadratic
 and Walrasian, and each run prints one JSON line: rung, mode, seed,
-status, revenue and seconds. Then the seller's revenue search runs at a
-price with integer entries drawn from [-3, 3] and at the zero price,
-where every point ties; each prints one line with mode "seller": rung,
-seed, price, the number of revenue-maximizing points, their revenue and
-seconds. After each, the seller side of a PE check runs at the same
-price on a seeded random split of the supply (each item to r distinct
-agents): seller_demand with above set to the split's revenue, which
-looks only for a point paying strictly more. It prints one line with
-mode "seller-check": rung, seed, price, whether the split is
-revenue-maximizing (no point pays more), the best revenue (the split's
-own when it is) and seconds.
+status, revenue, seconds and "matched", the number of splits matched to
+the agents (calls of demand._assign, counted by wrapping it here). Then
+the seller's revenue search runs at a price with integer entries drawn
+from [-3, 3] and at the zero price, where every point ties; each prints
+one line with mode "seller": rung, seed, price, the number of
+revenue-maximizing points, their revenue and seconds. After each, the
+seller side of a PE check runs at the same price on a seeded random
+split of the supply (each item to r distinct agents): seller_demand
+with above set to the split's revenue, which looks only for a point
+paying strictly more. It prints one line with mode "seller-check": rung,
+seed, price, whether the split is revenue-maximizing (no point pays
+more), the best revenue (the split's own when it is) and seconds.
 
     PYTHONPATH=src python scripts/ladder.py
     PYTHONPATH=src python scripts/ladder.py --rung 4,4,2 --seeds 1
@@ -25,6 +26,7 @@ import json
 import random
 import time
 
+from gpauction import demand
 from gpauction.demand import seller_demand
 from gpauction.model import PriceVector, ValueGraph, aggregate
 from gpauction.pricing import optimal_ce
@@ -47,24 +49,40 @@ def timed(f, *args, **kwargs):
     return out, time.perf_counter() - start
 
 
+def count_matches() -> list:
+    """Wrap demand._assign so that each call appends to the list
+    returned; its length is the number of splits matched so far."""
+    calls, assign = [], demand._assign
+
+    def counted(parts, tables):
+        calls.append(None)
+        return assign(parts, tables)
+
+    demand._assign = counted
+    return calls
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--rung", type=rung, action="append",
                     help="n,m,r; repeat for several (default: all of %s)" % (RUNGS,))
     ap.add_argument("--seeds", type=int, default=3, help="seeds 1..SEEDS")
     args = ap.parse_args()
+    matched = count_matches()
     for n, m, r in args.rung or RUNGS:
         g = ValueGraph.complete(n)
         for seed in range(1, args.seeds + 1):
             rng = random.Random(seed)
             vs = [random_valuation(rng, g, -3, 3) for _ in range(m)]
             for mode in ("quadratic", "walrasian"):
+                matched.clear()
                 res, seconds = timed(optimal_ce, vs, (r,) * n, walrasian=mode == "walrasian")
                 print(json.dumps({
                     "rung": [n, m, r], "mode": mode, "seed": seed,
                     "status": res.status,
                     "revenue": None if res.revenue is None else str(res.revenue),
                     "seconds": round(seconds, 4),
+                    "matched": len(matched),
                 }), flush=True)
             prices = {
                 "random": PriceVector(g, tuple(rng.randint(-3, 3) for _ in range(g.d))),

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -35,7 +36,13 @@ from .model import (
     common_tables,
     project,
 )
-from .polytope import _checked_supply, _splits, bundle_table, enumerate_decompositions
+from .polytope import (
+    _checked_supply,
+    _splits,
+    _supply_tuple,
+    bundle_table,
+    enumerate_decompositions,
+)
 
 
 @dataclass(frozen=True)
@@ -95,46 +102,68 @@ def _exact(w: Union[int, float], scale: int) -> Weight:
     return w if w is NEG_INF else Fraction(w, scale)
 
 
+@lru_cache(maxsize=None)
+def _plan(counts: tuple[int, ...]) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """The states of _assign's DP for kinds with these counts c. A state
+    is a count vector u <= c of parts already given, at index
+    sum_k u_k * w_k with w_k = prod_{l<k} (c_l + 1); entry idx is
+    (agent, moves): the agent b = sum_k u_k next in line, and for each
+    kind k with u_k < c_k, in increasing k, the move (k, idx + w_k). Each
+    move raises the index, so the DP runs over decreasing indices. Built
+    on first use; there are at most 2^(m-1) count tuples of m parts."""
+    weights, size = [], 1
+    for c in counts:
+        weights.append(size)
+        size *= c + 1
+    plan = []
+    for idx in range(size):
+        u = [idx // w % (c + 1) for w, c in zip(weights, counts)]
+        moves = tuple(
+            (k, idx + w) for k, (x, c, w) in enumerate(zip(u, counts, weights)) if x < c
+        )
+        plan.append((sum(u), moves))
+    return tuple(plan)
+
+
 def _assign(
     parts: Sequence[Bundle], tables: Sequence[Sequence[Optional[int]]]
 ) -> tuple[Union[int, float], Allocation]:
     """Best matching of the m parts to the m agents. tables[b][mask] is
     agent b's value of the bundle with that bitmask on one scale (see
-    common_tables), None for -inf; the DP runs over subsets of parts:
-    f(used) is the best total of giving the parts outside
-    `used` to agents popcount(used)..m-1 (None when every way hits a -inf
-    value), on the tables' scale. The welfare returned is the integer
-    f(0), NEG_INF for -inf. The witness gives each agent in turn the
-    part of least _bundle_key that still attains f, so it is the
-    lexicographically least maximizer; when f(0) is -inf every matching
-    ties and the witness is the parts sorted by _bundle_key."""
-    m = len(parts)
-    cols = [[t[s] for t in tables] for s in (sum(1 << i for i in S) for S in parts)]
-    full = (1 << m) - 1
-    f: list[Optional[int]] = [None] * (full + 1)
-    f[full] = 0
-    for used in range(full - 1, -1, -1):
-        b = bin(used).count("1")
-        best = None
-        for j in range(m):
-            if used >> j & 1:
-                continue
-            x, rest = cols[j][b], f[used | 1 << j]
-            if x is not None and rest is not None and (best is None or x + rest > best):
-                best = x + rest
-        f[used] = best
-    order = sorted(range(m), key=lambda j: _bundle_key(parts[j]))
-    used, alloc = 0, []
-    for b in range(m):
-        for j in order:
-            if used >> j & 1:
-                continue
-            x, rest = cols[j][b], f[used | 1 << j]
-            if f[0] is None or (x is not None and rest is not None and x + rest == f[used]):
+    common_tables), None for -inf. The DP runs over the split's distinct
+    bundles (kinds), sorted by _bundle_key, with counts c_k: f(u), for a
+    count vector u <= c (see _plan), is the best total of giving the
+    parts left over to agents sum_k u_k..m-1, on the tables' scale,
+    -inf when every way hits a -inf value. That is prod_k (c_k + 1)
+    states, 2^m when the parts are all distinct. The welfare returned is
+    the integer f(0), NEG_INF for -inf. The witness gives each agent in
+    turn the kind of least _bundle_key that has a part left and still
+    attains f, so it is the lexicographically least maximizer; when f(0)
+    is -inf every matching ties and the witness is the parts sorted by
+    _bundle_key."""
+    counts: dict[Bundle, int] = {}
+    for S in parts:
+        counts[S] = counts.get(S, 0) + 1
+    kinds = sorted(counts, key=_bundle_key)
+    plan = _plan(tuple([counts[S] for S in kinds]))
+    cols = [
+        [NEG_INF if x is None else x for x in (t[s] for t in tables)]
+        for s in (sum(1 << i for i in S) for S in kinds)
+    ]
+    f: list[Union[int, float]] = [0] * len(plan)
+    for idx in range(len(plan) - 2, -1, -1):
+        b, moves = plan[idx]
+        f[idx] = max([cols[k][b] + f[nxt] for k, nxt in moves])
+    if f[0] == NEG_INF:
+        return NEG_INF, tuple(sorted(parts, key=_bundle_key))
+    idx, alloc = 0, []
+    for b in range(len(parts)):
+        for k, nxt in plan[idx][1]:
+            if cols[k][b] + f[nxt] == f[idx]:
                 break
-        used |= 1 << j
-        alloc.append(parts[j])
-    return (NEG_INF if f[0] is None else f[0]), tuple(alloc)
+        idx = nxt
+        alloc.append(kinds[k])
+    return f[0], tuple(alloc)
 
 
 def _better(
@@ -266,11 +295,7 @@ def candidate_points(graph: ValueGraph, supply: Sequence[int]) -> Iterator[GPoin
     each edge coordinate in 0..min of its endpoint supplies, in
     lexicographic order. Every aggregate of characteristic vectors lies in
     this box."""
-    supply = tuple(supply)
-    if len(supply) != graph.n:
-        raise ValueError(f"expected {graph.n} supply entries")
-    if any(s < 0 for s in supply):
-        raise ValueError("supply entries must be nonnegative")
+    supply = _supply_tuple(graph, supply)
     ranges = [range(min(supply[i], supply[j]) + 1) for i, j in graph.edges]
     for combo in itertools.product(*ranges):
         yield GPoint(graph, supply + combo)

@@ -23,6 +23,7 @@ from .model import (
     Valuation,
     ValueGraph,
     is_finite,
+    shared_fraction,
 )
 from .polytope import Face
 
@@ -35,20 +36,36 @@ def _is_int(x: Any) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-# Integers, fractions and plain decimals only. Fraction would also take
+# Integers, fractions and plain decimals only, as (sign, numerator,
+# denominator, whole part, decimal digits). Fraction would also take
 # exponents ("1e10000000" builds a ten-million-digit integer), spaces and
 # underscores; digit strings stay bounded by Python's int conversion limit.
-_RATIONAL = re.compile(r"[+-]?(?:\d+|\d+/\d+|\d*\.\d+)", re.ASCII)
+_RATIONAL = re.compile(r"([+-]?)(?:(\d+)(?:/(\d+))?|(\d*)\.(\d+))", re.ASCII)
 # Edge keys are canonical, with no leading zero: "01-2" would name edge
 # 1-2 a second time, and the later key would silently replace the earlier.
 _EDGE_KEY = re.compile(r"([1-9]\d*)-([1-9]\d*)", re.ASCII)
 
 
 def _rational(x: Any, where: str) -> Fraction:
-    if not (_is_int(x) or isinstance(x, str) and _RATIONAL.fullmatch(x)):
+    """A JSON int, or a string of _RATIONAL's grammar, as the Fraction that
+    Fraction(x) gives; the match's groups give its numerator and
+    denominator as ints, so the string is parsed once."""
+    if _is_int(x):
+        return shared_fraction(x)
+    match = isinstance(x, str) and _RATIONAL.fullmatch(x)
+    if not match:
         raise ParseError(f"{where}: {x!r} is not an exact rational")
+    sign, num, den, whole, digits = match.groups()
     try:
-        return Fraction(x)
+        if digits is None:
+            num, den = int(num), int(den) if den else 1
+        else:
+            # int(digits) meets the digit limit before 10 ** len(digits)
+            # is built, so the power stays bounded too.
+            num, den = int(digits), 10 ** len(digits)
+            if whole:
+                num += int(whole) * den
+        return shared_fraction(-num if sign == "-" else num, den)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{where}: cannot parse rational {x!r}") from exc
 

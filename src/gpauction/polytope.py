@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .caps import DEFAULT_CAPS, Caps, CapExceededError
@@ -116,6 +116,11 @@ def _checked_supply(
     supply's length and signs are checked."""
     caps.check_n(graph.n)
     caps.check_m(m)
+    return _supply_tuple(graph, supply)
+
+
+def _supply_tuple(graph: ValueGraph, supply: Sequence[int]) -> tuple[int, ...]:
+    """The supply as a tuple, after its length and signs are checked."""
     supply = tuple(supply)
     if len(supply) != graph.n:
         raise ValueError(f"expected {graph.n} supply entries")
@@ -140,15 +145,15 @@ def _splits(
 
     Depth-first search on the vertex residuals: a vertex needing more than
     the k bundles left prunes the branch, a bundle using a vertex with no
-    residual is skipped, and once the bitmasks fall below the highest
-    vertex still needed no later bundle can cover it. An edge in x bundles
-    so far, with end residuals r_i and r_j, lies in at least
-    max(0, r_i + r_j - k) and at most min(r_i, r_j) of the bundles left;
-    a pinned edge's branch dies once c - x leaves that range, which at a
-    leaf (r_i = r_j = 0) leaves x = c. An edge that is not pinned needs no
-    check: its count is at most the uses of either end, so it stays in
-    0..min(s_i, s_j), which are all the counts a split of the supply can
-    give it.
+    residual is skipped (a node carries the bitmask of those vertices), and
+    once the bitmasks fall below the highest vertex still needed no later
+    bundle can cover it. An edge in x bundles so far, with end residuals
+    r_i and r_j, lies in at least max(0, r_i + r_j - k) and at most
+    min(r_i, r_j) of the bundles left; a pinned edge's branch dies once
+    c - x leaves that range, which at a leaf (r_i = r_j = 0) leaves x = c.
+    An edge that is not pinned needs no check: its count is at most the
+    uses of either end, so it stays in 0..min(s_i, s_j), which are all the
+    counts a split of the supply can give it.
 
     With edge_prices, the integer prices P_e of the graph's edges in
     coordinate order, and no pins, the search ranks leaves by revenue.
@@ -186,7 +191,9 @@ def _splits(
         neg = [(i, j, w) for (i, j), w in priced if w < 0]
     best = floor
 
-    def rec(top: int, k: int, res: list[int], acc: tuple[int, ...], path: list[Bundle]):
+    def rec(
+        top: int, k: int, res: list[int], spent: int, acc: tuple[int, ...], path: list[Bundle]
+    ):
         nonlocal best
         for i, j, e, c in pins:
             ri, rj = res[i], res[j]
@@ -211,22 +218,25 @@ def _splits(
                     bound += w * x
             if bound < best:
                 return
-        spent = sum(1 << i for i in range(n) if not res[i])
-        high = max(i for i in range(n) if res[i])
+        high = (full ^ spent).bit_length() - 1
         for mask in range(top, (1 << high) - 1, -1):
             if mask & spent:
                 continue
+            sub = spent
             for i in bits[mask]:
                 res[i] -= 1
+                if not res[i]:
+                    sub |= 1 << i
             path.append(bundles[mask])
-            nxt = tuple(x + y for x, y in zip(acc, rows[mask]))
-            yield from rec(mask, k - 1, res, nxt, path)
+            yield from rec(mask, k - 1, res, sub, tuple(map(add, acc, rows[mask])), path)
             path.pop()
             for i in bits[mask]:
                 res[i] += 1
 
+    full = (1 << n) - 1
+    spent = sum(1 << i for i in range(n) if not supply[i])
     start = (0,) * (graph.d - n + 1 if bounded else graph.d)
-    return rec((1 << n) - 1, m, list(supply), start, [])
+    return rec(full, m, list(supply), spent, start, [])
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from .model import (
     is_finite,
     shared_fraction,
 )
-from .polytope import _vertex_table, enumerate_aggregates
+from .polytope import _checked_supply, _vertex_table, enumerate_aggregates
 
 FOUND = "found"
 INFEASIBLE_AT_POINT = "infeasible-at-point"
@@ -233,12 +233,8 @@ def optimal_ce(
         raise ValueError("need at least one valuation")
     m = len(vs)
     g = vs[0].graph
-    caps.check_n(g.n)
-    caps.check_m(m)
-    supply = tuple(supply)
-    if len(supply) != g.n:
-        raise ValueError(f"expected {g.n} supply entries")
-    if any(not 0 <= s <= m for s in supply):
+    supply = _checked_supply(g, supply, m, caps)
+    if any(s > m for s in supply):
         raise ValueError("supply entries must lie in 0..m")
     if not all(v.is_finite() for v in vs):
         raise ValueError("weights must be finite for optimal_ce")

@@ -184,7 +184,7 @@ class TestMaxWelfare:
         maximizers over every permutation of every decomposition, -inf
         totals included."""
         g = ValueGraph.complete(data.draw(st.integers(1, 3)))
-        m = data.draw(st.integers(1, 3))
+        m = data.draw(st.integers(1, 5))
         vs = [data.draw(valuations(g, allow_neg_inf=True)) for _ in range(m)]
         total = GPoint.zero(g)
         for _ in range(m):
@@ -199,6 +199,43 @@ class TestMaxWelfare:
         w, alloc = max_welfare([v, v], a)
         assert (w, alloc) == brute_force_welfare([v, v], a)
         assert w == NEG_INF and alloc == (frozenset({0, 1}), frozenset({2}))
+
+
+POOL = (EMPTY, EMPTY, A, B, AB, C, ABC)  # the empty bundle drawn twice as often
+
+
+def scan_assign(parts, tables):
+    """The permutation scan: every matching of the parts to the agents,
+    a None entry making its total -inf; the best total and the least
+    maximizer by _alloc_key."""
+    options = []
+    for perm in set(itertools.permutations(parts)):
+        vals = [t[sum(1 << i for i in S)] for t, S in zip(tables, perm)]
+        options.append((NEG_INF if None in vals else sum(vals), perm))
+    best = max(total for total, _ in options)
+    return best, min((p for t, p in options if t == best), key=_alloc_key)
+
+
+class TestAssign:
+    """The matching DP over a split's distinct bundles against the scan."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_permutation_scan(self, data):
+        m = data.draw(st.integers(1, 6))
+        parts = tuple(data.draw(st.lists(st.sampled_from(POOL), min_size=m, max_size=m)))
+        entry = st.none() | st.integers(-4, 4)
+        tables = [data.draw(st.lists(entry, min_size=8, max_size=8)) for _ in range(m)]
+        got = demand._assign(parts, tables)
+        assert got == scan_assign(parts, tables)
+        if got[0] == NEG_INF:
+            assert got[0] is NEG_INF
+
+    def test_all_none_is_neg_inf_in_key_order(self):
+        parts = (ABC, AB, EMPTY, C, EMPTY)
+        welfare, alloc = demand._assign(parts, [[None] * 8] * 5)
+        assert welfare is NEG_INF
+        assert alloc == (EMPTY, EMPTY, AB, ABC, C)
 
 
 def brute_force_welfare(vs, a):

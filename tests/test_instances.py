@@ -2,10 +2,12 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gpauction.instances import (
     CORPUS_NAMES,
     ParseError,
+    _rational,
     corpus_instance,
     parse_alloc_price,
     parse_instance,
@@ -107,6 +109,54 @@ class TestParsing:
         doc["point"] = [1, 0]
         with pytest.raises(ParseError, match="point"):
             parse_instance(doc)
+
+
+DIGITS = st.text("0123456789", min_size=1, max_size=12)
+
+
+@st.composite
+def rational_strings(draw):
+    """Strings of the weight grammar: an optional sign, then an integer, a
+    fraction or a plain decimal, leading zeros and zero denominators
+    included."""
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    form = draw(st.sampled_from(["int", "frac", "dec"]))
+    if form == "int":
+        return sign + draw(DIGITS)
+    if form == "frac":
+        return f"{sign}{draw(DIGITS)}/{draw(DIGITS)}"
+    return f"{sign}{draw(st.sampled_from(['', '0']) | DIGITS)}.{draw(DIGITS)}"
+
+
+class TestRational:
+    @given(rational_strings())
+    def test_agrees_with_fraction(self, s):
+        try:
+            expected = F(s)
+        except ZeroDivisionError:
+            with pytest.raises(ParseError, match="cannot parse rational"):
+                _rational(s, "w")
+            return
+        got = _rational(s, "w")
+        assert got == expected and type(got) is F
+
+    @pytest.mark.parametrize(
+        "s, expected",
+        [("-0", 0), ("+007", 7), ("0.25", F(1, 4)), (".5", F(1, 2)), ("-3/6", F(-1, 2)),
+         ("00.10", F(1, 10)), (-300, -300), (12, 12)],
+    )
+    def test_examples(self, s, expected):
+        got = _rational(s, "w")
+        assert got == expected and type(got) is F
+
+    @pytest.mark.parametrize("s", ["1e3", " 1", "1_0", "+-1", "\u0661", "1.", "", 1.5, True])
+    def test_outside_the_grammar(self, s):
+        with pytest.raises(ParseError, match="is not an exact rational"):
+            _rational(s, "w")
+
+    def test_zero_denominator(self):
+        with pytest.raises(ParseError, match="cannot parse rational '1/0'"):
+            _rational("1/0", "w")
 
 
 class TestPriceAndAllocationFiles:

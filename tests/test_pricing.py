@@ -193,8 +193,25 @@ class TestOptimalCe:
         assert res.point.coords == (1, 1, 0, 0, 0, 0)
 
     def test_supply_above_m_rejected(self):
-        with pytest.raises(ValueError, match="supply"):
+        with pytest.raises(ValueError, match=r"supply entries must lie in 0\.\.m"):
             optimal_ce([Valuation.zero(K3)], (2, 0, 0))
+
+    @pytest.mark.parametrize(
+        "supply, message",
+        [
+            ((1, 1), "expected 3 supply entries"),
+            ((-1, 0, 5), "supply entries must be nonnegative"),  # sign before <= m
+            ((5, 0, -1), "supply entries must be nonnegative"),
+        ],
+    )
+    def test_supply_length_then_sign(self, supply, message):
+        with pytest.raises(ValueError, match=message):
+            optimal_ce([Valuation.zero(K3)], supply)
+
+    def test_caps_before_supply(self):
+        K7 = ValueGraph.complete(7)
+        with pytest.raises(CapExceededError, match="max_n"):
+            optimal_ce([Valuation.zero(K7)], (-1,))
 
     def test_walrasian_mode_bounded_by_quadratic(self):
         res_q = optimal_ce(SHIFTED, (1, 1, 1))

@@ -34,6 +34,9 @@ def test_script_runs(argv):
     assert proc.returncode == 0, proc.stderr
     if argv[0] == "scripts/ladder.py":
         lines = [json.loads(line) for line in proc.stdout.splitlines()]
+        solved = [line for line in lines if line["mode"] in ("quadratic", "walrasian")]
+        assert [line["mode"] for line in solved] == ["quadratic", "walrasian"]
+        assert all(type(line["matched"]) is int and line["matched"] > 0 for line in solved)
         seller = [line for line in lines if line["mode"] == "seller"]
         assert [line["price"] for line in seller] == ["random", "zero"]
         assert all(line["points"] > 0 for line in seller)
