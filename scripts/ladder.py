@@ -54,9 +54,9 @@ def count_matches() -> list:
     returned; its length is the number of splits matched so far."""
     calls, assign = [], demand._assign
 
-    def counted(parts, tables):
+    def counted(*args):
         calls.append(None)
-        return assign(parts, tables)
+        return assign(*args)
 
     demand._assign = counted
     return calls

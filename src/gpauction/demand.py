@@ -92,9 +92,19 @@ def _bundle_key(S: Bundle) -> tuple[int, ...]:
     return tuple(sorted(S))
 
 
-def _alloc_key(alloc: Sequence[Bundle]) -> tuple:
-    per_agent = tuple(_bundle_key(S) for S in alloc)
-    return (tuple(sorted(per_agent)), per_agent)
+@lru_cache(maxsize=None)
+def _ranks(n: int) -> tuple[int, ...]:
+    """rank[mask]: the place of the bundle with that bitmask among all 2^n
+    bundles sorted by _bundle_key, so comparing two bundles' ranks
+    compares their _bundle_keys, and comparing two allocations' rank
+    tuples compares their key tuples. Built on first use."""
+    order = sorted(
+        range(1 << n), key=lambda s: _bundle_key(i for i in range(n) if s >> i & 1)
+    )
+    rank = [0] * (1 << n)
+    for r, s in enumerate(order):
+        rank[s] = r
+    return tuple(rank)
 
 
 def _exact(w: Union[int, float], scale: int) -> Weight:
@@ -103,14 +113,17 @@ def _exact(w: Union[int, float], scale: int) -> Weight:
 
 
 @lru_cache(maxsize=None)
-def _plan(counts: tuple[int, ...]) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    """The states of _assign's DP for kinds with these counts c. A state
-    is a count vector u <= c of parts already given, at index
-    sum_k u_k * w_k with w_k = prod_{l<k} (c_l + 1); entry idx is
-    (agent, moves): the agent b = sum_k u_k next in line, and for each
-    kind k with u_k < c_k, in increasing k, the move (k, idx + w_k). Each
-    move raises the index, so the DP runs over decreasing indices. Built
-    on first use; there are at most 2^(m-1) count tuples of m parts."""
+def _plan(counts: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The states of _assign's DP for kinds with these counts c, m parts
+    in all. A state is a count vector u <= c of parts already given, at
+    index sum_k u_k * w_k with w_k = prod_{l<k} (c_l + 1); its agent next
+    in line is b = sum_k u_k. Entry idx lists, for each kind k with
+    u_k < c_k in increasing k, the move (k * m + b, idx + w_k): where
+    agent b's value of kind k sits in the kinds' values laid out kind by
+    kind, and the state after it. Each move raises the index, so the DP
+    runs over decreasing indices. Built on first use; there are at most
+    2^(m-1) count tuples of m parts."""
+    m = sum(counts)
     weights, size = [], 1
     for c in counts:
         weights.append(size)
@@ -118,79 +131,95 @@ def _plan(counts: tuple[int, ...]) -> tuple[tuple[int, tuple[tuple[int, int], ..
     plan = []
     for idx in range(size):
         u = [idx // w % (c + 1) for w, c in zip(weights, counts)]
-        moves = tuple(
-            (k, idx + w) for k, (x, c, w) in enumerate(zip(u, counts, weights)) if x < c
-        )
-        plan.append((sum(u), moves))
+        b = sum(u)
+        plan.append(tuple(
+            (k * m + b, idx + w)
+            for k, (x, c, w) in enumerate(zip(u, counts, weights))
+            if x < c
+        ))
     return tuple(plan)
 
 
+def _columns(
+    tables: Sequence[Sequence[Optional[int]]],
+) -> list[tuple[Union[int, float], ...]]:
+    """The agents' values per bundle: cols[mask][b] = tables[b][mask],
+    NEG_INF for None. Built once per fold."""
+    if any(None in t for t in tables):
+        tables = [[NEG_INF if x is None else x for x in t] for t in tables]
+    return list(zip(*tables))
+
+
 def _assign(
-    parts: Sequence[Bundle], tables: Sequence[Sequence[Optional[int]]]
-) -> tuple[Union[int, float], Allocation]:
-    """Best matching of the m parts to the m agents. tables[b][mask] is
-    agent b's value of the bundle with that bitmask on one scale (see
-    common_tables), None for -inf. The DP runs over the split's distinct
-    bundles (kinds), sorted by _bundle_key, with counts c_k: f(u), for a
-    count vector u <= c (see _plan), is the best total of giving the
-    parts left over to agents sum_k u_k..m-1, on the tables' scale,
+    masks: Sequence[int],
+    cols: Sequence[Sequence[Union[int, float]]],
+    rank: Sequence[int],
+    floor: Union[int, float] = NEG_INF,
+) -> tuple[Union[int, float], Optional[tuple[int, ...]]]:
+    """Best matching of a split's m parts to the m agents. masks are the
+    parts' bitmasks, cols[mask][b] is agent b's value of that bundle on
+    one scale, NEG_INF for -inf (see _columns), and rank is _ranks(n).
+    The DP runs over the split's distinct bundles (kinds) in rank order,
+    with counts c_k: f(u), for a count vector u <= c (see _plan), is the
+    best total of giving the parts left over to agents sum_k u_k..m-1,
     -inf when every way hits a -inf value. That is prod_k (c_k + 1)
     states, 2^m when the parts are all distinct. The welfare returned is
-    the integer f(0), NEG_INF for -inf. The witness gives each agent in
-    turn the kind of least _bundle_key that has a part left and still
-    attains f, so it is the lexicographically least maximizer; when f(0)
-    is -inf every matching ties and the witness is the parts sorted by
-    _bundle_key."""
-    counts: dict[Bundle, int] = {}
-    for S in parts:
-        counts[S] = counts.get(S, 0) + 1
-    kinds = sorted(counts, key=_bundle_key)
-    plan = _plan(tuple([counts[S] for S in kinds]))
-    cols = [
-        [NEG_INF if x is None else x for x in (t[s] for t in tables)]
-        for s in (sum(1 << i for i in S) for S in kinds)
-    ]
+    the integer f(0), NEG_INF for -inf.
+
+    The witness, one bitmask per agent, is built only when the welfare is
+    not below floor (it is None otherwise). It gives each agent in turn
+    the kind of least rank that has a part left and still attains f, so
+    it is the lexicographically least maximizer by _bundle_key; when
+    f(0) is -inf every matching ties and the witness is the parts in
+    rank order."""
+    kinds = sorted(set(masks), key=rank.__getitem__)
+    counts = tuple(map(masks.count, kinds))
+    plan = _plan(counts)
+    vals: list[Union[int, float]] = []
+    for s in kinds:
+        vals += cols[s]
     f: list[Union[int, float]] = [0] * len(plan)
     for idx in range(len(plan) - 2, -1, -1):
-        b, moves = plan[idx]
-        f[idx] = max([cols[k][b] + f[nxt] for k, nxt in moves])
-    if f[0] == NEG_INF:
-        return NEG_INF, tuple(sorted(parts, key=_bundle_key))
+        f[idx] = max([vals[v] + f[nxt] for v, nxt in plan[idx]])
+    welfare = f[0]
+    if welfare < floor:
+        return welfare, None
+    if welfare == NEG_INF:
+        return NEG_INF, tuple([s for s, c in zip(kinds, counts) for _ in range(c)])
+    m = len(masks)
     idx, alloc = 0, []
-    for b in range(len(parts)):
-        for k, nxt in plan[idx][1]:
-            if cols[k][b] + f[nxt] == f[idx]:
+    for _ in range(m):
+        for v, nxt in plan[idx]:
+            if vals[v] + f[nxt] == f[idx]:
                 break
         idx = nxt
-        alloc.append(kinds[k])
-    return f[0], tuple(alloc)
+        alloc.append(kinds[v // m])
+    return welfare, tuple(alloc)
 
 
-def _better(
-    cand: tuple[Union[int, float], Allocation],
-    cur: Optional[tuple[Union[int, float], Allocation]],
-) -> bool:
-    """Higher welfare wins; equal welfare goes to the lexicographically
-    least allocation (its bundle multiset first, then the agent order)."""
-    return (
-        cur is None
-        or cand[0] > cur[0]
-        or (cand[0] == cur[0] and _alloc_key(cand[1]) < _alloc_key(cur[1]))
-    )
+def _rank_key(alloc: Sequence[int], rank: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The tie-break order of allocations (as bitmasks): least bundle
+    multiset first, then least agent order, both by _bundle_key."""
+    r = [rank[s] for s in alloc]
+    return sorted(r), r
 
 
 def _best_splits(
     vs: Sequence[Valuation],
-    items: Iterable[tuple[GPoint, Sequence[Bundle]]],
+    items: Iterable[tuple[tuple[int, ...], Sequence[int]]],
     *,
     top_only: bool = False,
-) -> tuple[int, dict[GPoint, tuple[Union[int, float], Allocation]]]:
-    """The best split of each point among the (point, parts) items, as
-    (L, best): each split is matched to the agents by _assign, and per
-    point the higher integer welfare (in units of 1 / L, NEG_INF for -inf)
-    wins, ties going to the least allocation (_better). Callers create
-    the items first: enumerate_* checks the caps when called, so an
-    instance over the caps raises before any table is built here.
+) -> tuple[int, dict[tuple[int, ...], tuple[Union[int, float], tuple[int, ...]]]]:
+    """The best split of each point among the (coords, masks) items, as
+    (L, best): best maps a point's coordinate tuple to (welfare, alloc),
+    the integer welfare in units of 1 / L (NEG_INF for -inf) and the
+    allocation as one bitmask per agent. Each split is matched to the
+    agents by _assign, on one column table built here; per point the
+    higher welfare wins, ties going to the least allocation (_rank_key),
+    and a witness is built only for a split that reaches its point's best
+    so far. Callers create the items first: enumerate_* checks the caps
+    when called, so an instance over the caps raises before any table is
+    built here.
 
     With top_only, a split is matched only if its bound sum_j max_b
     v_b(S_j) (the matching without the one-part-per-agent rule, -inf when
@@ -199,21 +228,26 @@ def _best_splits(
     the entries of maximal welfare, their points and least allocations,
     are exact; the other entries may not be."""
     scale, tables = common_tables(vs)
+    cols = _columns(tables)
+    rank = _ranks(vs[0].graph.n)
     if top_only:
-        tops = {
-            S: max((x for x in col if x is not None), default=NEG_INF)
-            for S, col in zip(bundle_table(vs[0].graph), zip(*tables))
-        }
+        tops = [max(col) for col in cols]
     top: Union[int, float] = NEG_INF
-    best: dict[GPoint, tuple[Union[int, float], Allocation]] = {}
-    for a, parts in items:
-        if top_only and sum([tops[S] for S in parts]) < top:
+    best: dict[tuple[int, ...], tuple[Union[int, float], tuple[int, ...]]] = {}
+    for coords, masks in items:
+        if top_only and sum([tops[s] for s in masks]) < top:
             continue
-        cand = _assign(parts, tables)
+        cur = best.get(coords)
+        if cur is None:
+            best[coords] = cand = _assign(masks, cols, rank)
+        else:
+            cand = _assign(masks, cols, rank, cur[0])
+            if cand[1] is not None and (
+                cand[0] > cur[0] or _rank_key(cand[1], rank) < _rank_key(cur[1], rank)
+            ):
+                best[coords] = cand
         if top_only and cand[0] > top:
             top = cand[0]
-        if _better(cand, best.get(a)):
-            best[a] = cand
     return scale, best
 
 
@@ -229,12 +263,15 @@ def max_welfare(
     each utility is >= 0 because the empty bundle costs nothing."""
     if any(v.graph != a.graph for v in vs):
         raise ValueError("valuations and point over different graphs")
-    splits = ((a, parts) for parts in enumerate_decompositions(a, len(vs), caps))
+    parts_of = enumerate_decompositions(a, len(vs), caps)
+    bundles = bundle_table(a.graph)
+    mask_of = dict(zip(bundles, range(len(bundles))))
+    splits = ((a.coords, [mask_of[S] for S in parts]) for parts in parts_of)
     scale, best = _best_splits(vs, splits)
-    if a not in best:
+    if a.coords not in best:
         return NEG_INF, None
-    welfare, alloc = best[a]
-    return _exact(welfare, scale), alloc
+    welfare, alloc = best[a.coords]
+    return _exact(welfare, scale), tuple([bundles[s] for s in alloc])
 
 
 @dataclass(frozen=True)

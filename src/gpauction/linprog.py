@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress
 from math import lcm
 from operator import mul
 from typing import Optional
@@ -75,12 +76,7 @@ class LPResult:
 def _scaled(coeffs, last) -> tuple[list[int], int]:
     """The integers of coeffs + [last] times the lcm L of their
     denominators, with L negated when last < 0 so the last entry is >= 0.
-    An all-int row has L = 1 and skips the lcm pass. An entry that is not
-    an int or a Fraction raises TypeError."""
-    if type(last) is int and set(map(type, coeffs)) <= {int}:
-        if last < 0:
-            return [-c for c in coeffs] + [-last], -1
-        return [*coeffs, last], 1
+    An entry that is not an int or a Fraction raises TypeError."""
     try:
         scale = lcm(last.denominator, *(c.denominator for c in coeffs))
     except AttributeError:
@@ -101,12 +97,13 @@ def _pivot(rows: list[list[int]], D: int, r: int, s: int) -> int:
     Returns the new common denominator p; callers pivot only on p > 0.
 
     When p = D and D divides f, that quotient is row_i - (f / D) * row_r
-    entry by entry, so only the pivot row's nonzero entries are touched.
-    The integers are the ones the general formula gives."""
+    entry by entry, so only the pivot row's nonzero entries are touched,
+    by a plain subtraction or addition when f / D is 1 or -1. The
+    integers are the ones the general formula gives."""
     prow = rows[r]
     p = prow[s]
     if p == D:
-        nonzero = [(j, b) for j, b in enumerate(prow) if b]
+        nonzero = [(j, prow[j]) for j in compress(range(len(prow)), prow)]
     for row in rows:
         if row is prow:
             continue
@@ -114,13 +111,23 @@ def _pivot(rows: list[list[int]], D: int, r: int, s: int) -> int:
         if f:
             if p == D and not f % D:
                 q = f // D
-                for j, b in nonzero:
-                    row[j] -= q * b
+                if q == 1:
+                    for j, b in nonzero:
+                        row[j] -= b
+                elif q == -1:
+                    for j, b in nonzero:
+                        row[j] += b
+                else:
+                    for j, b in nonzero:
+                        row[j] -= q * b
             else:
                 row[:] = [(p * a - f * b) // D for a, b in zip(row, prow)]
         elif p != D:
             row[:] = [p * a // D for a in row]
     return p
+
+
+_ZERO_LT = (0).__lt__  # _ZERO_LT(x) is x > 0
 
 
 def _bland(rows, obj, basis, D: int, ncols: int) -> tuple[str, int, int]:
@@ -129,7 +136,7 @@ def _bland(rows, obj, basis, D: int, ncols: int) -> tuple[str, int, int]:
     (OPTIMAL or UNBOUNDED, D, the unbounded entering column or -1)."""
     table = rows + [obj]
     while True:
-        s = next((j for j in range(ncols) if obj[j] > 0), -1)
+        s = next(compress(range(ncols), map(_ZERO_LT, obj)), -1)
         if s < 0:
             return OPTIMAL, D, -1
         r = -1
@@ -156,15 +163,22 @@ def lp_solve(lp: LinearProgram) -> LPResult:
     """Solve exactly; OPTIMAL comes with x, the value and the row duals y.
     Every status is certified (see the module docstring)."""
     ncols, nrows = len(lp.objective), len(lp.rows)
-    A, b, row_scale = [], [], []
-    for coeffs, rhs in zip(lp.rows, lp.rhs):
-        row, scale = _scaled(coeffs, rhs)
-        b.append(row.pop())
-        A.append(row)
-        row_scale.append(scale)
-    c, c_scale = _scaled(lp.objective, 0)
-    c.pop()
-    cols = list(zip(*A)) if A else [()] * ncols
+    if set(map(type, chain(lp.objective, lp.rhs, *lp.rows))) <= {int}:
+        # All ints: no row needs an lcm, and a negative rhs negates its row.
+        A = [[-a for a in coeffs] if rhs < 0 else list(coeffs)
+             for coeffs, rhs in zip(lp.rows, lp.rhs)]
+        b = [abs(rhs) for rhs in lp.rhs]
+        row_scale = [-1 if rhs < 0 else 1 for rhs in lp.rhs]
+        c, c_scale = list(lp.objective), 1
+    else:
+        A, b, row_scale = [], [], []
+        for coeffs, rhs in zip(lp.rows, lp.rhs):
+            row, scale = _scaled(coeffs, rhs)
+            b.append(row.pop())
+            A.append(row)
+            row_scale.append(scale)
+        c, c_scale = _scaled(lp.objective, 0)
+        c.pop()
 
     # Tableau rows [A_i | e_i | b_i]: one artificial column per row, the
     # starting basis. The artificial columns carry B^-1, hence the duals.
@@ -186,7 +200,7 @@ def lp_solve(lp: LinearProgram) -> LPResult:
     if obj[-1]:
         # w_i = -1 - (reduced cost of artificial i), times D.
         w = [-D - obj[art + i] for i in range(nrows)]
-        if any(_dot(w, col) < 0 for col in cols) or _dot(w, b) >= 0:
+        if any(_dot(w, col) < 0 for col in zip(*A)) or _dot(w, b) >= 0:
             raise InternalError("phase 1 ended without a valid Farkas certificate")
         return LPResult(INFEASIBLE)
     # Artificials left in the basis sit at 0: pivot each out on a nonzero
@@ -196,35 +210,37 @@ def lp_solve(lp: LinearProgram) -> LPResult:
     for i in range(nrows):
         if basis[i] >= art:
             row = rows[i]
-            s = next((j for j in range(ncols) if row[j]), -1)
+            s = next(compress(range(ncols), row), -1)
             if s >= 0:
                 if row[s] < 0:
                     row[:] = [-a for a in row]
                 D = _pivot(rows, D, i, s)
                 basis[i] = s
 
-    # Phase 2: D times the reduced costs of c in the current basis.
-    cb = [c[j] if j < art else 0 for j in basis]
+    # Phase 2: D times the reduced costs of c in the current basis, built
+    # from the nonzero entries of each basic row of nonzero cost.
     obj = [D * cj for cj in c] + [0] * (nrows + 1)
-    for i, row in enumerate(rows):
-        if cb[i]:
-            obj = [o - cb[i] * a for o, a in zip(obj, row)]
+    for row, j in zip(rows, basis):
+        cj = c[j] if j < art else 0
+        if cj:
+            for k in compress(range(len(row)), row):
+                obj[k] -= cj * row[k]
     status, D, s = _bland(rows, obj, basis, D, ncols)
 
     # The basic solution, D times x. X is zero off the basis, so Ax sums
-    # the basic columns alone.
-    X, Ax = [0] * ncols, [0] * nrows
+    # the columns of the nonzero basic entries alone.
+    X, nz, xs = [0] * ncols, [], []
     for i, j in enumerate(basis):
         x = rows[i][-1]
         if j >= art:
             if x:
                 raise InternalError("an artificial variable is basic at a nonzero value")
-            continue
-        X[j] = x
-        for k, a in enumerate(cols[j]):
-            if a:
-                Ax[k] += a * x
-    if any(x < 0 for x in X) or Ax != [bi * D for bi in b]:
+        elif x:
+            X[j] = x
+            nz.append(j)
+            xs.append(x)
+    Ax = [sum(map(mul, map(row.__getitem__, nz), xs)) for row in A]
+    if any(x < 0 for x in xs) or Ax != [bi * D for bi in b]:
         raise InternalError("the basic solution fails Ax = b, x >= 0")
 
     if status == UNBOUNDED:
@@ -240,15 +256,22 @@ def lp_solve(lp: LinearProgram) -> LPResult:
         return LPResult(UNBOUNDED)
 
     # Row duals of the scaled rows, times D: minus the reduced costs of the
-    # artificial columns, whose phase-2 cost is 0.
+    # artificial columns, whose phase-2 cost is 0. A^T y is summed row by
+    # row over each row's nonzero entries.
     Y = [-obj[art + i] for i in range(nrows)]
+    ATy = [0] * ncols
+    for yi, row in zip(Y, A):
+        if yi:
+            for j in compress(range(ncols), row):
+                ATy[j] += yi * row[j]
     cx = _dot(c, X)
-    if any(_dot(Y, col) < cj * D for col, cj in zip(cols, c)) or cx != _dot(b, Y):
+    if any(a < cj * D for a, cj in zip(ATy, c)) or cx != _dot(b, Y):
         raise InternalError("the duals fail A^T y >= c or c.x = b.y")
     den = c_scale * D
+    zero = shared_fraction(0)
     return LPResult(
         OPTIMAL,
         shared_fraction(cx, den),
-        tuple(shared_fraction(x, D) for x in X),
+        tuple([shared_fraction(x, D) if x else zero for x in X]),
         tuple(shared_fraction(yi * si, den) for yi, si in zip(Y, row_scale)),
     )

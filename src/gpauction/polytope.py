@@ -13,6 +13,7 @@ coordinate.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, mul
@@ -94,18 +95,23 @@ def enumerate_decompositions(
         raise ValueError("point must be nonnegative")
     n = g.n
     pins = [(i, j, n + t, a.coords[n + t]) for t, (i, j) in enumerate(g.edges)]
-    return (parts for _, parts in _splits(g, a.coords[:n], m, pins))
+    bundles = bundle_table(g)
+    return (
+        tuple([bundles[s] for s in masks]) for _, masks in _splits(g, a.coords[:n], m, pins)
+    )
 
 
 def enumerate_aggregates(
     graph: ValueGraph, supply: Sequence[int], m: int, caps: Caps = DEFAULT_CAPS
-) -> Iterator[tuple[GPoint, tuple[Bundle, ...]]]:
-    """Yield (point, parts) for every multiset of m bundles that sells
-    exactly the supply: parts in the canonical order of
-    enumerate_decompositions, point their characteristic-vector sum. These
-    points are exactly the decomposable ones projecting onto the supply; a
-    point appears once per decomposition, so callers fold the items. The
-    caps and the supply are checked when called, before any work."""
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Yield (coords, masks) for every multiset of m bundles that sells
+    exactly the supply: masks the bundles' bitmasks in the canonical order
+    of enumerate_decompositions (decreasing, empties as 0 last), coords
+    the coordinates of their characteristic-vector sum. These points are
+    exactly the decomposable ones projecting onto the supply; a point
+    appears once per decomposition, so callers fold the items and build a
+    GPoint (and the bundles, through bundle_table) for the ones they keep.
+    The caps and the supply are checked when called, before any work."""
     return _splits(graph, _checked_supply(graph, supply, m, caps), m, ())
 
 
@@ -129,6 +135,31 @@ def _supply_tuple(graph: ValueGraph, supply: Sequence[int]) -> tuple[int, ...]:
     return supply
 
 
+# Frames a consumer may stack between creating a search and resuming it.
+_DEPTH_MARGIN = 50
+
+
+def _check_depth(supply: Sequence[int], m: int) -> None:
+    """Raise ValueError when the search over these m parts could pass the
+    interpreter's recursion limit. It recurses once per nonempty part, so
+    its depth is at most min(m, sum(supply)). A search no deeper than the
+    margin stacks no more frames than ordinary calls and is not checked;
+    a deeper one fits when the stack is shallower than the limit less its
+    depth and the margin, which is when sys._getframe cannot reach that
+    far down."""
+    depth = min(m, sum(supply))
+    if depth <= _DEPTH_MARGIN:
+        return
+    limit = sys.getrecursionlimit()
+    try:
+        sys._getframe(max(limit - _DEPTH_MARGIN - depth, 0))
+    except ValueError:
+        return
+    raise ValueError(
+        f"a search over {depth} nonempty parts would pass the recursion limit {limit}"
+    )
+
+
 def _splits(
     graph: ValueGraph,
     supply: tuple[int, ...],
@@ -137,11 +168,14 @@ def _splits(
     edge_prices: Optional[Sequence[int]] = None,
     floor: Union[int, float] = NEG_INF,
 ) -> Iterator:
-    """(point, parts) for every multiset of m bundles that sells exactly
+    """(coords, masks) for every multiset of m bundles that sells exactly
     the supply and puts each pinned edge in exactly its count of bundles:
-    pins lists (i, j, e, c) for edge ij at coordinate e with count c. The
-    parts are in decreasing bitmask order, empties last, and the items in
-    decreasing order of those bitmask tuples.
+    pins lists (i, j, e, c) for edge ij at coordinate e with count c.
+    coords is the tuple of the bundles' characteristic-vector sum, masks
+    their bitmasks in decreasing order, empties (0) last, so equal bundles
+    are adjacent; the items come in decreasing order of the masks tuples.
+    A search too deep for the recursion limit raises ValueError when
+    called (_check_depth).
 
     Depth-first search on the vertex residuals: a vertex needing more than
     the k bundles left prunes the branch, a bundle using a vertex with no
@@ -177,10 +211,10 @@ def _splits(
     zero the root's bound is 0, below a floor of 1, and the search ends
     there.
     """
+    _check_depth(supply, m)
     n = graph.n
     table = _vertex_table(graph)
-    bundles = bundle_table(graph)
-    bits = [sorted(S) for S in bundles]
+    bits = [sorted(S) for S in bundle_table(graph)]
     rows = [q.coords for q in table]
     pos = neg = ()
     bounded = edge_prices is not None
@@ -192,7 +226,7 @@ def _splits(
     best = floor
 
     def rec(
-        top: int, k: int, res: list[int], spent: int, acc: tuple[int, ...], path: list[Bundle]
+        top: int, k: int, res: list[int], spent: int, acc: tuple[int, ...], path: list[int]
     ):
         nonlocal best
         for i, j, e, c in pins:
@@ -201,7 +235,7 @@ def _splits(
                 return
         if not any(res):
             if not bounded:
-                yield GPoint(graph, acc), tuple(path) + (EMPTY_BUNDLE,) * k
+                yield acc, tuple(path) + (0,) * k
             elif acc[-1] >= best:
                 best = acc[-1]
                 yield acc
@@ -227,7 +261,7 @@ def _splits(
                 res[i] -= 1
                 if not res[i]:
                     sub |= 1 << i
-            path.append(bundles[mask])
+            path.append(mask)
             yield from rec(mask, k - 1, res, sub, tuple(map(add, acc, rows[mask])), path)
             path.pop()
             for i in bits[mask]:

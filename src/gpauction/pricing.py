@@ -36,7 +36,7 @@ from .model import (
     is_finite,
     shared_fraction,
 )
-from .polytope import _checked_supply, _vertex_table, enumerate_aggregates
+from .polytope import _checked_supply, _vertex_table, bundle_table, enumerate_aggregates
 
 FOUND = "found"
 INFEASIBLE_AT_POINT = "infeasible-at-point"
@@ -242,20 +242,22 @@ def optimal_ce(
     scale, splits = _best_splits(
         vs, enumerate_aggregates(g, supply, m, caps), top_only=walrasian
     )
-    order = sorted(splits.items(), key=lambda item: (-item[1][0], item[0].coords))
+    order = sorted(splits.items(), key=lambda item: (-item[1][0], item[0]))
     if walrasian:
         order = order[:1]
+    bundles = bundle_table(g)
     best: Optional[CEResult] = None
-    for a, (welfare, alloc) in order:
+    for coords, (welfare, masks) in order:
         if best is not None and welfare < best.revenue * scale:
             break
-        res = _price_at(vs, a, welfare, alloc, walrasian, caps)
+        alloc = tuple([bundles[s] for s in masks])
+        res = _price_at(vs, GPoint(g, coords), welfare, alloc, walrasian, caps)
         if res.status != FOUND:
             continue
         if (
             best is None
             or res.revenue > best.revenue
-            or (res.revenue == best.revenue and a.coords < best.point.coords)
+            or (res.revenue == best.revenue and coords < best.point.coords)
         ):
             best = res
     if best is None:

@@ -16,25 +16,31 @@ reference stays independent of the column-generation dual LP in
 point-by-point search over the whole candidate box, the reference for the
 welfare-ordered search of ``optimal_ce``. ``dense_pivot`` is the
 production core's pivot without its sparse path, the reference for it.
+``reference_best_splits`` is the split fold on bundles (frozensets),
+each split's distinct bundles counted and sorted by ``bundle_key``, the
+reference for the fold of ``gpauction.demand`` on bitmasks.
 """
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 from gpauction.demand import candidate_points
 from gpauction.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, InternalError, LPResult
 from gpauction.model import (
+    NEG_INF,
     Allocation,
+    Bundle,
     GPoint,
     Valuation,
     aggregate,
     char_vector,
+    common_tables,
     is_finite,
     project,
     value,
 )
-from gpauction.polytope import vertices_P
+from gpauction.polytope import bundle_table, vertices_P
 from gpauction.pricing import FOUND, NO_POINT_FOUND, CEResult, ce_price_at_point
 
 LE, GE, EQ = "<=", ">=", "=="
@@ -347,3 +353,92 @@ def box_optimal_ce(vs: Sequence[Valuation], supply: Sequence[int], walrasian: bo
         if res.status == FOUND and (best is None or res.revenue > best.revenue):
             best = res
     return best if best is not None else CEResult(NO_POINT_FOUND)
+
+
+def bundle_key(S: Bundle) -> tuple[int, ...]:
+    return tuple(sorted(S))
+
+
+def alloc_key(alloc: Sequence[Bundle]) -> tuple:
+    """Least bundle multiset first, then least agent order."""
+    per_agent = tuple(bundle_key(S) for S in alloc)
+    return (tuple(sorted(per_agent)), per_agent)
+
+
+def _reference_plan(counts: tuple[int, ...]) -> list:
+    """Per DP state, a count vector u <= counts at index sum_k u_k * w_k
+    with w_k = prod_{l<k} (counts_l + 1): (agent sum_k u_k, the moves
+    (k, index with u_k raised by one) in increasing k)."""
+    weights, size = [], 1
+    for c in counts:
+        weights.append(size)
+        size *= c + 1
+    plan = []
+    for idx in range(size):
+        u = [idx // w % (c + 1) for w, c in zip(weights, counts)]
+        moves = [(k, idx + w) for k, (x, c, w) in enumerate(zip(u, counts, weights)) if x < c]
+        plan.append((sum(u), moves))
+    return plan
+
+
+def reference_assign(
+    parts: Sequence[Bundle], tables: Sequence[Sequence[Optional[int]]]
+) -> tuple[Union[int, float], Allocation]:
+    """Best matching of the parts to the agents (tables[b][mask], None for
+    -inf) by a DP over the distinct bundles sorted by bundle_key; the
+    witness gives each agent in turn the least bundle still attaining the
+    optimum, and is the parts sorted by bundle_key when it is -inf."""
+    counts: dict[Bundle, int] = {}
+    for S in parts:
+        counts[S] = counts.get(S, 0) + 1
+    kinds = sorted(counts, key=bundle_key)
+    plan = _reference_plan(tuple(counts[S] for S in kinds))
+    cols = [
+        [NEG_INF if x is None else x for x in (t[s] for t in tables)]
+        for s in (sum(1 << i for i in S) for S in kinds)
+    ]
+    f: list = [0] * len(plan)
+    for idx in range(len(plan) - 2, -1, -1):
+        b, moves = plan[idx]
+        f[idx] = max(cols[k][b] + f[nxt] for k, nxt in moves)
+    if f[0] == NEG_INF:
+        return NEG_INF, tuple(sorted(parts, key=bundle_key))
+    idx, alloc = 0, []
+    for b in range(len(parts)):
+        for k, nxt in plan[idx][1]:
+            if cols[k][b] + f[nxt] == f[idx]:
+                break
+        idx = nxt
+        alloc.append(kinds[k])
+    return f[0], tuple(alloc)
+
+
+def reference_best_splits(
+    vs: Sequence[Valuation], items: Iterable[tuple], *, top_only: bool = False
+) -> tuple[int, dict]:
+    """(L, best) over (key, parts) items: per key the split of highest
+    integer welfare (units of 1 / L), ties to the least alloc_key. With
+    top_only a split whose bound sum_j max_b v_b(S_j) is below the
+    highest welfare matched so far is skipped."""
+    scale, tables = common_tables(vs)
+    if top_only:
+        tops = {
+            S: max((x for x in col if x is not None), default=NEG_INF)
+            for S, col in zip(bundle_table(vs[0].graph), zip(*tables))
+        }
+    top = NEG_INF
+    best: dict = {}
+    for key, parts in items:
+        if top_only and sum(tops[S] for S in parts) < top:
+            continue
+        cand = reference_assign(parts, tables)
+        if top_only and cand[0] > top:
+            top = cand[0]
+        cur = best.get(key)
+        if (
+            cur is None
+            or cand[0] > cur[0]
+            or (cand[0] == cur[0] and alloc_key(cand[1]) < alloc_key(cur[1]))
+        ):
+            best[key] = cand
+    return scale, best

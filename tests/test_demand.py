@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gpauction.demand import (
-    _alloc_key,
     candidate_points,
     demand_set,
     max_welfare,
@@ -33,6 +32,7 @@ from gpauction.polytope import enumerate_aggregates, enumerate_decompositions, v
 from gpauction.pricing import FOUND, NO_POINT_FOUND, optimal_ce
 from gpauction.instances import corpus_instance
 
+from .oracle import alloc_key, reference_best_splits
 from .strategies import graphs, small_fractions, valuations
 
 K3 = ValueGraph.complete(3)
@@ -180,7 +180,7 @@ class TestMaxWelfare:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_witness_attains_and_dominates(self, data):
-        """The witness is the lexicographically least _alloc_key among the
+        """The witness is the lexicographically least alloc_key among the
         maximizers over every permutation of every decomposition, -inf
         totals included."""
         g = ValueGraph.complete(data.draw(st.integers(1, 3)))
@@ -193,7 +193,7 @@ class TestMaxWelfare:
 
     def test_all_neg_inf_witness(self):
         """Every split hits a -inf weight: the witness is still the least
-        allocation by _alloc_key."""
+        allocation by alloc_key."""
         v = Valuation(K3, (NEG_INF,) * 3 + (F(0),) * 3)
         a = GPoint(K3, (1, 1, 1, 1, 0, 0))
         w, alloc = max_welfare([v, v], a)
@@ -207,13 +207,27 @@ POOL = (EMPTY, EMPTY, A, B, AB, C, ABC)  # the empty bundle drawn twice as often
 def scan_assign(parts, tables):
     """The permutation scan: every matching of the parts to the agents,
     a None entry making its total -inf; the best total and the least
-    maximizer by _alloc_key."""
+    maximizer by alloc_key."""
     options = []
     for perm in set(itertools.permutations(parts)):
         vals = [t[sum(1 << i for i in S)] for t, S in zip(tables, perm)]
         options.append((NEG_INF if None in vals else sum(vals), perm))
     best = max(total for total, _ in options)
-    return best, min((p for t, p in options if t == best), key=_alloc_key)
+    return best, min((p for t, p in options if t == best), key=alloc_key)
+
+
+def mask(S):
+    return sum(1 << i for i in S)
+
+
+def mask_assign(parts, tables):
+    """_assign on the parts as the search yields them (bitmasks in
+    decreasing order), with the witness read back as bundles."""
+    masks = sorted(map(mask, parts), reverse=True)
+    cols = demand._columns(tables)
+    welfare, alloc = demand._assign(masks, cols, demand._ranks(3))
+    bundles = polytope.bundle_table(K3)
+    return welfare, tuple(bundles[s] for s in alloc)
 
 
 class TestAssign:
@@ -226,14 +240,14 @@ class TestAssign:
         parts = tuple(data.draw(st.lists(st.sampled_from(POOL), min_size=m, max_size=m)))
         entry = st.none() | st.integers(-4, 4)
         tables = [data.draw(st.lists(entry, min_size=8, max_size=8)) for _ in range(m)]
-        got = demand._assign(parts, tables)
+        got = mask_assign(parts, tables)
         assert got == scan_assign(parts, tables)
         if got[0] == NEG_INF:
             assert got[0] is NEG_INF
 
     def test_all_none_is_neg_inf_in_key_order(self):
         parts = (ABC, AB, EMPTY, C, EMPTY)
-        welfare, alloc = demand._assign(parts, [[None] * 8] * 5)
+        welfare, alloc = mask_assign(parts, [[None] * 8] * 5)
         assert welfare is NEG_INF
         assert alloc == (EMPTY, EMPTY, AB, ABC, C)
 
@@ -247,7 +261,72 @@ def brute_force_welfare(vs, a):
             total = sum(vals) if all(map(is_finite, vals)) else NEG_INF
             options.append((total, perm))
     best = max(total for total, _ in options)
-    return best, min((p for t, p in options if t == best), key=_alloc_key)
+    return best, min((p for t, p in options if t == best), key=alloc_key)
+
+
+def thinned(draw, g):
+    """g, or g keeping each edge with probability 4/5."""
+    if draw(st.booleans()):
+        return g
+    keep = draw(st.lists(st.integers(0, 4), min_size=len(g.edges), max_size=len(g.edges)))
+    return ValueGraph(g.n, tuple(e for e, k in zip(g.edges, keep) if k))
+
+
+@st.composite
+def fold_cases(draw, allow_neg_inf=False):
+    """(valuations, supply, m) with small weights of denominators 1-3, so
+    that matchings and splits tie often, over a complete graph or one
+    keeping about 80% of its edges."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4 if n < 4 else 3))
+    g = thinned(draw, ValueGraph.complete(n))
+    weight = st.builds(F, st.integers(-2, 2), st.integers(1, 3))
+    if allow_neg_inf:
+        weight = weight | st.just(NEG_INF)
+    vs = [
+        Valuation(g, tuple(draw(weight) if k < n else draw(weight.filter(is_finite))
+                           for k in range(g.d)))
+        for _ in range(m)
+    ]
+    supply = tuple(draw(st.integers(0, min(m, 2))) for _ in range(n))
+    return vs, supply, m
+
+
+def as_bundles(g, masks):
+    bundles = polytope.bundle_table(g)
+    return tuple(bundles[s] for s in masks)
+
+
+class TestMaskFold:
+    """The fold on bitmasks against the fold on bundles of tests/oracle.py:
+    the same (welfare, allocation) for every point."""
+
+    @given(fold_cases(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_bundle_fold(self, case, top_only):
+        vs, supply, m = case
+        g = vs[0].graph
+        items = list(enumerate_aggregates(g, supply, m))
+        scale, best = demand._best_splits(vs, items, top_only=top_only)
+        ref = reference_best_splits(
+            vs, [(c, as_bundles(g, masks)) for c, masks in items], top_only=top_only
+        )
+        got = {c: (w, as_bundles(g, alloc)) for c, (w, alloc) in best.items()}
+        assert (scale, got) == ref
+
+    @given(fold_cases(allow_neg_inf=True))
+    @settings(max_examples=100, deadline=None)
+    def test_max_welfare_matches_the_bundle_fold(self, case):
+        vs, supply, m = case
+        g = vs[0].graph
+        for c in sorted({c for c, _ in enumerate_aggregates(g, supply, m)})[:4]:
+            a = GPoint(g, c)
+            scale, ref = reference_best_splits(
+                vs, [(c, parts) for parts in enumerate_decompositions(a, m)]
+            )
+            welfare, alloc = ref[c]
+            expected = (welfare if welfare == NEG_INF else F(welfare, scale), alloc)
+            assert max_welfare(vs, a) == expected
 
 
 class TestVerifyCE:
@@ -338,7 +417,7 @@ class TestSellerDemand:
 def folded_seller_demand(p, supply, m):
     """Reference: every distinct point of the unpriced aggregate search,
     keeping those of maximal <p, a>."""
-    points = {a for a, _ in enumerate_aggregates(p.graph, supply, m)}
+    points = {GPoint(p.graph, c) for c, _ in enumerate_aggregates(p.graph, supply, m)}
     best = max(p.dot(a) for a in points)
     return {a for a in points if p.dot(a) == best}
 
@@ -372,7 +451,7 @@ class TestBoundedSellerSearch:
     @settings(max_examples=30, deadline=None)
     def test_zero_edge_prices_keep_every_point(self, case):
         p, supply, m = case
-        points = {a for a, _ in enumerate_aggregates(p.graph, supply, m)}
+        points = {GPoint(p.graph, c) for c, _ in enumerate_aggregates(p.graph, supply, m)}
         assert seller_demand(p, supply, m) == points
 
     @given(seller_cases(st.integers(-3, -1).map(F)))

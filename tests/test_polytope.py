@@ -7,6 +7,7 @@ from gpauction.caps import Caps, CapExceededError
 from gpauction.model import GPoint, ValueGraph, aggregate, char_vector, project
 from gpauction.polytope import (
     Face,
+    bundle_table,
     enumerate_aggregates,
     enumerate_decompositions,
     minkowski_contains,
@@ -183,9 +184,32 @@ class TestEnumerateDecompositions:
         assert {as_multiset(parts) for parts in found} == brute_force_decompositions(a, m)
 
 
+class TestSearchDepth:
+    """The search recurses once per nonempty part; one too deep for the
+    recursion limit is refused when it is created, before any work."""
+
+    K2 = ValueGraph.complete(2)
+    CAPS = Caps(max_m=2000)
+
+    def test_too_deep_raises_value_error(self):
+        with pytest.raises(ValueError, match="recursion limit"):
+            enumerate_decompositions(GPoint(self.K2, (1200, 1200, 1200)), 1200, self.CAPS)
+        with pytest.raises(ValueError, match="recursion limit"):
+            enumerate_aggregates(self.K2, (1200, 0), 1200, self.CAPS)
+
+    def test_depth_is_the_fewer_of_parts_and_supply(self):
+        """1,200 parts over a supply of 300 units reach depth 300 at most."""
+        (parts,) = enumerate_decompositions(GPoint(self.K2, (300, 300, 300)), 1200, self.CAPS)
+        assert parts == (frozenset({0, 1}),) * 300 + (frozenset(),) * 900
+
+
 class TestEnumerateAggregates:
     def test_cutlery_supply(self):
-        found = [(a.coords, as_multiset(parts)) for a, parts in enumerate_aggregates(K3, (1, 1, 1), 3)]
+        bundles = bundle_table(K3)
+        found = [
+            (coords, as_multiset(bundles[s] for s in masks))
+            for coords, masks in enumerate_aggregates(K3, (1, 1, 1), 3)
+        ]
         assert found == [
             ((1, 1, 1, 1, 1, 1), ((), (), (0, 1, 2))),
             ((1, 1, 1, 0, 0, 1), ((), (0,), (1, 2))),
@@ -218,7 +242,11 @@ class TestEnumerateAggregates:
 
         m = data.draw(st.integers(1, 4 if g.n < 4 else 3))
         supply = tuple(data.draw(st.integers(0, m)) for _ in range(g.n))
-        ours = [(a, parts) for a, parts in enumerate_aggregates(g, supply, m)]
+        bundles = bundle_table(g)
+        ours = [
+            (GPoint(g, coords), tuple(bundles[s] for s in masks))
+            for coords, masks in enumerate_aggregates(g, supply, m)
+        ]
         box = [
             (a, parts)
             for a in candidate_points(g, supply)
