@@ -42,6 +42,7 @@ from .polytope import (
     _supply_tuple,
     bundle_table,
     enumerate_decompositions,
+    mask_table,
 )
 
 
@@ -264,8 +265,7 @@ def max_welfare(
     if any(v.graph != a.graph for v in vs):
         raise ValueError("valuations and point over different graphs")
     parts_of = enumerate_decompositions(a, len(vs), caps)
-    bundles = bundle_table(a.graph)
-    mask_of = dict(zip(bundles, range(len(bundles))))
+    bundles, mask_of = bundle_table(a.graph), mask_table(a.graph)
     splits = ((a.coords, [mask_of[S] for S in parts]) for parts in parts_of)
     scale, best = _best_splits(vs, splits)
     if a.coords not in best:

@@ -97,9 +97,8 @@ def _pivot(rows: list[list[int]], D: int, r: int, s: int) -> int:
     Returns the new common denominator p; callers pivot only on p > 0.
 
     When p = D and D divides f, that quotient is row_i - (f / D) * row_r
-    entry by entry, so only the pivot row's nonzero entries are touched,
-    by a plain subtraction or addition when f / D is 1 or -1. The
-    integers are the ones the general formula gives."""
+    entry by entry, so only the pivot row's nonzero entries are touched.
+    The integers are the ones the general formula gives."""
     prow = rows[r]
     p = prow[s]
     if p == D:
@@ -111,15 +110,8 @@ def _pivot(rows: list[list[int]], D: int, r: int, s: int) -> int:
         if f:
             if p == D and not f % D:
                 q = f // D
-                if q == 1:
-                    for j, b in nonzero:
-                        row[j] -= b
-                elif q == -1:
-                    for j, b in nonzero:
-                        row[j] += b
-                else:
-                    for j, b in nonzero:
-                        row[j] -= q * b
+                for j, b in nonzero:
+                    row[j] -= q * b
             else:
                 row[:] = [(p * a - f * b) // D for a, b in zip(row, prow)]
         elif p != D:

@@ -43,6 +43,12 @@ def bundle_table(graph: ValueGraph) -> tuple[Bundle, ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def mask_table(graph: ValueGraph) -> dict[Bundle, int]:
+    """The inverse of bundle_table: the bitmask of every bundle."""
+    return {S: mask for mask, S in enumerate(bundle_table(graph))}
+
+
 def vertices_P(graph: ValueGraph, caps: Caps = DEFAULT_CAPS) -> list[GPoint]:
     """All 2^n characteristic vectors, ordered by subset bitmask. These are
     exactly the vertices and the lattice points of P(G). The n cap is
@@ -111,7 +117,10 @@ def enumerate_aggregates(
     exactly the decomposable ones projecting onto the supply; a point
     appears once per decomposition, so callers fold the items and build a
     GPoint (and the bundles, through bundle_table) for the ones they keep.
-    The caps and the supply are checked when called, before any work."""
+    Unlike enumerate_decompositions, which yields bundles, an item here is
+    two plain tuples: coordinates and bitmasks, not a GPoint and
+    frozensets. The caps and the supply are checked when called, before
+    any work."""
     return _splits(graph, _checked_supply(graph, supply, m, caps), m, ())
 
 
@@ -142,22 +151,14 @@ _DEPTH_MARGIN = 50
 def _check_depth(supply: Sequence[int], m: int) -> None:
     """Raise ValueError when the search over these m parts could pass the
     interpreter's recursion limit. It recurses once per nonempty part, so
-    its depth is at most min(m, sum(supply)). A search no deeper than the
-    margin stacks no more frames than ordinary calls and is not checked;
-    a deeper one fits when the stack is shallower than the limit less its
-    depth and the margin, which is when sys._getframe cannot reach that
-    far down."""
+    its depth is at most min(m, sum(supply)); that depth plus the margin
+    must stay within the limit."""
     depth = min(m, sum(supply))
-    if depth <= _DEPTH_MARGIN:
-        return
     limit = sys.getrecursionlimit()
-    try:
-        sys._getframe(max(limit - _DEPTH_MARGIN - depth, 0))
-    except ValueError:
-        return
-    raise ValueError(
-        f"a search over {depth} nonempty parts would pass the recursion limit {limit}"
-    )
+    if depth + _DEPTH_MARGIN > limit:
+        raise ValueError(
+            f"a search over {depth} nonempty parts would pass the recursion limit {limit}"
+        )
 
 
 def _splits(
