@@ -32,7 +32,7 @@ from .instances import (
 )
 from .linprog import InternalError
 from .model import GPoint, ValueGraph, aggregate, char_vector, project
-from .polytope import enumerate_decompositions
+from .polytope import bundle_table, enumerate_decompositions
 from .pricing import (
     CEResult,
     FOUND,
@@ -243,9 +243,10 @@ def cmd_decompose(args) -> int:
     m = inst.m if args.m is None else args.m
     if m < 1:
         return _err("need a positive number of parts (--m or agents in the file)")
+    bundles = bundle_table(point.graph)
     found = [
-        sorted(print_bundles(parts))
-        for parts in enumerate_decompositions(point, m, caps)
+        sorted(print_bundles([bundles[s] for s in masks]))
+        for _, masks in enumerate_decompositions(point, m, caps)
     ]
     _table([("point", ",".join(map(str, point.coords))), ("parts", str(m)),
             ("decompositions", str(len(found)))])

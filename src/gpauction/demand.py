@@ -42,7 +42,6 @@ from .polytope import (
     _supply_tuple,
     bundle_table,
     enumerate_decompositions,
-    mask_table,
 )
 
 
@@ -143,46 +142,52 @@ def _plan(counts: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 def _columns(
     tables: Sequence[Sequence[Optional[int]]],
-) -> list[tuple[Union[int, float], ...]]:
-    """The agents' values per bundle: cols[mask][b] = tables[b][mask],
-    NEG_INF for None. Built once per fold."""
-    if any(None in t for t in tables):
-        tables = [[NEG_INF if x is None else x for x in t] for t in tables]
-    return list(zip(*tables))
+) -> tuple[Union[int, float], list[tuple[int, ...]]]:
+    """(low, cols): the agents' values per bundle as integers,
+    cols[mask][b] = tables[b][mask]. A None (-inf) stands as -(2M + 1),
+    M = m * the largest |finite value|, and low = -M, so a total below
+    low holds a -inf value and any other is exact; low is NEG_INF when
+    there is no None. Built once per fold."""
+    if not any(None in t for t in tables):
+        return NEG_INF, list(zip(*tables))
+    M = len(tables) * max([abs(x) for t in tables for x in t if x is not None], default=0)
+    tables = [[-2 * M - 1 if x is None else x for x in t] for t in tables]
+    return -M, list(zip(*tables))
 
 
 def _assign(
     masks: Sequence[int],
-    cols: Sequence[Sequence[Union[int, float]]],
+    cols: Sequence[Sequence[int]],
     rank: Sequence[int],
+    low: Union[int, float],
     floor: Union[int, float] = NEG_INF,
 ) -> tuple[Union[int, float], Optional[tuple[int, ...]]]:
     """Best matching of a split's m parts to the m agents. masks are the
-    parts' bitmasks, cols[mask][b] is agent b's value of that bundle on
-    one scale, NEG_INF for -inf (see _columns), and rank is _ranks(n).
+    parts' bitmasks, (low, cols) come from _columns (cols[mask][b] is
+    agent b's value of that bundle on one scale), and rank is _ranks(n).
     The DP runs over the split's distinct bundles (kinds) in rank order,
     with counts c_k: f(u), for a count vector u <= c (see _plan), is the
-    best total of giving the parts left over to agents sum_k u_k..m-1,
-    -inf when every way hits a -inf value. That is prod_k (c_k + 1)
-    states, 2^m when the parts are all distinct. The welfare returned is
-    the integer f(0), NEG_INF for -inf.
+    best total of giving the parts left over to agents sum_k u_k..m-1.
+    That is prod_k (c_k + 1) states, 2^m when the parts are all distinct.
+    It adds integers only; the welfare returned is f(0), NEG_INF when it
+    is below low (every matching hits a -inf value).
 
     The witness, one bitmask per agent, is built only when the welfare is
     not below floor (it is None otherwise). It gives each agent in turn
     the kind of least rank that has a part left and still attains f, so
-    it is the lexicographically least maximizer by _bundle_key; when
-    f(0) is -inf every matching ties and the witness is the parts in
-    rank order."""
+    it is the lexicographically least maximizer by _bundle_key (no
+    stand-in attains a finite f); when the welfare is -inf every matching
+    ties and the witness is the parts in rank order."""
     kinds = sorted(set(masks), key=rank.__getitem__)
     counts = tuple(map(masks.count, kinds))
     plan = _plan(counts)
-    vals: list[Union[int, float]] = []
+    vals: list[int] = []
     for s in kinds:
         vals += cols[s]
-    f: list[Union[int, float]] = [0] * len(plan)
+    f = [0] * len(plan)
     for idx in range(len(plan) - 2, -1, -1):
         f[idx] = max([vals[v] + f[nxt] for v, nxt in plan[idx]])
-    welfare = f[0]
+    welfare = f[0] if f[0] >= low else NEG_INF
     if welfare < floor:
         return welfare, None
     if welfare == NEG_INF:
@@ -223,13 +228,14 @@ def _best_splits(
     built here.
 
     With top_only, a split is matched only if its bound sum_j max_b
-    v_b(S_j) (the matching without the one-part-per-agent rule, -inf when
-    no agent values some part finitely) is not strictly below the highest
-    welfare matched so far. No split of maximal welfare is skipped, so
-    the entries of maximal welfare, their points and least allocations,
-    are exact; the other entries may not be."""
+    v_b(S_j) (the matching without the one-part-per-agent rule, below
+    every finite welfare when no agent values some part finitely) is not
+    strictly below the highest welfare matched so far. No split of
+    maximal welfare is skipped, so the entries of maximal welfare, their
+    points and least allocations, are exact; the other entries may not
+    be."""
     scale, tables = common_tables(vs)
-    cols = _columns(tables)
+    low, cols = _columns(tables)
     rank = _ranks(vs[0].graph.n)
     if top_only:
         tops = [max(col) for col in cols]
@@ -240,9 +246,9 @@ def _best_splits(
             continue
         cur = best.get(coords)
         if cur is None:
-            best[coords] = cand = _assign(masks, cols, rank)
+            best[coords] = cand = _assign(masks, cols, rank, low)
         else:
-            cand = _assign(masks, cols, rank, cur[0])
+            cand = _assign(masks, cols, rank, low, cur[0])
             if cand[1] is not None and (
                 cand[0] > cur[0] or _rank_key(cand[1], rank) < _rank_key(cur[1], rank)
             ):
@@ -264,13 +270,11 @@ def max_welfare(
     each utility is >= 0 because the empty bundle costs nothing."""
     if any(v.graph != a.graph for v in vs):
         raise ValueError("valuations and point over different graphs")
-    parts_of = enumerate_decompositions(a, len(vs), caps)
-    bundles, mask_of = bundle_table(a.graph), mask_table(a.graph)
-    splits = ((a.coords, [mask_of[S] for S in parts]) for parts in parts_of)
-    scale, best = _best_splits(vs, splits)
+    scale, best = _best_splits(vs, enumerate_decompositions(a, len(vs), caps))
     if a.coords not in best:
         return NEG_INF, None
     welfare, alloc = best[a.coords]
+    bundles = bundle_table(a.graph)
     return _exact(welfare, scale), tuple([bundles[s] for s in alloc])
 
 

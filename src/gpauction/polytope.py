@@ -27,14 +27,6 @@ VERTEX_PRODUCT_CAP = 10**8
 
 
 @lru_cache(maxsize=None)
-def _vertex_table(graph: ValueGraph) -> tuple[GPoint, ...]:
-    return tuple(
-        char_vector([i for i in range(graph.n) if mask >> i & 1], graph)
-        for mask in range(1 << graph.n)
-    )
-
-
-@lru_cache(maxsize=None)
 def bundle_table(graph: ValueGraph) -> tuple[Bundle, ...]:
     """The bundle of every subset bitmask, one shared frozenset each."""
     return tuple(
@@ -44,17 +36,18 @@ def bundle_table(graph: ValueGraph) -> tuple[Bundle, ...]:
 
 
 @lru_cache(maxsize=None)
-def mask_table(graph: ValueGraph) -> dict[Bundle, int]:
-    """The inverse of bundle_table: the bitmask of every bundle."""
-    return {S: mask for mask, S in enumerate(bundle_table(graph))}
+def _vertex_table(graph: ValueGraph) -> tuple[tuple[int, ...], ...]:
+    """The coordinates of every subset bitmask's characteristic vector."""
+    return tuple(char_vector(S, graph).coords for S in bundle_table(graph))
 
 
 def vertices_P(graph: ValueGraph, caps: Caps = DEFAULT_CAPS) -> list[GPoint]:
     """All 2^n characteristic vectors, ordered by subset bitmask. These are
     exactly the vertices and the lattice points of P(G). The n cap is
-    checked first."""
+    checked first; the GPoints are built per call from the cached
+    coordinates."""
     caps.check_n(graph.n)
-    return list(_vertex_table(graph))
+    return [GPoint(graph, c) for c in _vertex_table(graph)]
 
 
 def nested_chain_point(
@@ -63,8 +56,8 @@ def nested_chain_point(
     """Lift a supply bundle to the point with edge entries min(b_i, b_j),
     together with one split of it into m bundles: a chain of nested cliques
     where level t contributes the clique {i : b_i >= t}, padded with empty
-    bundles. The split is in the canonical order that
-    enumerate_decompositions yields."""
+    bundles. The parts are nested, so their bitmasks fall, empties last:
+    the masks of the item enumerate_decompositions yields for this split."""
     if not graph.is_complete():
         raise ValueError("nested chain construction is defined over complete graphs")
     b = tuple(bundle)
@@ -85,14 +78,16 @@ def nested_chain_point(
 
 def enumerate_decompositions(
     a: GPoint, m: int, caps: Caps = DEFAULT_CAPS
-) -> Iterator[tuple[Bundle, ...]]:
-    """Yield every multiset of m bundles whose characteristic vectors sum
-    to a, each exactly once (bundles in decreasing bitmask order, empties
-    last). Empty iterator iff a is not a sum of m lattice points of P(G).
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Yield (coords, masks) for every multiset of m bundles whose
+    characteristic vectors sum to a, each exactly once: coords equals
+    a.coords, masks are the bundles' bitmasks in decreasing order, empties
+    as 0 last (bundle_table maps them to bundles). Empty iterator iff a is
+    not a sum of m lattice points of P(G).
 
     These are the splits of a's projection whose edge counts equal a's
     edge coordinates: the search of enumerate_aggregates with every edge
-    pinned to its coordinate.
+    pinned to its coordinate, so both yield items of one shape.
     """
     g = a.graph
     caps.check_n(g.n)
@@ -101,10 +96,7 @@ def enumerate_decompositions(
         raise ValueError("point must be nonnegative")
     n = g.n
     pins = [(i, j, n + t, a.coords[n + t]) for t, (i, j) in enumerate(g.edges)]
-    bundles = bundle_table(g)
-    return (
-        tuple([bundles[s] for s in masks]) for _, masks in _splits(g, a.coords[:n], m, pins)
-    )
+    return _splits(g, a.coords[:n], m, pins)
 
 
 def enumerate_aggregates(
@@ -117,10 +109,7 @@ def enumerate_aggregates(
     exactly the decomposable ones projecting onto the supply; a point
     appears once per decomposition, so callers fold the items and build a
     GPoint (and the bundles, through bundle_table) for the ones they keep.
-    Unlike enumerate_decompositions, which yields bundles, an item here is
-    two plain tuples: coordinates and bitmasks, not a GPoint and
-    frozensets. The caps and the supply are checked when called, before
-    any work."""
+    The caps and the supply are checked when called, before any work."""
     return _splits(graph, _checked_supply(graph, supply, m, caps), m, ())
 
 
@@ -180,7 +169,8 @@ def _splits(
 
     Depth-first search on the vertex residuals: a vertex needing more than
     the k bundles left prunes the branch, a bundle using a vertex with no
-    residual is skipped (a node carries the bitmask of those vertices), and
+    residual is skipped (a node carries the bitmask of those vertices, all
+    of them at a leaf), and
     once the bitmasks fall below the highest vertex still needed no later
     bundle can cover it. An edge in x bundles so far, with end residuals
     r_i and r_j, lies in at least max(0, r_i + r_j - k) and at most
@@ -214,9 +204,8 @@ def _splits(
     """
     _check_depth(supply, m)
     n = graph.n
-    table = _vertex_table(graph)
-    bits = [sorted(S) for S in bundle_table(graph)]
-    rows = [q.coords for q in table]
+    bits = bundle_table(graph)
+    rows = _vertex_table(graph)
     pos = neg = ()
     bounded = edge_prices is not None
     if bounded:
@@ -234,7 +223,7 @@ def _splits(
             ri, rj = res[i], res[j]
             if not max(0, ri + rj - k) <= c - acc[e] <= min(ri, rj):
                 return
-        if not any(res):
+        if spent == full:
             if not bounded:
                 yield acc, tuple(path) + (0,) * k
             elif acc[-1] >= best:

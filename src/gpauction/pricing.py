@@ -31,6 +31,7 @@ from .model import (
     PriceVector,
     Valuation,
     Weight,
+    bundle_mask,
     common_tables,
     dual_table,
     is_finite,
@@ -96,9 +97,9 @@ def _solve_ce_lp_lazy(
     n = g.n
     k = n if walrasian else g.d
     # The callers checked the caps, so the vertex table is read as it is.
-    verts = [q.coords[:k] for q in _vertex_table(g)]
+    verts = [c[:k] for c in _vertex_table(g)]
     m = len(alloc)
-    own = [sum(1 << i for i in S) for S in alloc]
+    own = [bundle_mask(g, S) for S in alloc]
     L, vals = common_tables(vs)
     rhs = tuple(-c for c in point.coords[:k])
 

@@ -18,6 +18,14 @@ def graphs(draw, max_n: int = 5, complete_only: bool = False):
     return ValueGraph(n, tuple(edges))
 
 
+def thinned(draw, g: ValueGraph) -> ValueGraph:
+    """g, or g keeping each edge with probability 4/5."""
+    if draw(st.booleans()):
+        return g
+    keep = draw(st.lists(st.integers(0, 4), min_size=len(g.edges), max_size=len(g.edges)))
+    return ValueGraph(g.n, tuple(e for e, k in zip(g.edges, keep) if k))
+
+
 def small_fractions(lo: int = -5, hi: int = 5):
     return st.fractions(
         min_value=Fraction(lo), max_value=Fraction(hi), max_denominator=6

@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from gpauction import pricing
 from gpauction.cli import main
@@ -137,6 +137,19 @@ class TestSolve:
         code, out, _ = run(capsys, ["solve", str(path)])
         assert code == 0
         assert json.loads(out)["status"] == "found"
+
+
+    def test_values_past_the_float_range(self, tmp_path, capsys):
+        """A -inf weight beside values of 10^309: the welfare fold adds
+        integers only, so the instance solves instead of overflowing."""
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(OVERFLOW_DOC))
+        code, out, err = run(capsys, ["solve", str(path)])
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["status"] == "found"
+        assert doc["allocation"] == [[2], [1]]
+        assert doc["revenue"] == str(2 * 10**309)
 
 
 class TestVerify:
@@ -575,6 +588,92 @@ def test_arbitrary_json_never_crashes_the_cli(tmp_path, capsys, argv, base, data
     assert code in (0, 1, 2)
     if code == 1:
         assert out == ""
+
+
+# Two agents on two items, one refusing item 1, beside values of 10^309.
+HUGE = str(10**309)
+OVERFLOW_DOC = {
+    "n": 2,
+    "agents": [
+        {"vertex_weights": ["-inf", HUGE], "edge_weights": {"1-2": "-inf"}},
+        {"vertex_weights": [HUGE, HUGE], "edge_weights": {"1-2": "1"}},
+    ],
+    "supply": [1, 1],
+    "mode": {"covering": True},
+    "point": [1, 1, 0],
+}
+OVERFLOW_WITNESS = {
+    "allocation": [[2], [1]],
+    "price": {"vertex": [HUGE, HUGE], "edge": {"1-2": "1"}},
+}
+
+FINITE = (
+    st.integers(-3, 3).map(str)
+    | st.builds("{}/{}".format, st.integers(-3, 3), st.integers(1, 4))
+    | st.sampled_from([HUGE, "-" + HUGE])
+)
+
+
+@st.composite
+def cli_cases(draw):
+    """(instance, witness) with n <= 3 items and m <= 3 agents. A covering
+    instance gives each agent a support, -inf off it, and an allocation
+    of each item to at most one agent bidding on it; a plain one has
+    finite weights and any m bundles. The supply and the point are what
+    the allocation sells; the witness prices it."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    covering = draw(st.booleans())
+    items = st.sets(st.integers(1, n))
+    agents, alloc = [], [set() for _ in range(m)]
+    for _ in range(m):
+        sup = draw(items) if covering else set(range(1, n + 1))
+        agents.append({
+            "vertex_weights": [draw(FINITE) if i in sup else "-inf" for i in range(1, n + 1)],
+            "edge_weights": {
+                f"{i}-{j}": draw(FINITE) if {i, j} <= sup else "-inf" for i, j in edges
+            },
+        })
+        if not covering:
+            alloc[len(agents) - 1] = draw(items)
+    if covering:
+        for i in range(1, n + 1):
+            bidders = [b for b, a in enumerate(agents) if a["vertex_weights"][i - 1] != "-inf"]
+            owner = draw(st.sampled_from([None] + bidders))
+            if owner is not None:
+                alloc[owner].add(i)
+    supply = [sum(i in S for S in alloc) for i in range(1, n + 1)]
+    point = supply + [sum({i, j} <= S for S in alloc) for i, j in edges]
+    doc = {"n": n, "agents": agents, "supply": supply, "mode": {"covering": covering},
+           "point": point}
+    price = {"vertex": [draw(FINITE) for _ in range(n)],
+             "edge": {f"{i}-{j}": draw(FINITE) for i, j in edges}}
+    return doc, {"allocation": [sorted(S) for S in alloc], "price": price}
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(case=cli_cases())
+@example(case=(OVERFLOW_DOC, OVERFLOW_WITNESS))
+def test_generated_instances_never_raise(tmp_path, capsys, case):
+    """solve, with and without --point, and verify --pe on small generated
+    instances, weights among them -inf and +-10^309: every call returns
+    an exit code and lets no exception escape."""
+    doc, witness = case
+    inst, wit = tmp_path / "instance.json", tmp_path / "witness.json"
+    inst.write_text(json.dumps(doc))
+    wit.write_text(json.dumps(witness))
+    point = ",".join(map(str, doc["point"]))
+    for argv in (
+        ["solve", str(inst)],
+        ["solve", str(inst), "--point", point],
+        ["verify", str(inst), str(wit), "--pe"],
+    ):
+        code, _, _ = run(capsys, argv)
+        assert code in (0, 1, 2), argv
 
 
 def test_module_entry_point(tmp_path):

@@ -33,7 +33,7 @@ from gpauction.pricing import FOUND, NO_POINT_FOUND, optimal_ce
 from gpauction.instances import corpus_instance
 
 from .oracle import alloc_key, reference_best_splits
-from .strategies import graphs, small_fractions, valuations
+from .strategies import graphs, small_fractions, thinned, valuations
 
 K3 = ValueGraph.complete(3)
 CUTLERY = corpus_instance("cutlery").valuations
@@ -224,8 +224,8 @@ def mask_assign(parts, tables):
     """_assign on the parts as the search yields them (bitmasks in
     decreasing order), with the witness read back as bundles."""
     masks = sorted(map(mask, parts), reverse=True)
-    cols = demand._columns(tables)
-    welfare, alloc = demand._assign(masks, cols, demand._ranks(3))
+    low, cols = demand._columns(tables)
+    welfare, alloc = demand._assign(masks, cols, demand._ranks(3), low)
     bundles = polytope.bundle_table(K3)
     return welfare, tuple(bundles[s] for s in alloc)
 
@@ -255,21 +255,14 @@ class TestAssign:
 def brute_force_welfare(vs, a):
     """The permutation scan: every ordering of every decomposition."""
     options = []
-    for parts in enumerate_decompositions(a, len(vs)):
+    for _, masks in enumerate_decompositions(a, len(vs)):
+        parts = as_bundles(a.graph, masks)
         for perm in set(itertools.permutations(parts)):
             vals = [value(v, S) for v, S in zip(vs, perm)]
             total = sum(vals) if all(map(is_finite, vals)) else NEG_INF
             options.append((total, perm))
     best = max(total for total, _ in options)
     return best, min((p for t, p in options if t == best), key=alloc_key)
-
-
-def thinned(draw, g):
-    """g, or g keeping each edge with probability 4/5."""
-    if draw(st.booleans()):
-        return g
-    keep = draw(st.lists(st.integers(0, 4), min_size=len(g.edges), max_size=len(g.edges)))
-    return ValueGraph(g.n, tuple(e for e, k in zip(g.edges, keep) if k))
 
 
 @st.composite
@@ -322,7 +315,7 @@ class TestMaskFold:
         for c in sorted({c for c, _ in enumerate_aggregates(g, supply, m)})[:4]:
             a = GPoint(g, c)
             scale, ref = reference_best_splits(
-                vs, [(c, parts) for parts in enumerate_decompositions(a, m)]
+                vs, [(c, as_bundles(g, masks)) for _, masks in enumerate_decompositions(a, m)]
             )
             welfare, alloc = ref[c]
             expected = (welfare if welfare == NEG_INF else F(welfare, scale), alloc)
@@ -471,19 +464,11 @@ class TestBoundedSellerSearch:
         assert seller_demand(p, supply, m) == folded_seller_demand(p, supply, m)
 
     def test_bound_prunes_nodes(self, monkeypatch):
-        # The search tests `any(res)` once per node, so counting the calls
-        # of polytope's `any` counts the nodes each search visits.
         g = ValueGraph.complete(5)
         rng = random.Random(3)
         p = PriceVector(g, tuple(F(rng.randint(-3, 3)) for _ in range(g.d)))
         supply = (2,) * 5
-        calls = []
-
-        def counting_any(xs):
-            calls.append(None)
-            return any(xs)
-
-        monkeypatch.setattr(polytope, "any", counting_any, raising=False)
+        calls = counting_nodes(monkeypatch)
         expected = folded_seller_demand(p, supply, 5)
         unpriced = len(calls)
         calls.clear()
@@ -500,15 +485,16 @@ EDGE_PRICES = {
 
 
 def counting_nodes(monkeypatch):
-    """Count the nodes the multiset search visits: it tests `any(res)`
-    once per node, so every call of polytope's `any` is counted."""
+    """Count the inner nodes the multiset search visits: with no pinned
+    edge it calls `max` once per node that is not a leaf, in its residual
+    prune `max(res) > k`, so every call of polytope's `max` is counted."""
     calls = []
 
-    def counting_any(xs):
+    def counting_max(*args, **kwargs):
         calls.append(None)
-        return any(xs)
+        return max(*args, **kwargs)
 
-    monkeypatch.setattr(polytope, "any", counting_any, raising=False)
+    monkeypatch.setattr(polytope, "max", counting_max, raising=False)
     return calls
 
 
@@ -535,7 +521,7 @@ class TestSellerFloor:
     def test_zero_edge_verify_pe_visits_one_node(self, monkeypatch):
         calls = counting_nodes(monkeypatch)
         enumerate_aggregates(K3, (1, 1, 1), 3)
-        checks = len(calls)  # the supply check's own call of `any`
+        checks = len(calls)  # any call of `max` outside the search
         calls.clear()
         verdict = verify_pe(SHIFTED, (ABC, EMPTY, EMPTY), P_SHIFTED, (1, 1, 1))
         assert verdict.ok and verdict.seller_best_revenue == 7

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gpauction.caps import Caps, CapExceededError
-from gpauction.model import GPoint, ValueGraph, aggregate, char_vector, project
+from gpauction.model import GPoint, ValueGraph, aggregate, bundle_mask, char_vector, project
 from gpauction.polytope import (
     Face,
     bundle_table,
@@ -17,7 +17,7 @@ from gpauction.polytope import (
 )
 from gpauction.instances import corpus_instance
 
-from .strategies import graphs
+from .strategies import graphs, thinned
 
 K2 = ValueGraph.complete(2)
 K3 = ValueGraph.complete(3)
@@ -52,6 +52,15 @@ def brute_force_decompositions(a: GPoint, m: int) -> set:
 
 def as_multiset(parts) -> tuple:
     return tuple(sorted(tuple(sorted(S)) for S in parts))
+
+
+def split_bundles(a: GPoint, m: int) -> list:
+    """enumerate_decompositions(a, m) with each split's bitmasks read as
+    bundles, after checking that every item carries a's coordinates."""
+    bundles = bundle_table(a.graph)
+    items = list(enumerate_decompositions(a, m))
+    assert all(coords == a.coords for coords, _ in items)
+    return [tuple(bundles[s] for s in masks) for _, masks in items]
 
 
 class TestVerticesP:
@@ -113,7 +122,8 @@ class TestNestedChain:
         assert project(point) == bundle
         assert len(parts) == m
         assert aggregate(g, parts) == point
-        assert parts in enumerate_decompositions(point, m)
+        masks = tuple(bundle_mask(g, S) for S in parts)
+        assert (point.coords, masks) in enumerate_decompositions(point, m)
         for big, small in zip(parts, parts[1:]):
             assert small <= big  # nested, empties last
 
@@ -125,13 +135,13 @@ class TestEnumerateDecompositions:
     def test_three_singletons_unique(self):
         found = [
             as_multiset(parts)
-            for parts in enumerate_decompositions(GPoint(K3, (1, 1, 1, 0, 0, 0)), 3)
+            for parts in split_bundles(GPoint(K3, (1, 1, 1, 0, 0, 0)), 3)
         ]
         assert found == [((0,), (1,), (2,))]
 
     def test_zero_point(self):
         found = list(enumerate_decompositions(GPoint.zero(K3), 2))
-        assert found == [(frozenset(), frozenset())]
+        assert found == [((0,) * 6, (0, 0))]
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
@@ -149,7 +159,7 @@ class TestEnumerateDecompositions:
         ],
     )
     def test_edge_count_is_pinned(self, coords, m, expected):
-        found = list(enumerate_decompositions(GPoint(K2, coords), m))
+        found = split_bundles(GPoint(K2, coords), m)
         assert [tuple(tuple(sorted(S)) for S in parts) for parts in found] == expected
 
     @given(graphs(max_n=4), st.data())
@@ -177,10 +187,10 @@ class TestEnumerateDecompositions:
                 coords[i], coords[j] = m, data.draw(st.integers(1, m))
                 coords[g.n + t] = data.draw(st.integers(0, coords[j] - 1))
         a = GPoint(g, tuple(coords))
-        found = list(enumerate_decompositions(a, m))
-        keys = [tuple(sum(1 << i for i in S) for S in parts) for parts in found]
+        keys = [masks for _, masks in enumerate_decompositions(a, m)]
         assert all(list(k) == sorted(k, reverse=True) for k in keys)
         assert all(x > y for x, y in zip(keys, keys[1:]))
+        found = split_bundles(a, m)
         assert {as_multiset(parts) for parts in found} == brute_force_decompositions(a, m)
 
 
@@ -199,8 +209,11 @@ class TestSearchDepth:
 
     def test_depth_is_the_fewer_of_parts_and_supply(self):
         """1,200 parts over a supply of 300 units reach depth 300 at most."""
-        (parts,) = enumerate_decompositions(GPoint(self.K2, (300, 300, 300)), 1200, self.CAPS)
-        assert parts == (frozenset({0, 1}),) * 300 + (frozenset(),) * 900
+        ((coords, masks),) = enumerate_decompositions(
+            GPoint(self.K2, (300, 300, 300)), 1200, self.CAPS
+        )
+        assert coords == (300, 300, 300)
+        assert masks == (0b11,) * 300 + (0,) * 900
 
 
 class TestEnumerateAggregates:
@@ -250,10 +263,33 @@ class TestEnumerateAggregates:
         box = [
             (a, parts)
             for a in candidate_points(g, supply)
-            for parts in enumerate_decompositions(a, m)
+            for parts in split_bundles(a, m)
         ]
         assert len(ours) == len(set(ours))
         assert set(ours) == set(box)
+
+
+class TestOneItemShape:
+    """Both enumerators yield (coords, masks) items from one search: a
+    point's decompositions are the aggregate search's items at that point,
+    in the same order."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_decompositions_are_the_aggregates_at_the_point(self, data):
+        n = data.draw(st.integers(1, 4))
+        m = data.draw(st.integers(1, 3))
+        g = thinned(data.draw, ValueGraph.complete(n))
+        verts = vertices_P(g)
+        total = GPoint.zero(g)
+        for _ in range(m):
+            total = total + data.draw(st.sampled_from(verts))
+        coords = total.coords
+        if data.draw(st.booleans()):  # often no longer a sum of m bundles
+            coords = tuple(max(0, c - data.draw(st.integers(0, 1))) for c in coords)
+        a = GPoint(g, coords)
+        at_a = [item for item in enumerate_aggregates(g, project(a), m) if item[0] == coords]
+        assert list(enumerate_decompositions(a, m)) == at_a
 
 
 class TestCliqueDecompose:
@@ -276,7 +312,7 @@ class TestCliqueDecompose:
         for B in blocks:
             a = a + char_vector(B, g).scale(r)
         m = max(1, r * len(blocks))
-        found = list(enumerate_decompositions(a, m))
+        found = split_bundles(a, m)
         assert len(found) == 1
         parts = found[0]
         assert aggregate(g, parts) == a

@@ -402,6 +402,18 @@ class TestCeForCovering:
         res = ce_for_covering([v0, v1], (2, 2, 2, 2), point)
         assert res.status == INFEASIBLE_AT_POINT
 
+    def test_values_past_the_float_range(self):
+        """A -inf weight beside values of 10^309: the welfare fold adds
+        integers only, so it neither overflows nor loses the witness."""
+        K2 = ValueGraph.complete(2)
+        B = F(10**309)
+        vs = [Valuation(K2, (NEG_INF, B, NEG_INF)), Valuation(K2, (B, B, F(1)))]
+        a = GPoint(K2, (1, 1, 0))
+        alloc = (frozenset({1}), frozenset({0}))
+        assert max_welfare(vs, a) == (2 * B, alloc)
+        res = ce_for_covering(vs, (1, 1), a)
+        assert (res.status, res.allocation, res.revenue) == (FOUND, alloc, 2 * B)
+
     def test_inside_support_edges_must_be_finite(self):
         w = (F(1), F(1), F(1), NEG_INF, F(0), F(0))
         with pytest.raises(CoveringError, match="inside the support"):

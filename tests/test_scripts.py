@@ -4,6 +4,7 @@ here rather than at the next manual run."""
 import importlib.util
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -12,6 +13,22 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# The paper's four corpus results, with the timings masked as (N ms).
+SOLVE_CORPUS_STDOUT = """\
+cutlery: optimal CE revenue 1 (N ms), point (1, 1, 1, 0, 0, 1)
+  seller optimum at this price: 3 -> not a PE
+  no Walrasian equilibrium
+cutlery-shifted: optimal CE revenue 7 (N ms), point (1, 1, 1, 1, 1, 1)
+  seller optimum at this price: 7 -> PE
+  Walrasian price ('3', '1', '3', '0', '0', '0')
+house: point (1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0)
+  in Minkowski sum of the 4 faces: True; vertex-sum witness: None; \
+7 decompositions into 4 bundles
+idp-k4: point (2, 2, 2, 2, 1, 1, 1, 1, 1, 1)
+  in Minkowski sum of the 4 faces: True; vertex-sum witness: None; \
+0 decompositions into 4 bundles
+"""
 
 
 @pytest.mark.parametrize(
@@ -32,6 +49,8 @@ def test_script_runs(argv):
         capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    if argv[0] == "scripts/solve_corpus.py":
+        assert re.sub(r"\(\d+ ms\)", "(N ms)", proc.stdout) == SOLVE_CORPUS_STDOUT
     if argv[0] == "scripts/ladder.py":
         lines = [json.loads(line) for line in proc.stdout.splitlines()]
         solved = [line for line in lines if line["mode"] in ("quadratic", "walrasian")]

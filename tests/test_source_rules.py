@@ -1,5 +1,9 @@
 """Rules that hold for the package source as a whole."""
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gpauction"
@@ -98,3 +102,35 @@ def test_one_utility_scan():
         if name != "model.py" and isinstance(node, ast.Call) and called_name(node) in banned
     ]
     assert not found, f"tables built outside model.py: {found}"
+
+
+# Imports every module of the package, then prints the size of each
+# functools cache defined at module level, keyed "module.name".
+CACHE_SIZES = """
+import importlib, json, pkgutil
+import gpauction
+sizes = {}
+for info in pkgutil.iter_modules(gpauction.__path__):
+    mod = importlib.import_module(f"gpauction.{info.name}")
+    for name, obj in vars(mod).items():
+        if hasattr(obj, "cache_info") and getattr(obj, "__module__", None) == mod.__name__:
+            sizes[f"{info.name}.{name}"] = obj.cache_info().currsize
+print(json.dumps(sizes))
+"""
+
+
+def test_tables_stay_lazy():
+    """No per-graph or per-n table is built at import: in a fresh
+    interpreter, after importing the package and every module in it, each
+    functools cache defined in the package is empty. A table built at
+    import would be paid by every process, whether or not it solves."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", CACHE_SIZES], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    sizes = json.loads(proc.stdout)
+    assert {"polytope._vertex_table", "polytope.bundle_table", "demand._plan"} <= set(sizes)
+    filled = {name: size for name, size in sizes.items() if size}
+    assert not filled, f"caches filled at import: {filled}"
