@@ -203,11 +203,13 @@ def _assign(
     return welfare, tuple(alloc)
 
 
-def _rank_key(alloc: Sequence[int], rank: Sequence[int]) -> tuple[list[int], list[int]]:
-    """The tie-break order of allocations (as bitmasks): least bundle
-    multiset first, then least agent order, both by _bundle_key."""
-    r = [rank[s] for s in alloc]
-    return sorted(r), r
+def _rank_key(alloc: Sequence[int], rank: Sequence[int]) -> list[int]:
+    """The tie-break order of two splits of one point (allocations as
+    bitmasks): the least bundle multiset by _bundle_key. The agent order
+    is never needed: _splits yields each multiset once per point, so two
+    splits of one point differ as multisets, and _assign already returns
+    the least agent order within one."""
+    return sorted([rank[s] for s in alloc])
 
 
 def _best_splits(
@@ -221,11 +223,11 @@ def _best_splits(
     the integer welfare in units of 1 / L (NEG_INF for -inf) and the
     allocation as one bitmask per agent. Each split is matched to the
     agents by _assign, on one column table built here; per point the
-    higher welfare wins, ties going to the least allocation (_rank_key),
-    and a witness is built only for a split that reaches its point's best
-    so far. Callers create the items first: enumerate_* checks the caps
-    when called, so an instance over the caps raises before any table is
-    built here.
+    higher welfare wins, ties going to the least bundle multiset
+    (_rank_key), and a witness is built only for a split that reaches its
+    point's best so far. Callers create the items first: enumerate_*
+    checks the caps when called, so an instance over the caps raises
+    before any table is built here.
 
     With top_only, a split is matched only if its bound sum_j max_b
     v_b(S_j) (the matching without the one-part-per-agent rule, below
@@ -258,6 +260,22 @@ def _best_splits(
     return scale, best
 
 
+def _common_graph(vs: Sequence[Valuation], graph: Optional[ValueGraph] = None) -> ValueGraph:
+    """The one graph of the valuations, which must be graph when given.
+    No valuation, or two graphs, raise ValueError. The entry points run
+    this before any cap, table or search reads a valuation."""
+    if not vs:
+        raise ValueError("need at least one valuation")
+    g = vs[0].graph if graph is None else graph
+    if any(v.graph != g for v in vs):
+        raise ValueError(
+            "valuations over different graphs"
+            if graph is None
+            else "valuations and point over different graphs"
+        )
+    return g
+
+
 def max_welfare(
     vs: Sequence[Valuation], a: GPoint, caps: Caps = DEFAULT_CAPS
 ) -> tuple[Weight, Optional[Allocation]]:
@@ -268,8 +286,7 @@ def max_welfare(
     bundle multiset, then least agent order). The welfare bounds the
     revenue of any CE selling a: revenue = welfare - sum of utilities, and
     each utility is >= 0 because the empty bundle costs nothing."""
-    if any(v.graph != a.graph for v in vs):
-        raise ValueError("valuations and point over different graphs")
+    _common_graph(vs, a.graph)
     scale, best = _best_splits(vs, enumerate_decompositions(a, len(vs), caps))
     if a.coords not in best:
         return NEG_INF, None

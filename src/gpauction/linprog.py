@@ -4,11 +4,11 @@
 
 Two-phase simplex with Bland's rule on both the entering and the leaving
 choice, so it terminates; there is no tolerance anywhere. The tableau is
-fraction-free (Edmonds 1967, Bareiss 1968): every row is scaled to
-integers once, the tableau then holds integers over one common
-denominator D (the determinant of the current basis), and each pivot
-divides exactly by the previous pivot. No rational number is formed until
-the answer is read off. Every pivot is positive, so D > 0 throughout:
+fraction-free (Edmonds 1967, Bareiss 1968): every entry of the LP is
+an int, the tableau holds integers over one common denominator D (the
+determinant of the current basis), and each pivot divides exactly by
+the previous pivot. No rational number is formed until the answer is
+read off. Every pivot is positive, so D > 0 throughout:
 Bland's ratio test picks a positive entry, and pivoting a basic
 artificial out after phase 1 on a negative entry negates its row first.
 
@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
-from math import lcm
 from operator import mul
 from typing import Optional
 
@@ -48,7 +47,8 @@ class InternalError(RuntimeError):
 @dataclass(frozen=True)
 class LinearProgram:
     """max objective . x subject to rows[i] . x == rhs[i] for every i, and
-    x >= 0. Entries are ints or Fractions."""
+    x >= 0. Every entry is an int; any other type, a Fraction or a bool
+    included, raises TypeError here."""
 
     objective: tuple
     rows: tuple[tuple, ...]
@@ -61,6 +61,11 @@ class LinearProgram:
         for coeffs in self.rows:
             if len(coeffs) != nvars:
                 raise ValueError("row length does not match objective length")
+        if not set(map(type, chain(self.objective, *self.rows, self.rhs))) <= {int}:
+            bad = next(
+                x for x in chain(self.objective, *self.rows, self.rhs) if type(x) is not int
+            )
+            raise TypeError(f"refusing LP entry {bad!r} of type {type(bad).__name__}; use int")
 
 
 @dataclass(frozen=True)
@@ -71,24 +76,6 @@ class LPResult:
     value: Optional[Fraction] = None
     x: Optional[tuple[Fraction, ...]] = None
     y: Optional[tuple[Fraction, ...]] = None
-
-
-def _scaled(coeffs, last) -> tuple[list[int], int]:
-    """The integers of coeffs + [last] times the lcm L of their
-    denominators, with L negated when last < 0 so the last entry is >= 0.
-    An entry that is not an int or a Fraction raises TypeError."""
-    try:
-        scale = lcm(last.denominator, *(c.denominator for c in coeffs))
-    except AttributeError:
-        bad = next(x for x in (last, *coeffs) if not hasattr(x, "denominator"))
-        raise TypeError(
-            f"refusing LP entry {bad!r} of type {type(bad).__name__}; use int or Fraction"
-        ) from None
-    if last < 0:
-        scale = -scale
-    return [c.numerator * (scale // c.denominator) for c in coeffs] + [
-        last.numerator * (scale // last.denominator)
-    ], scale
 
 
 def _pivot(rows: list[list[int]], D: int, r: int, s: int) -> int:
@@ -155,22 +142,13 @@ def lp_solve(lp: LinearProgram) -> LPResult:
     """Solve exactly; OPTIMAL comes with x, the value and the row duals y.
     Every status is certified (see the module docstring)."""
     ncols, nrows = len(lp.objective), len(lp.rows)
-    if set(map(type, chain(lp.objective, lp.rhs, *lp.rows))) <= {int}:
-        # All ints: no row needs an lcm, and a negative rhs negates its row.
-        A = [[-a for a in coeffs] if rhs < 0 else list(coeffs)
-             for coeffs, rhs in zip(lp.rows, lp.rhs)]
-        b = [abs(rhs) for rhs in lp.rhs]
-        row_scale = [-1 if rhs < 0 else 1 for rhs in lp.rhs]
-        c, c_scale = list(lp.objective), 1
-    else:
-        A, b, row_scale = [], [], []
-        for coeffs, rhs in zip(lp.rows, lp.rhs):
-            row, scale = _scaled(coeffs, rhs)
-            b.append(row.pop())
-            A.append(row)
-            row_scale.append(scale)
-        c, c_scale = _scaled(lp.objective, 0)
-        c.pop()
+    # A negative rhs negates its row, so b >= 0; the row signs give the
+    # signs of the duals.
+    A = [[-a for a in coeffs] if rhs < 0 else list(coeffs)
+         for coeffs, rhs in zip(lp.rows, lp.rhs)]
+    b = [abs(rhs) for rhs in lp.rhs]
+    row_sign = [-1 if rhs < 0 else 1 for rhs in lp.rhs]
+    c = list(lp.objective)
 
     # Tableau rows [A_i | e_i | b_i]: one artificial column per row, the
     # starting basis. The artificial columns carry B^-1, hence the duals.
@@ -247,7 +225,7 @@ def lp_solve(lp: LinearProgram) -> LPResult:
             raise InternalError("phase 2 ended without a valid unbounded ray")
         return LPResult(UNBOUNDED)
 
-    # Row duals of the scaled rows, times D: minus the reduced costs of the
+    # Row duals of the rows as negated, times D: minus the reduced costs of the
     # artificial columns, whose phase-2 cost is 0. A^T y is summed row by
     # row over each row's nonzero entries.
     Y = [-obj[art + i] for i in range(nrows)]
@@ -259,11 +237,10 @@ def lp_solve(lp: LinearProgram) -> LPResult:
     cx = _dot(c, X)
     if any(a < cj * D for a, cj in zip(ATy, c)) or cx != _dot(b, Y):
         raise InternalError("the duals fail A^T y >= c or c.x = b.y")
-    den = c_scale * D
     zero = shared_fraction(0)
     return LPResult(
         OPTIMAL,
-        shared_fraction(cx, den),
+        shared_fraction(cx, D),
         tuple([shared_fraction(x, D) if x else zero for x in X]),
-        tuple(shared_fraction(yi * si, den) for yi, si in zip(Y, row_scale)),
+        tuple(shared_fraction(yi * si, D) for yi, si in zip(Y, row_sign)),
     )

@@ -22,7 +22,7 @@ from operator import sub
 from typing import Optional, Sequence
 
 from .caps import DEFAULT_CAPS, Caps
-from .demand import _best_splits, _utilities, max_welfare, verify_ce
+from .demand import _best_splits, _common_graph, _utilities, max_welfare, verify_ce
 from .linprog import InternalError, LinearProgram, OPTIMAL, UNBOUNDED, lp_solve
 from .model import (
     Allocation,
@@ -181,11 +181,9 @@ def ce_price_at_point(
     maximal revenue over all CE-supporting prices, with a welfare-maximal
     allocation as witness. Requires finite weights; covering bids with
     -inf entries go through ce_for_covering."""
-    g = point.graph
+    g = _common_graph(vs, point.graph)
     caps.check_n(g.n)
     caps.check_m(len(vs))
-    if any(v.graph != g for v in vs):
-        raise ValueError("valuations and point over different graphs")
     if not all(v.is_finite() for v in vs):
         raise ValueError(
             "weights must be finite here; use ce_for_covering for clique bids"
@@ -230,10 +228,8 @@ def optimal_ce(
     If that LP is infeasible, no Walrasian CE exists: a certified
     no-point-found. The fold need then only find the top welfare level,
     so it skips the matching of each split bounded below it (top_only)."""
-    if not vs:
-        raise ValueError("need at least one valuation")
+    g = _common_graph(vs)
     m = len(vs)
-    g = vs[0].graph
     supply = _checked_supply(g, supply, m, caps)
     if any(s > m for s in supply):
         raise ValueError("supply entries must lie in 0..m")
@@ -273,7 +269,7 @@ def optimal_ce(
 def check_covering(vs: Sequence[Valuation]) -> list[Bundle]:
     """Validate clique bids jointly covering all item types; returns the
     per-agent supports."""
-    g = vs[0].graph
+    g = _common_graph(vs)
     supports = []
     for b, v in enumerate(vs):
         sup = v.support
@@ -316,7 +312,7 @@ def ce_for_covering(
     avoids the -inf entries, or whose LP is infeasible, are certified
     infeasible-at-point.
     """
-    g = a.graph
+    g = _common_graph(vs, a.graph)
     caps.check_n(g.n)
     caps.check_m(len(vs))
     supports = check_covering(vs)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 from unittest import mock
 
@@ -155,10 +156,10 @@ def assert_certified(lp: LinearProgram, res: LPResult) -> None:
 
 
 def test_core_optimum_with_duals():
-    lp = standard((F(1, 2), F(1, 3)), [(F(1, 3), 1), (1, -1)], (2, 1))
+    lp = standard((3, 2), [(1, 3), (1, -1)], (6, 1))
     res = lp_solve(lp)
-    assert (res.status, res.value, res.x) == (OPTIMAL, F(37, 24), (F(9, 4), F(5, 4)))
-    assert res.y == (F(5, 8), F(7, 24))
+    assert (res.status, res.value, res.x) == (OPTIMAL, F(37, 4), (F(9, 4), F(5, 4)))
+    assert res.y == (F(5, 4), F(7, 4))
     assert_certified(lp, res)
 
 
@@ -182,15 +183,16 @@ def test_core_unbounded_and_empty_shapes():
 
 
 def test_core_degenerate_cycling_guard():
-    # Beale's example in standard form, one slack per row
+    # Beale's example in standard form, one slack per row, with the first
+    # two rows times 4 and 2 and the objective times 4
     rows = [
-        (F(1, 4), -8, -1, 9, 1, 0, 0),
-        (F(1, 2), -12, F(-1, 2), 3, 0, 1, 0),
+        (1, -32, -4, 36, 1, 0, 0),
+        (1, -24, -1, 6, 0, 1, 0),
         (0, 0, 1, 0, 0, 0, 1),
     ]
-    lp = standard((F(3, 4), -20, F(1, 2), -6, 0, 0, 0), rows, (0, 0, 1))
+    lp = standard((3, -80, 2, -24, 0, 0, 0), rows, (0, 0, 1))
     res = lp_solve(lp)
-    assert (res.status, res.value) == (OPTIMAL, F(5, 4))
+    assert (res.status, res.value) == (OPTIMAL, 5)
     assert_certified(lp, res)
 
 
@@ -229,9 +231,7 @@ def test_core_matches_reference(data):
     carries duals that pass the certificate."""
     ncols = data.draw(st.integers(0, 5))
     nrows = data.draw(st.integers(0, 4))
-    frac = st.fractions(min_value=F(-4), max_value=F(4), max_denominator=4)
-    small = st.integers(-2, 2)
-    entry = data.draw(st.sampled_from((frac, small)))
+    entry = data.draw(st.sampled_from((st.integers(-16, 16), st.integers(-2, 2))))
     lp = standard(
         [data.draw(entry) for _ in range(ncols)],
         [[data.draw(entry) for _ in range(ncols)] for _ in range(nrows)],
@@ -244,34 +244,15 @@ def test_core_matches_reference(data):
         assert_certified(lp, res)
 
 
-@given(st.data())
-@settings(max_examples=200, deadline=None)
-def test_integer_rows_match_fraction_rows(data):
-    """An all-int LP skips the lcm pass; its result equals that of the
-    same LP with Fraction entries. The first row's rhs is negative (the
-    row is negated) and the second's zero (it is not)."""
-    ncols = data.draw(st.integers(0, 6))
-    nrows = data.draw(st.integers(2, 5))
-    small = st.integers(-3, 3)
-    rows = [[data.draw(small) for _ in range(ncols)] for _ in range(nrows)]
-    rhs = [data.draw(st.integers(-4, -1)), 0] + [data.draw(small) for _ in range(nrows - 2)]
-    objective = [data.draw(small) for _ in range(ncols)]
-    ints = standard(objective, rows, rhs)
-    fractions = standard(map(F, objective), [map(F, row) for row in rows], map(F, rhs))
-    res = lp_solve(ints)
-    assert res == lp_solve(fractions)
-    if res.status == OPTIMAL:
-        assert_certified(ints, res)
-
-
-@pytest.mark.parametrize("bad", [0.5, "1", float("inf")])
+@pytest.mark.parametrize("bad", [0.5, "1", float("inf"), F(1, 2), True])
 @pytest.mark.parametrize("where", ["objective", "row", "rhs"])
 def test_inexact_entry_raises_type_error(bad, where):
-    entries = {"objective": (1,), "row": (1,), "rhs": (1,)}
-    entries[where] = (bad,)
-    lp = LinearProgram(entries["objective"], (entries["row"],), entries["rhs"])
-    with pytest.raises(TypeError, match=f"of type {type(bad).__name__}"):
-        lp_solve(lp)
+    """An LP holds ints only: any other entry is refused when it is built."""
+    entries = {"objective": (1, 1), "row": (1, 1), "rhs": (1,)}
+    entries[where] = entries[where][:-1] + (bad,)
+    message = f"refusing LP entry {bad!r} of type {type(bad).__name__}; use int"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        LinearProgram(entries["objective"], (entries["row"],), entries["rhs"])
 
 
 # The sparse pivot: the same integers as the dense reference pivot.
@@ -313,12 +294,10 @@ def pivots_taken(lp: LinearProgram) -> list[tuple[int, int, list[int]]]:
 def test_sparse_pivot_matches_dense(data):
     """Every tableau the shipped pivot leaves equals the dense pivot's, so
     the status, value, x and y do too. Unit entries take the sparse path;
-    small integers and fractions take the dense one as well."""
+    larger integers take the dense one as well."""
     ncols = data.draw(st.integers(1, 5))
     nrows = data.draw(st.integers(1, 4))
-    unit = st.integers(-1, 1)
-    frac = st.fractions(min_value=F(-3), max_value=F(3), max_denominator=3)
-    entry = data.draw(st.sampled_from((unit, st.integers(-3, 3), frac)))
+    entry = data.draw(st.sampled_from((st.integers(-1, 1), st.integers(-3, 3), st.integers(-9, 9))))
     lp = standard(
         [data.draw(entry) for _ in range(ncols)],
         [[data.draw(entry) for _ in range(ncols)] for _ in range(nrows)],

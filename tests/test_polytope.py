@@ -354,6 +354,32 @@ class TestMinkowskiOracles:
             total = total + q
         assert total == a
 
+    def test_vertex_outside_a_one_vertex_face(self):
+        face = Face.from_bundles(K3, [[0]])
+        assert not minkowski_contains([face], char_vector([1], K3))
+        assert vertex_sum_contains([face], char_vector([1], K3)) is None
+
+    def test_point_outside_a_sum_of_faces(self):
+        """a_{012} has third coordinate 1; no point of {a_0} + [a_1, a_01] does."""
+        faces = [Face.from_bundles(K3, [[0]]), Face.from_bundles(K3, [[1], [0, 1]])]
+        assert not minkowski_contains(faces, char_vector([0, 1, 2], K3))
+        assert vertex_sum_contains(faces, char_vector([0, 1, 2], K3)) is None
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_one_vertex_faces_agree_with_vertex_sum(self, data):
+        """Over one-vertex faces the sum is a single point, so the LP
+        (feasible, or infeasible with a Farkas certificate) and the vertex
+        search agree, for points inside and outside it."""
+        g = data.draw(graphs(max_n=4))
+        verts = vertices_P(g)
+        nfaces = data.draw(st.integers(1, 3))
+        faces = [Face(g, (data.draw(st.sampled_from(verts)),)) for _ in range(nfaces)]
+        a = GPoint.zero(g)
+        for _ in range(nfaces):
+            a = a + data.draw(st.sampled_from(verts))
+        assert minkowski_contains(faces, a) == (vertex_sum_contains(faces, a) is not None)
+
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_vertex_sum_implies_minkowski(self, data):

@@ -4,8 +4,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gpauction import demand, pricing
-from gpauction.caps import CapExceededError
+from gpauction import demand, polytope, pricing
+from gpauction.caps import CapExceededError, Caps
 from gpauction.demand import CEVerdict, demand_set, max_welfare, verify_ce
 from gpauction.linprog import OPTIMAL, InternalError
 from gpauction.model import (
@@ -40,6 +40,7 @@ from gpauction.instances import corpus_instance
 from .oracle import GE, box_optimal_ce, build_ce_lp, reference_lp_solve
 from .strategies import bundles, graphs, small_fractions, valuations
 
+K2 = ValueGraph.complete(2)
 K3 = ValueGraph.complete(3)
 K4 = ValueGraph.complete(4)
 CUTLERY = corpus_instance("cutlery").valuations
@@ -405,7 +406,6 @@ class TestCeForCovering:
     def test_values_past_the_float_range(self):
         """A -inf weight beside values of 10^309: the welfare fold adds
         integers only, so it neither overflows nor loses the witness."""
-        K2 = ValueGraph.complete(2)
         B = F(10**309)
         vs = [Valuation(K2, (NEG_INF, B, NEG_INF)), Valuation(K2, (B, B, F(1)))]
         a = GPoint(K2, (1, 1, 0))
@@ -418,6 +418,57 @@ class TestCeForCovering:
         w = (F(1), F(1), F(1), NEG_INF, F(0), F(0))
         with pytest.raises(CoveringError, match="inside the support"):
             check_covering([Valuation(K3, w)])
+
+
+K4_POINT = GPoint(K4, (1, 1, 1, 1) + (0,) * 6)
+
+
+class TestValuationChecks:
+    """Every entry point needs at least one valuation, all over one graph
+    (the point's, when there is one), and checks so before any cap, table
+    or search."""
+
+    @pytest.mark.parametrize("walrasian", [False, True])
+    def test_optimal_ce_rejects_mixed_graphs(self, walrasian):
+        vs = [Valuation.zero(K4), Valuation.zero(K3)]
+        with pytest.raises(ValueError, match="valuations over different graphs"):
+            optimal_ce(vs, (1, 1, 1, 1), walrasian=walrasian)
+
+    def test_optimal_ce_rejects_mixed_graphs_before_the_search(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the split search ran")
+
+        monkeypatch.setattr(polytope, "_splits", no_search)
+        with pytest.raises(ValueError, match="valuations over different graphs"):
+            optimal_ce([Valuation.zero(K3), Valuation.zero(K4)], (1, 1, 1))
+
+    def test_ce_for_covering_rejects_mixed_graphs(self):
+        vs = [Valuation.zero(K4), Valuation.zero(K2)]
+        with pytest.raises(ValueError, match="valuations and point over different graphs"):
+            ce_for_covering(vs, (1, 1, 1, 1), K4_POINT)
+
+    def test_point_entry_points_reject_mixed_graphs_before_the_caps(self):
+        vs = [Valuation.zero(K4), Valuation.zero(K3)]
+        tight = Caps(max_n=1, max_m=1)
+        with pytest.raises(ValueError, match="valuations and point over different graphs"):
+            ce_price_at_point(vs, K4_POINT, caps=tight)
+        with pytest.raises(ValueError, match="valuations and point over different graphs"):
+            max_welfare(vs, K4_POINT, tight)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: max_welfare([], K4_POINT),
+            lambda: ce_price_at_point([], K4_POINT),
+            lambda: ce_for_covering([], (1, 1, 1, 1), K4_POINT),
+            lambda: optimal_ce([], (1, 1, 1, 1)),
+            lambda: check_covering([]),
+        ],
+        ids=["max_welfare", "ce_price_at_point", "ce_for_covering", "optimal_ce", "check_covering"],
+    )
+    def test_no_valuation_rejected(self, call):
+        with pytest.raises(ValueError, match="need at least one valuation"):
+            call()
 
 
 def fail_verification(monkeypatch):
