@@ -1,6 +1,6 @@
 """Enumeration caps shared by the search routines.
 
-Every brute-force surface (demand sets, decompositions, candidate points)
+Every brute-force surface (demand sets, vertex tables, multiset searches)
 is exponential in n or m; exceeding a cap raises instead of truncating.
 """
 from __future__ import annotations
@@ -22,6 +22,10 @@ class Caps:
             raise CapExceededError(f"n={n} exceeds cap max_n={self.max_n}")
 
     def check_m(self, m: int) -> None:
+        """Also refuses an m that is not an int >= 0: every search checks
+        m here first."""
+        if type(m) is not int or m < 0:
+            raise ValueError(f"part count m={m!r} must be a nonnegative int")
         if m > self.max_m:
             raise CapExceededError(f"m={m} exceeds cap max_m={self.max_m}")
 

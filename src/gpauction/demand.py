@@ -369,13 +369,14 @@ def seller_demand(
 ) -> frozenset[GPoint]:
     """Revenue-maximizing aggregates at a price: among all decomposable
     points projecting onto the supply, every one maximizing <p, a> (all
-    ties are kept). They come from the multiset search run on the price's
-    integers (D, P), so points that are not sums of m bundles are never
-    tried. Every such point pays the vertex part sum_i P_i * s_i, so the
-    search ranks its splits by the edge part alone and drops a branch only
-    when a closed-form bound on every split below it is strictly below the
-    best split found (see _splits). The splits are folded as coordinate
-    tuples; a GPoint is built only for the points returned.
+    ties are kept). They come from the multiset search scored by the
+    price's edge integers (D, P), so points that are not sums of m
+    bundles are never tried. Every such point pays the vertex part
+    sum_i P_i * s_i, so the search ranks its splits by the edge part alone
+    and drops a branch only when a closed-form bound on every split below
+    it is strictly below the best split found (see _splits). The splits'
+    revenues are read off their coordinates; a GPoint is built only for
+    the points returned.
 
     With above, an exact rational, only the maximizers paying strictly
     more than above are returned, and none when no point does. An edge
@@ -394,13 +395,14 @@ def seller_demand(
         vertex = sum(map(mul, P, supply))  # map stops at the n vertex entries
         floor = above.numerator * D // above.denominator - vertex + 1
     top, best = None, set()
-    for acc in _splits(g, supply, m, (), P[g.n :], floor):
-        if acc[-1] != top:  # the scores yielded never fall
-            top, best = acc[-1], set()
-        best.add(acc)
+    for coords, _ in _splits(g, supply, m, (), P[g.n :], floor):
+        paid = sum(map(mul, P, coords))
+        if paid != top:  # the revenues yielded never fall
+            top, best = paid, set()
+        best.add(coords)
     if not best and above is None:
         raise ValueError("no decomposable aggregate point projects onto the supply")
-    return frozenset(GPoint(g, supply + acc[:-1]) for acc in best)
+    return frozenset(GPoint(g, coords) for coords in best)
 
 
 @dataclass(frozen=True)
@@ -425,11 +427,10 @@ def verify_pe(
     side holds exactly when seller_demand finds no point paying strictly
     more; the best revenue is that of the points it finds, or the CE's
     own when there are none."""
-    agg = aggregate(p.graph, alloc)
-    if project(agg) != tuple(supply):
-        raise ValueError(
-            f"allocation sells {project(agg)} but the supply is {tuple(supply)}"
-        )
+    supply = _supply_tuple(p.graph, supply)
+    sold = project(aggregate(p.graph, alloc))
+    if sold != supply:
+        raise ValueError(f"allocation sells {sold} but the supply is {supply}")
     ce = verify_ce(vs, alloc, p, caps)
     better = seller_demand(p, supply, len(vs), caps, above=ce.revenue)
     best = p.dot(next(iter(better))) if better else ce.revenue

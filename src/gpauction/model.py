@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
+from operator import add
 from typing import Iterable, Optional, Sequence, Union
 
 NEG_INF = float("-inf")
@@ -186,18 +187,18 @@ class GPoint:
         return frozenset(i for i in range(self.graph.n) if self.coords[i] == 1)
 
 
+def _coords(graph: ValueGraph, mask: int) -> tuple[int, ...]:
+    """The characteristic vector of the bundle with this bitmask: a bit
+    per vertex, then a bit per edge internal to the bundle."""
+    return tuple(mask >> i & 1 for i in range(graph.n)) + tuple(
+        mask >> i & mask >> j & 1 for i, j in graph.edges
+    )
+
+
 def char_vector(S: Iterable[int], graph: ValueGraph) -> GPoint:
     """Characteristic vector a_S: vertex indicators of S plus indicators of
-    the edges internal to S."""
-    bundle = frozenset(S)
-    for i in bundle:
-        if not 0 <= i < graph.n:
-            raise ValueError(f"bundle element {i} out of range [0, {graph.n})")
-    coords = [1 if i in bundle else 0 for i in range(graph.n)]
-    coords.extend(
-        1 if (i in bundle and j in bundle) else 0 for i, j in graph.edges
-    )
-    return GPoint(graph, tuple(coords))
+    the edges internal to S. An item off the graph raises ValueError."""
+    return GPoint(graph, _coords(graph, bundle_mask(graph, S)))
 
 
 def project(a: GPoint) -> tuple[int, ...]:
@@ -206,8 +207,9 @@ def project(a: GPoint) -> tuple[int, ...]:
 
 
 def bundle_mask(graph: ValueGraph, S: Iterable[int]) -> int:
-    """The bitmask of a bundle. An item off the graph raises ValueError,
-    as char_vector does."""
+    """The bitmask of a bundle; an item listed twice counts once. An item
+    off the graph raises ValueError: every bundle read as a mask or a
+    characteristic vector is checked here."""
     n, mask = graph.n, 0
     for i in S:
         if not 0 <= i < n:
@@ -218,18 +220,11 @@ def bundle_mask(graph: ValueGraph, S: Iterable[int]) -> int:
 
 def aggregate(graph: ValueGraph, alloc: Allocation) -> GPoint:
     """Sum of the characteristic vectors of an allocation's bundles: each
-    vertex and each edge counts the bundles holding it. An item off the
-    graph raises ValueError, as char_vector does."""
-    n = graph.n
-    coords = [0] * graph.d
+    vertex and each edge counts the bundles holding it."""
+    total = (0,) * graph.d
     for S in alloc:
-        for i in S:
-            if not 0 <= i < n:
-                raise ValueError(f"bundle element {i} out of range [0, {n})")
-            coords[i] += 1
-    for e, (i, j) in enumerate(graph.edges, n):
-        coords[e] = sum([i in S and j in S for S in alloc])
-    return GPoint(graph, tuple(coords))
+        total = tuple(map(add, total, _coords(graph, bundle_mask(graph, S))))
+    return GPoint(graph, total)
 
 
 @dataclass(frozen=True)

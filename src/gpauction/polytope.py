@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .caps import DEFAULT_CAPS, Caps, CapExceededError
 from .linprog import LinearProgram, OPTIMAL, lp_solve
-from .model import Bundle, EMPTY_BUNDLE, GPoint, NEG_INF, ValueGraph, char_vector
+from .model import Bundle, EMPTY_BUNDLE, GPoint, NEG_INF, ValueGraph, _coords, char_vector
 
 VERTEX_PRODUCT_CAP = 10**8
 
@@ -38,7 +38,7 @@ def bundle_table(graph: ValueGraph) -> tuple[Bundle, ...]:
 @lru_cache(maxsize=None)
 def _vertex_table(graph: ValueGraph) -> tuple[tuple[int, ...], ...]:
     """The coordinates of every subset bitmask's characteristic vector."""
-    return tuple(char_vector(S, graph).coords for S in bundle_table(graph))
+    return tuple(_coords(graph, mask) for mask in range(1 << graph.n))
 
 
 def vertices_P(graph: ValueGraph, caps: Caps = DEFAULT_CAPS) -> list[GPoint]:
@@ -109,25 +109,30 @@ def enumerate_aggregates(
     exactly the decomposable ones projecting onto the supply; a point
     appears once per decomposition, so callers fold the items and build a
     GPoint (and the bundles, through bundle_table) for the ones they keep.
-    The caps and the supply are checked when called, before any work."""
+    It is the unpriced search: every split scores 0, so none is pruned by
+    the bound and all are yielded. The caps, the part count and the
+    supply are checked when called, before any work."""
     return _splits(graph, _checked_supply(graph, supply, m, caps), m, ())
 
 
 def _checked_supply(
     graph: ValueGraph, supply: Sequence[int], m: int, caps: Caps
 ) -> tuple[int, ...]:
-    """The supply as a tuple, after the caps on graph.n and m and the
-    supply's length and signs are checked."""
+    """The supply as a tuple, after the caps on graph.n and m, the type and
+    sign of m and the supply's length, entry types and signs are checked."""
     caps.check_n(graph.n)
     caps.check_m(m)
     return _supply_tuple(graph, supply)
 
 
 def _supply_tuple(graph: ValueGraph, supply: Sequence[int]) -> tuple[int, ...]:
-    """The supply as a tuple, after its length and signs are checked."""
+    """The supply as a tuple, after its length, its entries' type (int,
+    not bool) and their signs are checked."""
     supply = tuple(supply)
     if len(supply) != graph.n:
         raise ValueError(f"expected {graph.n} supply entries")
+    if any(type(s) is not int for s in supply):
+        raise ValueError("supply entries must be integers")
     if any(s < 0 for s in supply):
         raise ValueError("supply entries must be nonnegative")
     return supply
@@ -155,68 +160,60 @@ def _splits(
     supply: tuple[int, ...],
     m: int,
     pins: Sequence[tuple[int, int, int, int]],
-    edge_prices: Optional[Sequence[int]] = None,
+    edge_prices: Sequence[int] = (),
     floor: Union[int, float] = NEG_INF,
-) -> Iterator:
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """(coords, masks) for every multiset of m bundles that sells exactly
-    the supply and puts each pinned edge in exactly its count of bundles:
-    pins lists (i, j, e, c) for edge ij at coordinate e with count c.
-    coords is the tuple of the bundles' characteristic-vector sum, masks
-    their bitmasks in decreasing order, empties (0) last, so equal bundles
-    are adjacent; the items come in decreasing order of the masks tuples.
-    A search too deep for the recursion limit raises ValueError when
-    called (_check_depth).
+    the supply, puts each pinned edge in exactly its count of bundles and
+    scores not below the best split before it: pins lists (i, j, e, c)
+    for edge ij at coordinate e with count c. coords is the tuple of the
+    bundles' characteristic-vector sum, masks their bitmasks in decreasing
+    order, empties (0) last, so equal bundles are adjacent; the items come
+    in decreasing order of the masks tuples. A search too deep for the
+    recursion limit raises ValueError when called (_check_depth).
 
     Depth-first search on the vertex residuals: a vertex needing more than
     the k bundles left prunes the branch, a bundle using a vertex with no
     residual is skipped (a node carries the bitmask of those vertices, all
-    of them at a leaf), and
-    once the bitmasks fall below the highest vertex still needed no later
-    bundle can cover it. An edge in x bundles so far, with end residuals
-    r_i and r_j, lies in at least max(0, r_i + r_j - k) and at most
-    min(r_i, r_j) of the bundles left; a pinned edge's branch dies once
-    c - x leaves that range, which at a leaf (r_i = r_j = 0) leaves x = c.
+    of them at a leaf), and once the bitmasks fall below the highest
+    vertex still needed no later bundle can cover it. An edge in x bundles
+    so far, with end residuals r_i and r_j, lies in at least
+    max(0, r_i + r_j - k) and at most min(r_i, r_j) of the bundles left; a
+    pinned edge's branch dies once c - x leaves that range, which at a
+    leaf (r_i = r_j = 0) leaves x = c.
     An edge that is not pinned needs no check: its count is at most the
     uses of either end, so it stays in 0..min(s_i, s_j), which are all the
     counts a split of the supply can give it.
 
-    With edge_prices, the integer prices P_e of the graph's edges in
-    coordinate order, and no pins, the search ranks leaves by revenue.
-    Every leaf sells the supply, so the vertex part of its revenue is
-    fixed and the edge part ranks it: a bundle scores its edge coordinates
-    dotted with the P_e, and a node carries its bundles' scores summed. It
-    dies when its score plus the sum over P_e > 0 of P_e * min(r_i, r_j)
-    and over P_e < 0 of P_e * max(0, r_i + r_j - k) is strictly below the
-    best leaf found so far: by the range above that bounds every leaf
-    below it (ignoring the bitmask order), and a tie never dies. A leaf is
-    yielded when it is not below the best so far, as its edge coordinates
-    with its score appended; so the scores yielded never fall, and the
-    last ones are all the maximal ones.
-
-    The best so far starts at floor, -inf unless given. A floor of s + 1
-    asks only for the leaves that score strictly more than s, since scores
-    are integers: the same rule then prunes every branch that cannot reach
-    s + 1 and keeps every leaf that does, and the ties among those, so the
-    last score's leaves are still all the maximal ones. Every priced node
-    tests its bound, even when no edge is priced: with every edge price
-    zero the root's bound is 0, below a floor of 1, and the search ends
-    there.
+    One rule scores the splits: a bundle scores its edge coordinates
+    dotted with edge_prices, the integer prices P_e of the graph's edges
+    in coordinate order (a table built once per call), and a node carries
+    its bundles' scores summed. A leaf is yielded when its score is not
+    below the best so far, which it then becomes, so the scores yielded
+    never fall and the last ones are all the maximal ones. A node dies
+    when its score plus the sum over P_e > 0 of P_e * min(r_i, r_j) and
+    over P_e < 0 of P_e * max(0, r_i + r_j - k) is strictly below the best
+    so far: by the range above that bounds every leaf below it, and a tie
+    never dies. The best so far starts at floor. An unpriced search is the
+    zero-price case: every score is 0 and the best starts at -inf, so
+    every split is yielded. A floor of s + 1 asks only for the leaves
+    scoring more than s (scores are integers); with every edge price zero
+    the root's bound, 0, is below a floor of 1 and the search ends there.
     """
     _check_depth(supply, m)
     n = graph.n
     bits = bundle_table(graph)
     rows = _vertex_table(graph)
-    pos = neg = ()
-    bounded = edge_prices is not None
-    if bounded:
-        rows = [r[n:] + (sum(map(mul, r[n:], edge_prices)),) for r in rows]
-        priced = list(zip(graph.edges, edge_prices))
-        pos = [(i, j, w) for (i, j), w in priced if w > 0]
-        neg = [(i, j, w) for (i, j), w in priced if w < 0]
+    if edge_prices:
+        score = [sum(map(mul, r[n:], edge_prices)) for r in rows]
+    else:
+        score = [0] * (1 << n)
+    pos = [(i, j, w) for (i, j), w in zip(graph.edges, edge_prices) if w > 0]
+    neg = [(i, j, w) for (i, j), w in zip(graph.edges, edge_prices) if w < 0]
     best = floor
 
     def rec(
-        top: int, k: int, res: list[int], spent: int, acc: tuple[int, ...], path: list[int]
+        top: int, k: int, res: list[int], spent: int, acc: tuple, paid: int, path: list
     ):
         nonlocal best
         for i, j, e, c in pins:
@@ -224,24 +221,21 @@ def _splits(
             if not max(0, ri + rj - k) <= c - acc[e] <= min(ri, rj):
                 return
         if spent == full:
-            if not bounded:
+            if paid >= best:
+                best = paid
                 yield acc, tuple(path) + (0,) * k
-            elif acc[-1] >= best:
-                best = acc[-1]
-                yield acc
             return
         if max(res) > k:
             return
-        if bounded:
-            bound = acc[-1]
-            for i, j, w in pos:
-                bound += w * min(res[i], res[j])
-            for i, j, w in neg:
-                x = res[i] + res[j] - k
-                if x > 0:
-                    bound += w * x
-            if bound < best:
-                return
+        bound = paid
+        for i, j, w in pos:
+            bound += w * min(res[i], res[j])
+        for i, j, w in neg:
+            x = res[i] + res[j] - k
+            if x > 0:
+                bound += w * x
+        if bound < best:
+            return
         high = (full ^ spent).bit_length() - 1
         for mask in range(top, (1 << high) - 1, -1):
             if mask & spent:
@@ -252,15 +246,15 @@ def _splits(
                 if not res[i]:
                     sub |= 1 << i
             path.append(mask)
-            yield from rec(mask, k - 1, res, sub, tuple(map(add, acc, rows[mask])), path)
+            acc_sub = tuple(map(add, acc, rows[mask]))
+            yield from rec(mask, k - 1, res, sub, acc_sub, paid + score[mask], path)
             path.pop()
             for i in bits[mask]:
                 res[i] += 1
 
     full = (1 << n) - 1
     spent = sum(1 << i for i in range(n) if not supply[i])
-    start = (0,) * (graph.d - n + 1 if bounded else graph.d)
-    return rec(full, m, list(supply), spent, start, [])
+    return rec(full, m, list(supply), spent, (0,) * graph.d, 0, [])
 
 
 @dataclass(frozen=True)

@@ -313,10 +313,8 @@ def ce_for_covering(
     infeasible-at-point.
     """
     g = _common_graph(vs, a.graph)
-    caps.check_n(g.n)
-    caps.check_m(len(vs))
+    supply = _checked_supply(g, supply, len(vs), caps)
     supports = check_covering(vs)
-    supply = tuple(supply)
     if a.coords[: g.n] != supply:
         raise ValueError(f"point projects to {a.coords[:g.n]}, not the supply {supply}")
     levels = {s for s in supply if s != 0}

@@ -549,6 +549,15 @@ class TestSellerFloor:
         with pytest.raises(TypeError, match="inexact"):
             seller_demand(P_SHIFTED, (1, 1, 1), 3, above=7.0)
 
+    def test_supply_entries_must_be_ints(self):
+        with pytest.raises(ValueError, match="supply entries must be integers"):
+            seller_demand(PriceVector.zero(K3), (1.5, 1, 0), 2)
+
+    @pytest.mark.parametrize("m", [-2, 2.0])
+    def test_part_count_must_be_a_nonnegative_int(self, m):
+        with pytest.raises(ValueError, match=f"m={m!r} must be a nonnegative int"):
+            seller_demand(PriceVector.zero(K3), (0, 0, 0), m)
+
 
 class TestVerifyPE:
     def test_cutlery_ce_is_not_pe(self):
@@ -571,6 +580,10 @@ class TestVerifyPE:
     def test_supply_mismatch(self):
         with pytest.raises(ValueError, match="supply"):
             verify_pe(CUTLERY, (A, B, C), P_EDGES, (1, 1, 0))
+
+    def test_supply_entries_must_be_ints(self):
+        with pytest.raises(ValueError, match="supply entries must be integers"):
+            verify_pe(SHIFTED, (ABC, EMPTY, EMPTY), P_SHIFTED, (1.0, 1, 1))
 
     def test_pe_implies_ce(self):
         verdict = verify_pe(SHIFTED, (ABC, EMPTY, EMPTY), P_SHIFTED, (1, 1, 1))

@@ -234,6 +234,10 @@ class TestAllocation:
             total = total + char_vector(S, g)
         assert aggregate(g, alloc) == total
 
+    def test_aggregate_counts_a_repeated_item_once(self):
+        """As bundle_mask and verify_ce read it: a bundle is a set."""
+        assert aggregate(K3, ([0, 0, 1], [2])).coords == (1, 1, 1, 1, 0, 0)
+
     @pytest.mark.parametrize("item", [3, -1])
     def test_aggregate_rejects_item_off_the_graph(self, item):
         alloc = (frozenset({0, 1}), frozenset({item}))

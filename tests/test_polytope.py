@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -88,6 +89,12 @@ class TestVerticesP:
         with pytest.raises(CapExceededError, match="max_n=6"):
             vertices_P(K7)
         assert len(vertices_P(K7, Caps(max_n=7))) == 1 << 7
+
+    @given(graphs())
+    def test_each_vertex_is_characteristic_over_its_mask(self, g):
+        for mask, q in enumerate(vertices_P(g)):
+            assert q.is_characteristic()
+            assert project(q) == tuple(mask >> i & 1 for i in range(g.n))
 
 
 class TestNestedChain:
@@ -245,6 +252,25 @@ class TestEnumerateAggregates:
             enumerate_aggregates(K3, (1, 1), 2)
         with pytest.raises(ValueError, match="nonnegative"):
             enumerate_aggregates(K3, (1, -1, 0), 2)
+
+    @pytest.mark.parametrize(
+        "entry", [1.5, 1.0, True, Fraction(1)], ids=["half", "float", "bool", "fraction"]
+    )
+    def test_supply_entries_must_be_ints(self, entry):
+        with pytest.raises(ValueError, match="supply entries must be integers"):
+            enumerate_aggregates(K3, (entry, 1, 0), 2)
+        # checked after the length and before the signs
+        with pytest.raises(ValueError, match="expected 3 supply entries"):
+            enumerate_aggregates(K3, (entry, 1), 2)
+        with pytest.raises(ValueError, match="supply entries must be integers"):
+            enumerate_aggregates(K3, (-1, entry, 0), 2)
+
+    @pytest.mark.parametrize("m", [-2, 2.0, True])
+    def test_part_count_must_be_a_nonnegative_int(self, m):
+        with pytest.raises(ValueError, match=f"m={m!r} must be a nonnegative int"):
+            enumerate_aggregates(K3, (0, 0, 0), m)
+        with pytest.raises(ValueError, match=f"m={m!r} must be a nonnegative int"):
+            enumerate_decompositions(GPoint.zero(K3), m)
 
     @given(graphs(max_n=4), st.data())
     @settings(max_examples=40, deadline=None)

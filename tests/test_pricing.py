@@ -209,6 +209,14 @@ class TestOptimalCe:
         with pytest.raises(ValueError, match=message):
             optimal_ce([Valuation.zero(K3)], supply)
 
+    @pytest.mark.parametrize(
+        "entry", [1.5, 1.0, True, F(1)], ids=["half", "float", "bool", "fraction"]
+    )
+    def test_supply_entries_must_be_ints(self, entry):
+        """A caller's bad supply is an input error, not a solver defect."""
+        with pytest.raises(ValueError, match="supply entries must be integers"):
+            optimal_ce([Valuation.zero(K3)] * 2, (entry, 1, 0))
+
     def test_caps_before_supply(self):
         K7 = ValueGraph.complete(7)
         with pytest.raises(CapExceededError, match="max_n"):
@@ -385,6 +393,12 @@ class TestCeForCovering:
         vs = [Valuation(K3, w1), Valuation(K3, w2)]
         with pytest.raises(CoveringError, match="no agent's support"):
             ce_for_covering(vs, (1, 1, 0), GPoint.zero(K3))
+
+    def test_supply_entries_must_be_ints(self):
+        vs = [Valuation.zero(K3)] * 2
+        a = char_vector([0, 1, 2], K3)
+        with pytest.raises(ValueError, match="supply entries must be integers"):
+            ce_for_covering(vs, (1.0, 1, 1), a)
 
     def test_incompatible_point_rejected(self):
         w1 = (F(2), F(3), NEG_INF, F(1), NEG_INF, NEG_INF)

@@ -66,6 +66,15 @@ def test_one_multiset_search():
         assert calls & reaches, f"{name} does not call {' or '.join(sorted(reaches))}"
 
 
+def test_one_item_shape():
+    """_splits, its nested search included, yields at one place: every
+    search, unpriced or priced, yields (coords, masks) by one leaf rule."""
+    tree = ast.parse((SRC / "polytope.py").read_text())
+    (splits,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_splits"]
+    found = [n.lineno for n in ast.walk(splits) if isinstance(n, ast.Yield)]
+    assert len(found) == 1, f"_splits yields at lines {found}"
+
+
 def test_no_gmpy2():
     """The LP core pivots on plain integers; gmpy2 is no dependency."""
     found = []
