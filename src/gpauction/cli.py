@@ -144,7 +144,7 @@ def cmd_solve(args) -> int:
         return _err(f"{args.instance}: no agents to solve for")
     walrasian = args.walrasian or inst.walrasian
     covering = inst.covering or not all(v.is_finite() for v in inst.valuations)
-    point = _parse_point(args.point, inst.graph) if args.point else None
+    point = None if args.point is None else _parse_point(args.point, inst.graph)
     if point is not None and project(point) != inst.supply:
         return _err(f"point projects to {project(point)}, not the supply {inst.supply}")
     if covering:
@@ -234,7 +234,7 @@ def cmd_demand(args) -> int:
 def cmd_decompose(args) -> int:
     caps = _caps_from(args)
     inst = load_instance(args.instance, caps)
-    if args.point:
+    if args.point is not None:
         point = _parse_point(args.point, inst.graph)
     elif inst.point is not None:
         point = inst.point

@@ -79,6 +79,14 @@ def _flag(doc: dict, key: str, where: str) -> bool:
     return x
 
 
+def _check_keys(doc: dict, keys: tuple[str, ...], where: str) -> None:
+    """A key outside `keys` is a ParseError: a misspelt key would otherwise
+    be dropped and its field read as absent."""
+    for key in doc:
+        if key not in keys:
+            raise ParseError(f"{where}: unknown key {key!r}, expected one of {', '.join(keys)}")
+
+
 def _weight(x: Any, where: str):
     if x == "-inf":
         return NEG_INF
@@ -169,6 +177,7 @@ def parse_instance(doc: dict, caps: Caps = DEFAULT_CAPS) -> InstanceFile:
         where = f"agents[{b}]"
         if not isinstance(agent, dict):
             raise ParseError(f"{where}: need an object")
+        _check_keys(agent, ("vertex_weights", "edge_weights"), where)
         vw = agent.get("vertex_weights")
         if not isinstance(vw, list) or len(vw) != n:
             raise ParseError(f"{where}.vertex_weights: need a list of {n} entries")
@@ -196,6 +205,7 @@ def parse_instance(doc: dict, caps: Caps = DEFAULT_CAPS) -> InstanceFile:
     mode = doc.get("mode", {})
     if not isinstance(mode, dict):
         raise ParseError("field 'mode': must be an object")
+    _check_keys(mode, ("walrasian", "covering"), "mode")
 
     faces = None
     if "faces" in doc:
@@ -309,15 +319,16 @@ def load_instance(path: str, caps: Caps = DEFAULT_CAPS) -> InstanceFile:
     return parse_instance(read_json(path), caps)
 
 
-def parse_price(doc: dict, graph: ValueGraph, where: str = "price") -> PriceVector:
+def parse_price(doc: dict, graph: ValueGraph) -> PriceVector:
     if not isinstance(doc, dict):
-        raise ParseError(f"{where}: need an object with 'vertex' and 'edge'")
+        raise ParseError("price: need an object with 'vertex' and 'edge'")
+    _check_keys(doc, ("vertex", "edge", "linear_only"), "price")
     vw = doc.get("vertex")
     if not isinstance(vw, list) or len(vw) != graph.n:
-        raise ParseError(f"{where}.vertex: need a list of {graph.n} rationals")
-    entries = [_rational(x, f"{where}.vertex[{i}]") for i, x in enumerate(vw)]
-    entries += _edge_entries(doc.get("edge", {}), graph, f"{where}.edge", _rational)
-    return PriceVector(graph, tuple(entries), linear_only=_flag(doc, "linear_only", where))
+        raise ParseError(f"price.vertex: need a list of {graph.n} rationals")
+    entries = [_rational(x, f"price.vertex[{i}]") for i, x in enumerate(vw)]
+    entries += _edge_entries(doc.get("edge", {}), graph, "price.edge", _rational)
+    return PriceVector(graph, tuple(entries), linear_only=_flag(doc, "linear_only", "price"))
 
 
 def print_price(p: PriceVector) -> dict:

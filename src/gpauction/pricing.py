@@ -30,7 +30,6 @@ from .model import (
     GPoint,
     PriceVector,
     Valuation,
-    Weight,
     bundle_mask,
     common_tables,
     dual_table,
@@ -57,13 +56,17 @@ class CEResult:
     revenue: Optional[Fraction] = None
 
 
-def _solve_ce_lp_lazy(
+def _price_at(
     vs: Sequence[Valuation],
-    alloc: Allocation,
     point: GPoint,
+    alloc: Optional[Allocation],
     walrasian: bool,
-) -> Optional[tuple[PriceVector, Fraction]]:
-    """Column generation on the dual of the revenue LP at a point.
+    caps: Caps,
+) -> CEResult:
+    """Revenue-maximal CE price for the welfare-maximal split `alloc` of
+    `point` (None when no split has finite welfare), by column generation
+    on the dual of the revenue LP, certified against the full demand-set
+    scan.
 
     The revenue LP maximizes <p, a> over prices p such that, for every
     agent b and every bundle T of finite value,
@@ -78,9 +81,12 @@ def _solve_ce_lp_lazy(
     whose optimal value is minus the revenue and whose row duals are the
     prices. The columns (b, empty bundle) alone are feasible (u = 1 sums
     to -a), so the dual is never infeasible; an unbounded dual certifies
-    that no price supports the split. Solve with a few columns, scan all
-    bundles exactly for violated constraints, add each as a column,
-    repeat.
+    that no price supports the split. The columns live in one store keyed
+    by (agent, bundle bitmask), and each round's LP takes them in key
+    order. The first round's new keys are the seeds (the empty bundle, the
+    singletons and every agent's own bundle); every later round's are the
+    bundles the exact scan finds strictly better than the agent's own at
+    the round's price. The loop stops when the scan finds none.
     A bundle of value -inf adds no column: its right-hand side is -inf, so
     every price satisfies it (the agent's utility for it is -inf, below
     that of the empty bundle). With finite assigned values this is the
@@ -89,82 +95,52 @@ def _solve_ce_lp_lazy(
     valuation tables, so the row duals are L times the prices and the
     optimum is -L times the revenue; a positive scale of the costs leaves
     the pivot path unchanged. Each round's price is the row duals over L,
-    and the scan reads its table.
-    The returned price satisfies every constraint and attains the full
-    LP's optimum; None certifies infeasibility (a relaxation already is).
-    """
+    and the scan reads its table."""
+    if alloc is None:
+        return CEResult(INFEASIBLE_AT_POINT, point=point)
     g = point.graph
     n = g.n
     k = n if walrasian else g.d
-    # The callers checked the caps, so the vertex table is read as it is.
-    verts = [c[:k] for c in _vertex_table(g)]
+    # The callers checked the caps, so the vertex table is read as it is;
+    # each column stops at the k priced coordinates of the agent's own row.
+    verts = _vertex_table(g)
     m = len(alloc)
     own = [bundle_mask(g, S) for S in alloc]
+    base = [verts[S][:k] for S in own]
     L, vals = common_tables(vs)
     rhs = tuple(-c for c in point.coords[:k])
 
-    # active[b] maps each mask of agent b's columns to its (column, cost),
-    # built once and kept in ascending mask order.
-    active: list[dict[int, tuple[tuple[int, ...], int]]] = [{} for _ in range(m)]
-
-    def add(b: int, masks) -> None:
-        ab, vb = verts[own[b]], vals[b]
-        cols = active[b]
-        for mask in masks:
-            cols[mask] = tuple(map(sub, verts[mask], ab)), vb[mask] - vb[own[b]]
-        active[b] = dict(sorted(cols.items()))
-
-    for b in range(m):
-        seed = {0} | {1 << i for i in range(n)} | set(own)
-        seed.discard(own[b])
-        add(b, [mask for mask in seed if vals[b][mask] is not None])
-
+    cols: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
+    seed = {0} | {1 << i for i in range(n)} | set(own)
+    new = [(b, mask) for b in range(m) for mask in seed if mask != own[b]]
     while True:
-        columns = [c for cols in active for c in cols.values()]
+        for b, mask in new:
+            vb = vals[b]
+            if vb[mask] is not None:
+                cols[b, mask] = tuple(map(sub, verts[mask], base[b])), vb[mask] - vb[own[b]]
+        columns = [cols[key] for key in sorted(cols)]
         costs = tuple(cost for _, cost in columns)
         rows = tuple(zip(*[col for col, _ in columns])) if columns else ((),) * k
         res = lp_solve(LinearProgram(costs, rows, rhs))
         if res.status == UNBOUNDED:
-            return None
+            return CEResult(INFEASIBLE_AT_POINT, point=point)
         if res.status != OPTIMAL:
             raise InternalError(
                 f"dual pricing LP ended {res.status} although its seed columns are feasible"
             )
         prices = dual_table(g, res.y, L)
-        clean = True
+        new = []
         for b in range(m):
             _, u = _utilities((L, vals[b]), prices)
-            own_u, cols = u[own[b]], active[b]
+            own_u = u[own[b]]
             # A -inf value's utility is NEG_INF, never above own_u.
-            new = [mask for mask, x in enumerate(u) if x > own_u and mask not in cols]
-            if new:
-                clean = False
-                add(b, new)
-        if clean:
-            entries = tuple(shared_fraction(y.numerator, y.denominator * L) for y in res.y)
-            entries += (shared_fraction(0),) * (g.d - k)
-            revenue = shared_fraction(-res.value.numerator, res.value.denominator * L)
-            return PriceVector(g, entries, linear_only=walrasian), revenue
-
-
-def _price_at(
-    vs: Sequence[Valuation],
-    point: GPoint,
-    welfare: Weight,
-    alloc: Optional[Allocation],
-    walrasian: bool,
-    caps: Caps,
-) -> CEResult:
-    """Revenue-maximal CE price for the welfare-maximal split `alloc` of
-    `point`, certified against the full demand-set scan. Only the
-    welfare's finiteness is read, so it may be max_welfare's Fraction or
-    the fold's integer."""
-    if alloc is None or not is_finite(welfare):
-        return CEResult(INFEASIBLE_AT_POINT, point=point)
-    sol = _solve_ce_lp_lazy(vs, alloc, point, walrasian)
-    if sol is None:
-        return CEResult(INFEASIBLE_AT_POINT, point=point)
-    price, revenue = sol
+            new += [(b, mask) for mask, x in enumerate(u) if x > own_u and (b, mask) not in cols]
+        if not new:
+            break
+    entries = tuple(shared_fraction(y.numerator, y.denominator * L) for y in res.y)
+    entries += (shared_fraction(0),) * (g.d - k)
+    revenue = shared_fraction(-res.value.numerator, res.value.denominator * L)
+    price = PriceVector(g, entries, linear_only=walrasian)
     if not verify_ce(vs, alloc, price, caps).ok:
         raise InternalError("constructed price fails the exact CE verification")
     return CEResult(FOUND, point, alloc, price, revenue)
@@ -188,7 +164,7 @@ def ce_price_at_point(
         raise ValueError(
             "weights must be finite here; use ce_for_covering for clique bids"
         )
-    return _price_at(vs, point, *max_welfare(vs, point, caps), walrasian, caps)
+    return _price_at(vs, point, max_welfare(vs, point, caps)[1], walrasian, caps)
 
 
 def optimal_ce(
@@ -248,7 +224,7 @@ def optimal_ce(
         if best is not None and welfare < best.revenue * scale:
             break
         alloc = tuple([bundles[s] for s in masks])
-        res = _price_at(vs, GPoint(g, coords), welfare, alloc, walrasian, caps)
+        res = _price_at(vs, GPoint(g, coords), alloc, walrasian, caps)
         if res.status != FOUND:
             continue
         if (
@@ -325,4 +301,5 @@ def ce_for_covering(
             "point has a positive edge coordinate outside every agent's support"
         )
 
-    return _price_at(vs, a, *max_welfare(vs, a, caps), False, caps)
+    welfare, alloc = max_welfare(vs, a, caps)
+    return _price_at(vs, a, alloc if is_finite(welfare) else None, False, caps)

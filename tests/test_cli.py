@@ -13,6 +13,7 @@ from gpauction import pricing
 from gpauction.cli import main
 from gpauction.demand import CEVerdict
 from gpauction.instances import corpus_instance, parse_instance, print_instance
+from gpauction.linprog import INFEASIBLE, LPResult
 
 
 def write_corpus(tmp_path, name):
@@ -102,6 +103,13 @@ class TestSolve:
         monkeypatch.setattr(
             pricing, "verify_ce", lambda *a, **k: CEVerdict(False, Fraction(0), ())
         )
+        path = write_corpus(tmp_path, "cutlery")
+        code, out, err = run(capsys, ["solve", path, "--point", "1,1,1,1,0,0"])
+        assert code == 3 and out == ""
+        assert err.startswith("error: internal:") and len(err.splitlines()) == 1
+
+    def test_pricing_lp_fault_is_internal_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(pricing, "lp_solve", lambda lp: LPResult(INFEASIBLE))
         path = write_corpus(tmp_path, "cutlery")
         code, out, err = run(capsys, ["solve", path, "--point", "1,1,1,1,0,0"])
         assert code == 3 and out == ""
@@ -339,6 +347,9 @@ VALID_AGENT = {"vertex_weights": ["1", "2"], "edge_weights": {}}
         ({"mode": {"covering": "no"}}, "mode.covering"),
         ({"mode": {"walrasian": 0}}, "mode.walrasian"),
         ({"edges": ["01-2"]}, "edges"),
+        ({"agents": [{"vertex_weights": ["1", "2"], "edge_weight": {"1-2": "1"}}]},
+         "agents[0]: unknown key 'edge_weight'"),
+        ({"mode": {"walrasain": True}}, "mode: unknown key 'walrasain'"),
     ],
 )
 def test_malformed_instance_is_input_error(tmp_path, capsys, patch, field):
@@ -353,11 +364,13 @@ def test_malformed_instance_is_input_error(tmp_path, capsys, patch, field):
 
 @pytest.mark.parametrize("command", ["solve", "decompose"])
 @pytest.mark.parametrize(
-    "point", ["1,1,1,0,1_0,0", "+1,1,1,0,0,0", " 1,1,1,0,0,0", "\u0661,1,1,0,0,0", "1,1,1,0,0,-0"]
+    "point",
+    ["1,1,1,0,1_0,0", "+1,1,1,0,0,0", " 1,1,1,0,0,0", "\u0661,1,1,0,0,0", "1,1,1,0,0,-0", ""],
 )
 def test_malformed_point_is_input_error(tmp_path, capsys, command, point):
     """Each coordinate is plain ASCII digits; int() would take all of
-    these (1_0 as 10, so the solve would certify a negative)."""
+    these (1_0 as 10, so the solve would certify a negative). An empty
+    --point is one empty coordinate, not an absent option."""
     path = write_corpus(tmp_path, "cutlery")
     code, out, err = run(capsys, [command, path, "--point", point])
     assert code == 1 and out == ""
@@ -413,6 +426,9 @@ CUTLERY_WITNESS = {
                     "price": {"vertex": ["0", "0", "0"], "edge": {"1-3": "100"}}}),
         ("demand", {"vertex": ["0", "0", "0"], "edge": {"1-3": "100"}}),
         ("demand", {"vertex": ["0", "0", "0"], "edge": {"1-2": "100", "01-2": "0"}}),
+        ("verify", {**CUTLERY_WITNESS, "price": {"vertex": ["0", "0", "0"],
+                                                 "edges": {"1-2": "1", "2-3": "1"}}}),
+        ("demand", {"vertex": ["0", "0", "0"], "edges": {"1-2": "1"}}),
     ],
 )
 def test_malformed_witness_or_price_is_input_error(tmp_path, capsys, command, bad):

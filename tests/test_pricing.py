@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from gpauction import demand, polytope, pricing
 from gpauction.caps import CapExceededError, Caps
 from gpauction.demand import CEVerdict, demand_set, max_welfare, verify_ce
-from gpauction.linprog import OPTIMAL, InternalError
+from gpauction.linprog import INFEASIBLE, OPTIMAL, InternalError, LPResult
 from gpauction.model import (
     GPoint,
     NEG_INF,
@@ -505,6 +505,13 @@ class TestVerificationGuard:
         a = char_vector([0, 1], K3) + char_vector([2], K3)
         with pytest.raises(InternalError, match="verification"):
             ce_for_covering(vs, (1, 1, 1), a)
+
+    def test_lp_ending_infeasible_raises_internal_error(self, monkeypatch):
+        """The seed columns make the dual LP feasible, so any end but
+        OPTIMAL or UNBOUNDED is a fault, not a verdict."""
+        monkeypatch.setattr(pricing, "lp_solve", lambda lp: LPResult(INFEASIBLE))
+        with pytest.raises(InternalError, match="ended infeasible"):
+            ce_price_at_point(CUTLERY, GPoint(K3, (1, 1, 1, 1, 0, 0)))
 
 
 class TestExistenceSuitesMini:
