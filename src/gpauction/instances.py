@@ -22,8 +22,8 @@ from .model import (
     PriceVector,
     Valuation,
     ValueGraph,
+    as_fraction,
     is_finite,
-    shared_fraction,
 )
 from .polytope import Face
 
@@ -36,38 +36,20 @@ def _is_int(x: Any) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-# Integers, fractions and plain decimals only, as (sign, numerator,
-# denominator, whole part, decimal digits). Fraction would also take
-# exponents ("1e10000000" builds a ten-million-digit integer), spaces and
-# underscores; digit strings stay bounded by Python's int conversion limit.
-_RATIONAL = re.compile(r"([+-]?)(?:(\d+)(?:/(\d+))?|(\d*)\.(\d+))", re.ASCII)
 # Edge keys are canonical, with no leading zero: "01-2" would name edge
 # 1-2 a second time, and the later key would silently replace the earlier.
 _EDGE_KEY = re.compile(r"([1-9]\d*)-([1-9]\d*)", re.ASCII)
 
 
 def _rational(x: Any, where: str) -> Fraction:
-    """A JSON int, or a string of _RATIONAL's grammar, as the Fraction that
-    Fraction(x) gives; the match's groups give its numerator and
-    denominator as ints, so the string is parsed once."""
-    if _is_int(x):
-        return shared_fraction(x)
-    match = isinstance(x, str) and _RATIONAL.fullmatch(x)
-    if not match:
+    """A JSON int, or a string of model._RATIONAL's grammar, as the
+    Fraction that Fraction(x) gives, read by as_fraction."""
+    if not (isinstance(x, str) or _is_int(x)):
         raise ParseError(f"{where}: {x!r} is not an exact rational")
-    sign, num, den, whole, digits = match.groups()
     try:
-        if digits is None:
-            num, den = int(num), int(den) if den else 1
-        else:
-            # int(digits) meets the digit limit before 10 ** len(digits)
-            # is built, so the power stays bounded too.
-            num, den = int(digits), 10 ** len(digits)
-            if whole:
-                num += int(whole) * den
-        return shared_fraction(-num if sign == "-" else num, den)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"{where}: cannot parse rational {x!r}") from exc
+        return as_fraction(x)
+    except ValueError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
 
 
 def _flag(doc: dict, key: str, where: str) -> bool:
@@ -150,6 +132,9 @@ class InstanceFile:
 def parse_instance(doc: dict, caps: Caps = DEFAULT_CAPS) -> InstanceFile:
     if not isinstance(doc, dict):
         raise ParseError("instance document must be a JSON object")
+    _check_keys(
+        doc, ("n", "edges", "agents", "supply", "m", "mode", "faces", "point", "name"), "instance"
+    )
     n = doc.get("n")
     if not _is_int(n):
         raise ParseError("field 'n': missing or not an integer")
@@ -187,14 +172,12 @@ def parse_instance(doc: dict, caps: Caps = DEFAULT_CAPS) -> InstanceFile:
         )
         vals.append(Valuation(graph, tuple(weights)))
 
-    supply_raw = doc.get("supply")
-    if not isinstance(supply_raw, list) or len(supply_raw) != n:
+    supply = doc.get("supply")
+    if not isinstance(supply, list) or len(supply) != n:
         raise ParseError(f"field 'supply': need a list of {n} integers")
-    supply = []
-    for i, s in enumerate(supply_raw):
+    for i, s in enumerate(supply):
         if not _is_int(s) or s < 0:
             raise ParseError(f"supply[{i}]: need a nonnegative integer")
-        supply.append(s)
 
     m = doc.get("m", len(vals))
     if not _is_int(m) or m < len(vals) or (m < 1 and any(supply)):
@@ -269,12 +252,9 @@ def print_instance(inst: InstanceFile) -> dict:
     doc["supply"] = list(inst.supply)
     if inst.m != len(inst.valuations):
         doc["m"] = inst.m
-    if inst.walrasian or inst.covering:
-        doc["mode"] = {}
-        if inst.walrasian:
-            doc["mode"]["walrasian"] = True
-        if inst.covering:
-            doc["mode"]["covering"] = True
+    mode = {"walrasian": inst.walrasian, "covering": inst.covering}
+    if any(mode.values()):
+        doc["mode"] = {key: True for key, on in mode.items() if on}
     if inst.faces is not None:
         doc["faces"] = [
             [sorted(i + 1 for i in q.as_bundle()) for q in f.vertices]
@@ -380,57 +360,50 @@ def parse_alloc_price(doc: dict, graph: ValueGraph) -> tuple[Allocation, PriceVe
     return alloc, price
 
 
-CORPUS_NAMES = ("cutlery", "cutlery-shifted", "house", "idp-k4")
+# The built-in instances, as instance documents: the triangle auction where
+# only a quadratic CE exists, its shift with a pricing equilibrium, the house
+# graph whose edge faces defeat vertex-sum decomposition, and the K4 point
+# that has no integer decomposition.
+_CORPUS = {
+    "cutlery": {
+        "n": 3,
+        "agents": [
+            {"vertex_weights": [0, 0, 0], "edge_weights": {"1-2": 1}},
+            {"vertex_weights": [0, 0, 0], "edge_weights": {"1-3": 1}},
+            {"vertex_weights": [0, 0, 0], "edge_weights": {"2-3": 1}},
+        ],
+        "supply": [1, 1, 1],
+    },
+    "cutlery-shifted": {
+        "n": 3,
+        "agents": [
+            {"vertex_weights": [1, 1, 1], "edge_weights": {"1-2": 2, "1-3": 1, "2-3": 1}},
+            {"vertex_weights": [1, 1, 1], "edge_weights": {"1-2": 1, "1-3": 2, "2-3": 1}},
+            {"vertex_weights": [1, 1, 1], "edge_weights": {"1-2": 1, "1-3": 1, "2-3": 2}},
+        ],
+        "supply": [1, 1, 1],
+    },
+    "house": {
+        "n": 5,
+        "edges": ["1-2", "1-4", "1-5", "2-3", "3-4", "4-5"],
+        "supply": [1, 1, 1, 1, 1],
+        "m": 4,
+        "faces": [[[2], [1, 3]], [[3], [2, 4]], [[5], [1]], [[5], [4]]],
+        "point": [1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0],
+    },
+    "idp-k4": {
+        "n": 4,
+        "supply": [2, 2, 2, 2],
+        "m": 4,
+        "faces": [[[], [4]], [[2, 3], [1, 3]], [[2, 3, 4], [1, 3, 4]], [[1, 2], [1, 2, 4]]],
+        "point": [2, 2, 2, 2, 1, 1, 1, 1, 1, 1],
+    },
+}
+CORPUS_NAMES = tuple(_CORPUS)
 
 
 def corpus_instance(name: str) -> InstanceFile:
-    """Built-in instances: the three-agent triangle auction where only a
-    quadratic CE exists, its shifted variant with a pricing equilibrium,
-    the five-vertex house graph whose edge faces defeat vertex-sum
-    decomposition, and the K4 point witnessing the failure of integer
-    decomposition."""
-    if name == "cutlery":
-        g = ValueGraph.complete(3)
-        zero = [Fraction(0)] * 3
-        vals = tuple(
-            Valuation(g, tuple(zero + [Fraction(1) if k == e else Fraction(0) for k in range(3)]))
-            for e in range(3)
-        )
-        return InstanceFile(g, vals, (1, 1, 1), 3, name="cutlery")
-    if name == "cutlery-shifted":
-        base = corpus_instance("cutlery")
-        ones = [Fraction(1)] * base.graph.d
-        from .model import shift
-
-        return InstanceFile(
-            base.graph,
-            tuple(shift(v, ones) for v in base.valuations),
-            base.supply,
-            base.m,
-            name="cutlery-shifted",
-        )
-    if name == "house":
-        g = ValueGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (3, 4)])
-        faces = (
-            Face.from_bundles(g, [[1], [0, 2]]),
-            Face.from_bundles(g, [[2], [1, 3]]),
-            Face.from_bundles(g, [[4], [0]]),
-            Face.from_bundles(g, [[4], [3]]),
-        )
-        point = GPoint(g, (1, 1, 1, 1, 1) + (0,) * 6)
-        return InstanceFile(
-            g, (), (1, 1, 1, 1, 1), 4, faces=faces, point=point, name="house"
-        )
-    if name == "idp-k4":
-        g = ValueGraph.complete(4)
-        faces = (
-            Face.from_bundles(g, [[], [3]]),
-            Face.from_bundles(g, [[1, 2], [0, 2]]),
-            Face.from_bundles(g, [[1, 2, 3], [0, 2, 3]]),
-            Face.from_bundles(g, [[0, 1], [0, 1, 3]]),
-        )
-        point = GPoint(g, (2, 2, 2, 2, 1, 1, 1, 1, 1, 1))
-        return InstanceFile(
-            g, (), (2, 2, 2, 2), 4, faces=faces, point=point, name="idp-k4"
-        )
-    raise ParseError(f"unknown corpus name {name!r}; choose from {CORPUS_NAMES}")
+    """The built-in instance of this name, read by parse_instance."""
+    if name not in _CORPUS:
+        raise ParseError(f"unknown corpus name {name!r}; choose from {CORPUS_NAMES}")
+    return parse_instance({**_CORPUS[name], "name": name})

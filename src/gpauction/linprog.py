@@ -142,22 +142,19 @@ def lp_solve(lp: LinearProgram) -> LPResult:
     """Solve exactly; OPTIMAL comes with x, the value and the row duals y.
     Every status is certified (see the module docstring)."""
     ncols, nrows = len(lp.objective), len(lp.rows)
-    # A negative rhs negates its row, so b >= 0; the row signs give the
-    # signs of the duals.
-    A = [[-a for a in coeffs] if rhs < 0 else list(coeffs)
-         for coeffs, rhs in zip(lp.rows, lp.rhs)]
-    b = [abs(rhs) for rhs in lp.rhs]
-    row_sign = [-1 if rhs < 0 else 1 for rhs in lp.rhs]
-    c = list(lp.objective)
+    c = lp.objective
 
-    # Tableau rows [A_i | e_i | b_i]: one artificial column per row, the
-    # starting basis. The artificial columns carry B^-1, hence the duals.
+    # Tableau rows [A_i | e_i | b_i], a row negated where b_i < 0 so that
+    # b >= 0: one artificial column per row, the starting basis. They carry
+    # B^-1, hence the duals of the rows as negated; each certificate takes
+    # the row signs back once and is checked against the LP as given.
     art = ncols
     rows = []
-    for i, row in enumerate(A):
-        unit = [0] * nrows
-        unit[i] = 1
-        rows.append(row + unit + [b[i]])
+    for i, (coeffs, rhs) in enumerate(zip(lp.rows, lp.rhs)):
+        row = [-a for a in coeffs] if rhs < 0 else list(coeffs)
+        row += [0] * nrows + [abs(rhs)]
+        row[art + i] = 1
+        rows.append(row)
     basis = [art + i for i in range(nrows)]
 
     # Phase 1: maximize minus the sum of the artificials. An artificial that
@@ -168,9 +165,10 @@ def lp_solve(lp: LinearProgram) -> LPResult:
     obj[art : art + nrows] = [0] * nrows
     _, D, _ = _bland(rows, obj, basis, D, ncols)
     if obj[-1]:
-        # w_i = -1 - (reduced cost of artificial i), times D.
-        w = [-D - obj[art + i] for i in range(nrows)]
-        if any(_dot(w, col) < 0 for col in zip(*A)) or _dot(w, b) >= 0:
+        # w_i = -1 - (reduced cost of artificial i), times D, sign-flipped
+        # back where row i was negated.
+        w = [D + obj[art + i] if rhs < 0 else -D - obj[art + i] for i, rhs in enumerate(lp.rhs)]
+        if any(_dot(w, col) < 0 for col in zip(*lp.rows)) or _dot(w, lp.rhs) >= 0:
             raise InternalError("phase 1 ended without a valid Farkas certificate")
         return LPResult(INFEASIBLE)
     # Artificials left in the basis sit at 0: pivot each out on a nonzero
@@ -209,8 +207,8 @@ def lp_solve(lp: LinearProgram) -> LPResult:
             X[j] = x
             nz.append(j)
             xs.append(x)
-    Ax = [sum(map(mul, map(row.__getitem__, nz), xs)) for row in A]
-    if any(x < 0 for x in xs) or Ax != [bi * D for bi in b]:
+    Ax = [sum(map(mul, map(row.__getitem__, nz), xs)) for row in lp.rows]
+    if any(x < 0 for x in xs) or Ax != [bi * D for bi in lp.rhs]:
         raise InternalError("the basic solution fails Ax = b, x >= 0")
 
     if status == UNBOUNDED:
@@ -221,26 +219,26 @@ def lp_solve(lp: LinearProgram) -> LPResult:
                 if j >= art:
                     raise InternalError("an unbounded ray moves an artificial variable")
                 ray[j] = -rows[i][s]
-        if any(x < 0 for x in ray) or any(_dot(row, ray) for row in A) or _dot(c, ray) <= 0:
+        if any(x < 0 for x in ray) or any(_dot(row, ray) for row in lp.rows) or _dot(c, ray) <= 0:
             raise InternalError("phase 2 ended without a valid unbounded ray")
         return LPResult(UNBOUNDED)
 
-    # Row duals of the rows as negated, times D: minus the reduced costs of the
-    # artificial columns, whose phase-2 cost is 0. A^T y is summed row by
-    # row over each row's nonzero entries.
-    Y = [-obj[art + i] for i in range(nrows)]
+    # Row duals times D: minus the reduced costs of the artificial columns
+    # (phase-2 cost 0), sign-flipped back where a row was negated. A^T y is
+    # summed row by row over each row's nonzero entries.
+    Y = [obj[art + i] if rhs < 0 else -obj[art + i] for i, rhs in enumerate(lp.rhs)]
     ATy = [0] * ncols
-    for yi, row in zip(Y, A):
+    for yi, row in zip(Y, lp.rows):
         if yi:
             for j in compress(range(ncols), row):
                 ATy[j] += yi * row[j]
     cx = _dot(c, X)
-    if any(a < cj * D for a, cj in zip(ATy, c)) or cx != _dot(b, Y):
+    if any(a < cj * D for a, cj in zip(ATy, c)) or cx != _dot(lp.rhs, Y):
         raise InternalError("the duals fail A^T y >= c or c.x = b.y")
     zero = shared_fraction(0)
     return LPResult(
         OPTIMAL,
         shared_fraction(cx, D),
         tuple([shared_fraction(x, D) if x else zero for x in X]),
-        tuple(shared_fraction(yi * si, D) for yi, si in zip(Y, row_sign)),
+        tuple(shared_fraction(yi, D) for yi in Y),
     )

@@ -14,6 +14,7 @@ integers. `value` is the direct definition, kept as the reference.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -48,13 +49,40 @@ def shared_fraction(num: int, den: int = 1) -> Fraction:
     return Fraction(num, den)
 
 
+# Integers, fractions and plain decimals only, as (sign, numerator,
+# denominator, whole part, decimal digits). Fraction would also take
+# exponents ("1e10000000" builds a ten-million-digit integer), spaces and
+# underscores; digit strings stay bounded by Python's int conversion limit.
+_RATIONAL = re.compile(r"([+-]?)(?:(\d+)(?:/(\d+))?|(\d*)\.(\d+))", re.ASCII)
+
+
 def as_fraction(x: Union[int, str, Fraction]) -> Fraction:
-    """Exact rational from an int, a Fraction, or a string like "-1/2"."""
+    """Exact rational from an int, a Fraction, or a string of _RATIONAL's
+    grammar like "-1/2", whose groups give the numerator and denominator
+    as ints, so the string is parsed once. A string outside the grammar,
+    past the int digit limit or with a zero denominator is a ValueError."""
     if type(x) is Fraction:
         return x
-    if isinstance(x, bool) or isinstance(x, float):
-        raise TypeError(f"refusing inexact value {x!r}; use int, str or Fraction")
-    return Fraction(x)
+    if not isinstance(x, str):
+        if isinstance(x, (bool, float)):
+            raise TypeError(f"refusing inexact value {x!r}; use int, str or Fraction")
+        return shared_fraction(x) if type(x) is int else Fraction(x)
+    match = _RATIONAL.fullmatch(x)
+    if not match:
+        raise ValueError(f"{x!r} is not an exact rational")
+    sign, num, den, whole, digits = match.groups()
+    try:
+        if digits is None:
+            num, den = int(num), int(den) if den else 1
+        else:
+            # int(digits) meets the digit limit before 10 ** len(digits)
+            # is built, so the power stays bounded too.
+            num, den = int(digits), 10 ** len(digits)
+            if whole:
+                num += int(whole) * den
+        return shared_fraction(-num if sign == "-" else num, den)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"cannot parse rational {x!r}") from exc
 
 
 def as_weight(x) -> Weight:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from gpauction import pricing
-from gpauction.cli import main
+from gpauction.cli import entrypoint, main
 from gpauction.demand import CEVerdict
 from gpauction.instances import corpus_instance, parse_instance, print_instance
 from gpauction.linprog import INFEASIBLE, LPResult
@@ -350,6 +350,15 @@ VALID_AGENT = {"vertex_weights": ["1", "2"], "edge_weights": {}}
         ({"agents": [{"vertex_weights": ["1", "2"], "edge_weight": {"1-2": "1"}}]},
          "agents[0]: unknown key 'edge_weight'"),
         ({"mode": {"walrasain": True}}, "mode: unknown key 'walrasain'"),
+        ({"edge": ["1-2"]}, "instance: unknown key 'edge', expected one of n, edges, "),
+        ({"mdoe": {"walrasian": True}}, "instance: unknown key 'mdoe'"),
+        ({"n": 0}, "field 'n': must be at least 1"),
+        ({"edges": ["1-2", "1-2"]}, "field 'edges': duplicate edge"),
+        ({"supply": 1}, "field 'supply': need a list"),
+        ({"m": 0}, "field 'm': inconsistent agent count"),
+        ({"mode": [True]}, "field 'mode': must be an object"),
+        ({"faces": [5]}, "faces[0]: need a list of bundles"),
+        ({"faces": [[[1], [1]]]}, "faces[0]: duplicate face vertex"),
     ],
 )
 def test_malformed_instance_is_input_error(tmp_path, capsys, patch, field):
@@ -690,6 +699,23 @@ def test_generated_instances_never_raise(tmp_path, capsys, case):
     ):
         code, _, _ = run(capsys, argv)
         assert code in (0, 1, 2), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["corpus", "cutlery"], ["solve", "CUTLERY", "--walrasian"], ["solve", "missing.json"]],
+)
+def test_console_script_exits_with_mains_code(tmp_path, capsys, monkeypatch, argv):
+    """The console script calls entrypoint, which exits with the code main
+    returns for the same arguments."""
+    argv = [write_corpus(tmp_path, "cutlery") if a == "CUTLERY" else a for a in argv]
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, argv)
+    monkeypatch.setattr(sys, "argv", ["gpauction", *argv])
+    with pytest.raises(SystemExit) as exc:
+        entrypoint()
+    assert exc.value.code == code
+    assert capsys.readouterr() == (out, err)
 
 
 def test_module_entry_point(tmp_path):

@@ -104,6 +104,19 @@ class TestParsing:
         with pytest.raises(ParseError, match="supply"):
             parse_instance(doc)
 
+    @pytest.mark.parametrize(
+        "mode, printed",
+        [({"walrasian": True}, {"walrasian": True}),
+         ({"covering": True, "walrasian": False}, {"covering": True}),
+         ({"covering": True, "walrasian": True}, {"walrasian": True, "covering": True}),
+         ({"walrasian": False}, None)],
+    )
+    def test_mode_flags_round_trip(self, mode, printed):
+        inst = parse_instance({**self.doc(), "mode": mode})
+        doc = print_instance(inst)
+        assert doc.get("mode") == printed
+        assert parse_instance(json.loads(json.dumps(doc))) == inst
+
     def test_point_length_checked(self):
         doc = self.doc()
         doc["point"] = [1, 0]

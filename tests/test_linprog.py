@@ -224,6 +224,43 @@ def test_failed_certificate_raises(monkeypatch):
         lp_solve(standard((1, 1), [(1, 2), (3, 1)], (4, 5)))
 
 
+def phases(monkeypatch, *ends):
+    """Patch _bland so that phase k returns ends[k](D) without pivoting, or
+    runs as written where ends[k] is None."""
+    bland, ends = linprog._bland, iter(ends)
+
+    def patched(rows, obj, basis, D, ncols):
+        end = next(ends)
+        return bland(rows, obj, basis, D, ncols) if end is None else end(D)
+
+    monkeypatch.setattr(linprog, "_bland", patched)
+
+
+# -x0 - x1 = -1: a negative rhs, so each certificate is checked against the
+# row as given, not as the tableau negates it.
+NEGATED = standard((0, 1), [(-1, -1)], (-1,))
+
+
+@pytest.mark.parametrize(
+    "ends, message",
+    [
+        # phase 1 stops at the artificial basis of a feasible LP
+        ([lambda D: (OPTIMAL, D, -1)], "without a valid Farkas certificate"),
+        # phase 2 calls the bounded LP unbounded along x1
+        ([None, lambda D: (UNBOUNDED, D, 1)], "without a valid unbounded ray"),
+        # phase 2 stops at x = (1, 0), where x1 still has positive reduced cost
+        ([None, lambda D: (OPTIMAL, D, -1)], "the duals fail"),
+    ],
+)
+def test_failed_phase_raises(monkeypatch, ends, message):
+    """A phase that ends early, or reports the wrong status, fails the
+    certificate check of what it returned."""
+    assert lp_solve(NEGATED) == LPResult(OPTIMAL, F(1), (F(0), F(1)), (F(-1),))
+    phases(monkeypatch, *ends)
+    with pytest.raises(InternalError, match=message):
+        lp_solve(NEGATED)
+
+
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_core_matches_reference(data):

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +12,7 @@ from gpauction.model import (
     Valuation,
     ValueGraph,
     aggregate,
+    as_fraction,
     char_vector,
     common_tables,
     dual_table,
@@ -19,6 +21,7 @@ from gpauction.model import (
     shift,
     value,
 )
+from gpauction.demand import seller_demand
 from gpauction.instances import corpus_instance
 
 from .strategies import bundles, graphs, small_fractions
@@ -201,6 +204,62 @@ class TestShift:
         lhs = value(shift(v, c), S)
         rhs = value(v, S) + sum(ck * xk for ck, xk in zip(c, a.coords))
         assert lhs == rhs
+
+
+class TestAsFraction:
+    """Strings passed to the API follow the grammar of instance files:
+    integers, fractions and plain decimals, nothing Fraction() alone would
+    also take."""
+
+    # "1e3000000" is the exponent Fraction() would spend seconds on, building
+    # a 3-million-digit integer; the grammar refuses it before any int is built.
+    @pytest.mark.parametrize(
+        "s", ["1e3", "1e3000000", " 1", "1_0", "\u0661", "+-1", "1.", "", "-inf"]
+    )
+    def test_outside_the_grammar(self, s):
+        with pytest.raises(ValueError) as exc:
+            as_fraction(s)
+        assert str(exc.value) == f"{s!r} is not an exact rational"
+
+    def test_zero_denominator(self):
+        with pytest.raises(ValueError) as exc:
+            as_fraction("1/0")
+        assert str(exc.value) == "cannot parse rational '1/0'"
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this Python has no integer digit limit",
+    )
+    @pytest.mark.parametrize("form", ["{}", "1/{}", "0.{}", "{}.5"])
+    def test_past_the_digit_limit(self, form):
+        s = form.format("9" * (sys.get_int_max_str_digits() + 1))
+        with pytest.raises(ValueError, match="cannot parse rational"):
+            as_fraction(s)
+
+    def test_ints_and_fractions(self):
+        half = F(1, 2)
+        assert as_fraction(half) is half
+        assert as_fraction(3) is as_fraction("3") and type(as_fraction(3)) is F
+        assert as_fraction(-10**30) == -10**30
+
+    @pytest.mark.parametrize("x", [0.5, True])
+    def test_inexact_values(self, x):
+        with pytest.raises(TypeError, match="inexact"):
+            as_fraction(x)
+
+    def test_every_api_surface_reads_the_grammar(self):
+        v = Valuation.zero(K3)
+        with pytest.raises(ValueError, match="'1e3' is not an exact rational"):
+            PriceVector(K3, ("1e3",) + (0,) * 5)
+        with pytest.raises(ValueError, match="' 1' is not an exact rational"):
+            Valuation(K3, (" 1",) + (0,) * 5)
+        with pytest.raises(ValueError, match="'1_0' is not an exact rational"):
+            shift(v, ["1_0"] + [0] * 5)
+        with pytest.raises(ValueError, match="'1e3' is not an exact rational"):
+            seller_demand(PriceVector.zero(K3), (1, 1, 1), 3, above="1e3")
+        assert PriceVector(K3, ("1/2", "-3", "0.25", 0, 0, 0)).entries[:3] == (
+            F(1, 2), F(-3), F(1, 4)
+        )
 
 
 class TestPriceVector:

@@ -400,6 +400,17 @@ class TestCeForCovering:
         with pytest.raises(ValueError, match="supply entries must be integers"):
             ce_for_covering(vs, (1.0, 1, 1), a)
 
+    def test_point_off_the_supply_rejected(self):
+        vs = [Valuation.zero(K3)] * 2
+        with pytest.raises(ValueError, match=r"point projects to \(1, 1, 0\), not the supply"):
+            ce_for_covering(vs, (1, 1, 1), char_vector([0, 1], K3))
+
+    def test_supply_off_two_levels_rejected(self):
+        vs = [Valuation.zero(K3)] * 2
+        a = char_vector([0, 1, 2], K3) + char_vector([0], K3)
+        with pytest.raises(ValueError, match=r"\{0, r\}\^n, got levels \[1, 2\]"):
+            ce_for_covering(vs, (2, 1, 1), a)
+
     def test_incompatible_point_rejected(self):
         w1 = (F(2), F(3), NEG_INF, F(1), NEG_INF, NEG_INF)
         w2 = (NEG_INF, F(1), F(2), NEG_INF, NEG_INF, F(2))

@@ -113,6 +113,26 @@ def test_one_utility_scan():
     assert not found, f"tables built outside model.py: {found}"
 
 
+def test_one_reader_per_input():
+    """Rational strings have one grammar, model._RATIONAL, read by
+    as_fraction; the built-in corpus is read by parse_instance like any
+    instance file, so corpus_instance builds no domain object itself."""
+    grammars = [
+        name
+        for name, node in nodes()
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "_RATIONAL" for t in node.targets)
+    ]
+    assert grammars == ["model.py"], f"_RATIONAL defined in {grammars}"
+    tree = ast.parse((SRC / "instances.py").read_text())
+    (corpus,) = [f for f in tree.body if getattr(f, "name", None) == "corpus_instance"]
+    calls = {called_name(n) for n in ast.walk(corpus) if isinstance(n, ast.Call)}
+    assert "parse_instance" in calls
+    built = calls & {"Valuation", "Face", "GPoint", "ValueGraph", "from_bundles", "from_edges",
+                     "complete", "shift"}
+    assert not built, f"corpus_instance builds {sorted(built)}"
+
+
 # Imports every module of the package, then prints the size of each
 # functools cache defined at module level, keyed "module.name".
 CACHE_SIZES = """
