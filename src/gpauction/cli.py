@@ -4,13 +4,14 @@ Machine-readable JSON goes to stdout, human-readable tables to stderr,
 so output can be piped. Exit codes are a stable contract: 0 when the
 requested object exists / the verification passes, 1 on input errors,
 2 when nonexistence or failure is certified, 3 when an internal guard on
-a verdict fails.
+a verdict fails, and 141 when the reader closes stdout early.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from typing import Optional, Sequence
@@ -332,8 +333,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _err(f"internal: {exc}", EXIT_INTERNAL)
 
 
-def entrypoint() -> None:  # console script
-    sys.exit(main())
+def entrypoint() -> None:
+    """The console script and `python -m gpauction.cli`. A reader closing
+    stdout early gives exit 141 (a shell's SIGPIPE status) and no
+    traceback; stdout then points at devnull, so the exit flush holds."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

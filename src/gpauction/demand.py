@@ -215,48 +215,44 @@ def _rank_key(alloc: Sequence[int], rank: Sequence[int]) -> list[int]:
 def _best_splits(
     vs: Sequence[Valuation],
     items: Iterable[tuple[tuple[int, ...], Sequence[int]]],
-    *,
-    top_only: bool = False,
-) -> tuple[int, dict[tuple[int, ...], tuple[Union[int, float], tuple[int, ...]]]]:
-    """The best split of each point among the (coords, masks) items, as
-    (L, best): best maps a point's coordinate tuple to (welfare, alloc),
-    the integer welfare in units of 1 / L (NEG_INF for -inf) and the
-    allocation as one bitmask per agent. Each split is matched to the
-    agents by _assign, on one column table built here; per point the
-    higher welfare wins, ties going to the least bundle multiset
-    (_rank_key), and a witness is built only for a split that reaches its
-    point's best so far. Callers create the items first: enumerate_*
-    checks the caps when called, so an instance over the caps raises
-    before any table is built here.
+    priced: int,
+) -> tuple[int, dict[tuple[int, ...], tuple[Union[int, float], tuple[int, ...], tuple]]]:
+    """The best split per priced aggregate among the (coords, masks)
+    items, as (L, best): best maps coords[:priced] to (welfare, alloc,
+    coords), the integer welfare in units of 1 / L (NEG_INF for -inf),
+    one bitmask per agent and the split's point. priced counts the
+    coordinates a price tells apart: d under quadratic prices (a key per
+    point), n under linear ones (one key per supply). Per key the higher
+    welfare wins, ties going to the least (coords, _rank_key).
 
-    With top_only, a split is matched only if its bound sum_j max_b
-    v_b(S_j) (the matching without the one-part-per-agent rule, below
-    every finite welfare when no agent values some part finitely) is not
-    strictly below the highest welfare matched so far. No split of
-    maximal welfare is skipped, so the entries of maximal welfare, their
-    points and least allocations, are exact; the other entries may not
-    be."""
+    _assign matches each split on one column table built here. A split
+    meeting a filled key is skipped when its bound sum_j max_b v_b(S_j)
+    (below every finite welfare when no agent values some part finitely)
+    is strictly below the key's best, as it can neither win nor tie, and
+    gets that best as floor otherwise; so every entry is exact. The bound
+    table is built for the first such split. Callers create the items
+    first, so the enumerators' cap checks raise before any table here."""
     scale, tables = common_tables(vs)
     low, cols = _columns(tables)
     rank = _ranks(vs[0].graph.n)
-    if top_only:
-        tops = [max(col) for col in cols]
-    top: Union[int, float] = NEG_INF
-    best: dict[tuple[int, ...], tuple[Union[int, float], tuple[int, ...]]] = {}
+    tops: Optional[list[int]] = None
+    best: dict[tuple[int, ...], tuple[Union[int, float], tuple[int, ...], tuple]] = {}
     for coords, masks in items:
-        if top_only and sum([tops[s] for s in masks]) < top:
-            continue
-        cur = best.get(coords)
+        key = coords[:priced]
+        cur = best.get(key)
         if cur is None:
-            best[coords] = cand = _assign(masks, cols, rank, low)
-        else:
-            cand = _assign(masks, cols, rank, low, cur[0])
-            if cand[1] is not None and (
-                cand[0] > cur[0] or _rank_key(cand[1], rank) < _rank_key(cur[1], rank)
-            ):
-                best[coords] = cand
-        if top_only and cand[0] > top:
-            top = cand[0]
+            best[key] = (*_assign(masks, cols, rank, low), coords)
+            continue
+        if tops is None:
+            tops = [max(col) for col in cols]
+        if sum([tops[s] for s in masks]) < cur[0]:
+            continue
+        welfare, alloc = _assign(masks, cols, rank, low, cur[0])
+        if alloc is not None and (
+            welfare > cur[0]
+            or (coords, _rank_key(alloc, rank)) < (cur[2], _rank_key(cur[1], rank))
+        ):
+            best[key] = (welfare, alloc, coords)
     return scale, best
 
 
@@ -287,10 +283,10 @@ def max_welfare(
     revenue of any CE selling a: revenue = welfare - sum of utilities, and
     each utility is >= 0 because the empty bundle costs nothing."""
     _common_graph(vs, a.graph)
-    scale, best = _best_splits(vs, enumerate_decompositions(a, len(vs), caps))
+    scale, best = _best_splits(vs, enumerate_decompositions(a, len(vs), caps), a.graph.d)
     if a.coords not in best:
         return NEG_INF, None
-    welfare, alloc = best[a.coords]
+    welfare, alloc, _ = best[a.coords]
     bundles = bundle_table(a.graph)
     return _exact(welfare, scale), tuple([bundles[s] for s in alloc])
 

@@ -206,6 +206,9 @@ def parse_instance(doc: dict, caps: Caps = DEFAULT_CAPS) -> InstanceFile:
                 raise ParseError(f"{where}: {exc}") from exc
         faces = tuple(parsed)
 
+    if not isinstance(doc.get("name", ""), str):
+        raise ParseError("field 'name': need a string")
+
     point = None
     if "point" in doc:
         coords = doc["point"]

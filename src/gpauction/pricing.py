@@ -180,17 +180,18 @@ def optimal_ce(
     one).
 
     The points come from one enumeration of the multisets of m bundles
-    that sell the supply, folded to the best split per point by the fold
-    max_welfare runs on one point's splits. They are priced in decreasing
-    max welfare (compared as integers), ties by point coordinates. Revenue
+    that sell the supply, folded by max_welfare's fold to the best split
+    per priced aggregate: per point under quadratic prices, one entry for
+    the supply under linear ones. They are priced in decreasing max
+    welfare (compared as integers), ties by point coordinates. Revenue
     never exceeds the welfare at its point (revenue = welfare - sum of
     utilities, each utility >= 0), so the search stops at the first point
     whose welfare is below the best revenue found; points whose welfare
     equals it are still priced, since they may win the tie on coordinates.
 
-    Walrasian mode prices one point, the least of maximal welfare, at its
-    least welfare-maximal split. Linear prices charge p.s for every
-    allocation of the supply, so:
+    Walrasian mode prices that one entry: the least point of maximal
+    welfare, at its least welfare-maximal split. Linear prices charge p.s
+    for every allocation of the supply, so:
     - any Walrasian CE (p, T) has T efficient: every agent's utility at T
       is maximal, so the value of T minus p.s is at least the value of
       any other allocation of the supply minus the same p.s;
@@ -202,8 +203,7 @@ def optimal_ce(
       revenue, hence the best revenue; every CE point has maximal
       welfare, so the tie-break on coordinates picks that point too.
     If that LP is infeasible, no Walrasian CE exists: a certified
-    no-point-found. The fold need then only find the top welfare level,
-    so it skips the matching of each split bounded below it (top_only)."""
+    no-point-found."""
     g = _common_graph(vs)
     m = len(vs)
     supply = _checked_supply(g, supply, m, caps)
@@ -213,14 +213,12 @@ def optimal_ce(
         raise ValueError("weights must be finite for optimal_ce")
 
     scale, splits = _best_splits(
-        vs, enumerate_aggregates(g, supply, m, caps), top_only=walrasian
+        vs, enumerate_aggregates(g, supply, m, caps), g.n if walrasian else g.d
     )
-    order = sorted(splits.items(), key=lambda item: (-item[1][0], item[0]))
-    if walrasian:
-        order = order[:1]
+    order = sorted(splits.values(), key=lambda entry: (-entry[0], entry[2]))
     bundles = bundle_table(g)
     best: Optional[CEResult] = None
-    for coords, (welfare, masks) in order:
+    for welfare, masks, coords in order:
         if best is not None and welfare < best.revenue * scale:
             break
         alloc = tuple([bundles[s] for s in masks])

@@ -40,7 +40,7 @@ from gpauction.model import (
     project,
     value,
 )
-from gpauction.polytope import bundle_table, vertices_P
+from gpauction.polytope import vertices_P
 from gpauction.pricing import FOUND, NO_POINT_FOUND, CEResult, ce_price_at_point
 
 LE, GE, EQ = "<=", ">=", "=="
@@ -414,31 +414,20 @@ def reference_assign(
 
 
 def reference_best_splits(
-    vs: Sequence[Valuation], items: Iterable[tuple], *, top_only: bool = False
+    vs: Sequence[Valuation], items: Iterable[tuple], priced: int
 ) -> tuple[int, dict]:
-    """(L, best) over (key, parts) items: per key the split of highest
-    integer welfare (units of 1 / L), ties to the least alloc_key. With
-    top_only a split whose bound sum_j max_b v_b(S_j) is below the
-    highest welfare matched so far is skipped."""
+    """(L, best) over (coords, parts) items, every split matched: per key
+    coords[:priced] the (welfare, alloc, coords) of highest integer
+    welfare (units of 1 / L), ties to the least (coords, alloc_key)."""
     scale, tables = common_tables(vs)
-    if top_only:
-        tops = {
-            S: max((x for x in col if x is not None), default=NEG_INF)
-            for S, col in zip(bundle_table(vs[0].graph), zip(*tables))
-        }
-    top = NEG_INF
     best: dict = {}
-    for key, parts in items:
-        if top_only and sum(tops[S] for S in parts) < top:
-            continue
-        cand = reference_assign(parts, tables)
-        if top_only and cand[0] > top:
-            top = cand[0]
-        cur = best.get(key)
+    for coords, parts in items:
+        welfare, alloc = reference_assign(parts, tables)
+        cur = best.get(coords[:priced])
         if (
             cur is None
-            or cand[0] > cur[0]
-            or (cand[0] == cur[0] and alloc_key(cand[1]) < alloc_key(cur[1]))
+            or welfare > cur[0]
+            or (welfare == cur[0] and (coords, alloc_key(alloc)) < (cur[2], alloc_key(cur[1])))
         ):
-            best[key] = cand
+            best[coords[:priced]] = (welfare, alloc, coords)
     return scale, best

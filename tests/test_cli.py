@@ -73,6 +73,16 @@ class TestSolve:
         assert code == 0 and doc["walrasian"] is True
         assert doc["revenue"] == "3"
 
+    def test_walrasian_infeasible_at_point(self, tmp_path, capsys):
+        """No linear price supports cutlery's singletons split."""
+        path = write_corpus(tmp_path, "cutlery")
+        code, out, err = run(capsys, ["solve", path, "--point", "1,1,1,0,0,0", "--walrasian"])
+        assert code == 2
+        assert json.loads(out) == {
+            "status": "infeasible-at-point", "walrasian": True, "point": [1, 1, 1, 0, 0, 0]
+        }
+        assert "no Walrasian equilibrium" in err
+
     def test_solve_at_point(self, tmp_path, capsys):
         path = write_corpus(tmp_path, "cutlery")
         code, out, _ = run(capsys, ["solve", path, "--point", "1,1,1,0,0,0"])
@@ -359,6 +369,9 @@ VALID_AGENT = {"vertex_weights": ["1", "2"], "edge_weights": {}}
         ({"mode": [True]}, "field 'mode': must be an object"),
         ({"faces": [5]}, "faces[0]: need a list of bundles"),
         ({"faces": [[[1], [1]]]}, "faces[0]: duplicate face vertex"),
+        ({"name": {"x": [1]}}, "field 'name': need a string"),
+        ({"edges": ["1" * 5000 + "-2"]}, "field 'edges': bad edge key"),
+        ({"agents": [{"vertex_weights": ["1"]}]}, "agents[0].vertex_weights: need a list of 2"),
     ],
 )
 def test_malformed_instance_is_input_error(tmp_path, capsys, patch, field):
@@ -374,7 +387,8 @@ def test_malformed_instance_is_input_error(tmp_path, capsys, patch, field):
 @pytest.mark.parametrize("command", ["solve", "decompose"])
 @pytest.mark.parametrize(
     "point",
-    ["1,1,1,0,1_0,0", "+1,1,1,0,0,0", " 1,1,1,0,0,0", "\u0661,1,1,0,0,0", "1,1,1,0,0,-0", ""],
+    ["1,1,1,0,1_0,0", "+1,1,1,0,0,0", " 1,1,1,0,0,0", "\u0661,1,1,0,0,0", "1,1,1,0,0,-0", "",
+     "1,1,1"],
 )
 def test_malformed_point_is_input_error(tmp_path, capsys, command, point):
     """Each coordinate is plain ASCII digits; int() would take all of
@@ -478,6 +492,24 @@ def test_repeated_item_is_input_error(tmp_path, capsys, argv, doc, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     code, out, err = run(capsys, [a.format(inst=inst, bad=bad) for a in argv])
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, doc, message",
+    [
+        (["solve", "--walrasian", "{path}"],
+         {"n": 2, "agents": [VALID_AGENT], "supply": [1, 1], "mode": {"covering": True}},
+         "covering instances support quadratic pricing only"),
+        (["decompose", "{path}"], {"n": 2, "agents": [VALID_AGENT], "supply": [1, 1]},
+         "no point: pass --point or use an instance file with one"),
+    ],
+)
+def test_request_the_instance_cannot_serve_is_input_error(tmp_path, capsys, argv, doc, message):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, [a.format(path=path) for a in argv])
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
 
@@ -718,13 +750,36 @@ def test_console_script_exits_with_mains_code(tmp_path, capsys, monkeypatch, arg
     assert capsys.readouterr() == (out, err)
 
 
-def test_module_entry_point(tmp_path):
+def module_env():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "gpauction.cli", "corpus", "cutlery"],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+        capture_output=True, text=True, env=module_env(), cwd=tmp_path, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["name"] == "cutlery"
+
+
+def test_closed_stdout_reader_exits_141(tmp_path):
+    """A reader that closes stdout early gets the SIGPIPE status 141, not
+    a traceback and the input-error code. The pipe's read end is closed
+    before the process starts, so every write to it fails."""
+    path = write_corpus(tmp_path, "cutlery")
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gpauction.cli", "solve", path],
+            stdout=write, stderr=subprocess.PIPE, text=True,
+            env=module_env(), cwd=tmp_path, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 141
+    assert "Traceback" not in proc.stderr and "status" in proc.stderr

@@ -291,20 +291,24 @@ def as_bundles(g, masks):
 
 
 class TestMaskFold:
-    """The fold on bitmasks against the fold on bundles of tests/oracle.py:
-    the same (welfare, allocation) for every point."""
+    """The fold on bitmasks, which skips splits by a bound, against the
+    fold on bundles of tests/oracle.py, which matches every split: the
+    same (welfare, allocation, coords) for every key."""
 
-    @given(fold_cases(), st.booleans())
+    @given(fold_cases(), st.sampled_from(["point", "vertices"]))
     @settings(max_examples=150, deadline=None)
-    def test_matches_the_bundle_fold(self, case, top_only):
+    def test_matches_the_bundle_fold(self, case, key):
+        """Keyed by the point (quadratic prices) or by its vertex counts
+        (linear prices)."""
         vs, supply, m = case
         g = vs[0].graph
+        priced = g.d if key == "point" else g.n
         items = list(enumerate_aggregates(g, supply, m))
-        scale, best = demand._best_splits(vs, items, top_only=top_only)
+        scale, best = demand._best_splits(vs, items, priced)
         ref = reference_best_splits(
-            vs, [(c, as_bundles(g, masks)) for c, masks in items], top_only=top_only
+            vs, [(c, as_bundles(g, masks)) for c, masks in items], priced
         )
-        got = {c: (w, as_bundles(g, alloc)) for c, (w, alloc) in best.items()}
+        got = {k: (w, as_bundles(g, alloc), c) for k, (w, alloc, c) in best.items()}
         assert (scale, got) == ref
 
     @given(fold_cases(allow_neg_inf=True))
@@ -315,9 +319,11 @@ class TestMaskFold:
         for c in sorted({c for c, _ in enumerate_aggregates(g, supply, m)})[:4]:
             a = GPoint(g, c)
             scale, ref = reference_best_splits(
-                vs, [(c, as_bundles(g, masks)) for _, masks in enumerate_decompositions(a, m)]
+                vs,
+                [(c, as_bundles(g, masks)) for _, masks in enumerate_decompositions(a, m)],
+                g.d,
             )
-            welfare, alloc = ref[c]
+            welfare, alloc, _ = ref[c]
             expected = (welfare if welfare == NEG_INF else F(welfare, scale), alloc)
             assert max_welfare(vs, a) == expected
 
@@ -645,3 +651,21 @@ class TestWalrasian:
         price, alloc = found.price, found.allocation
         assert verify_ce([v], alloc, price).ok
         assert price.dot(char_vector([0, 1, 2], K3)) == 6
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: demand_set(Valuation.zero(K3), PriceVector.zero(ValueGraph.complete(2))),
+         "valuation and price over different graphs"),
+        (lambda: verify_ce(CUTLERY, (A, B), P_EDGES), "allocation and valuation counts differ"),
+        (lambda: seller_demand(P_SHIFTED, (2, 1, 1), 1), "no decomposable aggregate point"),
+    ],
+    ids=["demand_set", "verify_ce", "seller_demand"],
+)
+def test_inconsistent_arguments_raise(call, message):
+    """Arguments that do not fit together: valuation and price over two
+    graphs, one bundle too few, and a supply entry of 2 for one bundle,
+    which no split sells (without above the search must find a point)."""
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -118,6 +118,17 @@ class TestNestedChain:
         with pytest.raises(ValueError):
             nested_chain_point((3, 0, 0), 2, K3)
 
+    @pytest.mark.parametrize(
+        "bundle, graph, message",
+        [
+            ((1, 1, 0), ValueGraph.from_edges(3, [(0, 1)]), "complete graphs"),
+            ((1, 1), K3, "expected 3 bundle entries"),
+        ],
+    )
+    def test_rejects_a_graph_or_bundle_it_cannot_chain(self, bundle, graph, message):
+        with pytest.raises(ValueError, match=message):
+            nested_chain_point(bundle, 2, graph)
+
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_chain_structure_and_projection(self, data):
@@ -138,6 +149,10 @@ class TestNestedChain:
 class TestEnumerateDecompositions:
     def test_idp_point_has_none(self):
         assert list(enumerate_decompositions(IDP_POINT, 4)) == []
+
+    def test_negative_point_is_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            enumerate_decompositions(GPoint(K3, (1, 1, 0, 0, 0, -1)), 2)
 
     def test_three_singletons_unique(self):
         found = [
@@ -391,6 +406,18 @@ class TestMinkowskiOracles:
         assert not minkowski_contains(faces, char_vector([0, 1, 2], K3))
         assert vertex_sum_contains(faces, char_vector([0, 1, 2], K3)) is None
 
+    @pytest.mark.parametrize("oracle", [minkowski_contains, vertex_sum_contains])
+    def test_faces_and_point_over_different_graphs(self, oracle):
+        with pytest.raises(ValueError, match="share one graph"):
+            oracle([Face.from_bundles(K2, [[0]])], char_vector([0], K3))
+
+    def test_vertex_product_over_the_cap(self):
+        """2^27 vertex choices pass VERTEX_PRODUCT_CAP = 10^8, and the
+        search raises before it starts."""
+        faces = [Face.from_bundles(K3, [[0], [1]])] * 27
+        with pytest.raises(CapExceededError, match="vertex product"):
+            vertex_sum_contains(faces, GPoint.zero(K3))
+
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_one_vertex_faces_agree_with_vertex_sum(self, data):
@@ -432,3 +459,7 @@ class TestFaceValidation:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Face(K3, ())
+
+    def test_rejects_vertex_over_another_graph(self):
+        with pytest.raises(ValueError, match="different graph"):
+            Face(K3, (char_vector([0], K2),))

@@ -319,9 +319,11 @@ class TestOptimalCe:
             negatives += ours.status == NO_POINT_FOUND
         assert negatives >= 3
 
-    def test_top_only_fold_keeps_the_top_entry(self, monkeypatch):
-        """The bounded fold's first entry in (-welfare, coords) order is the
-        plain fold's, and it never matches more splits."""
+    def test_vertex_keyed_fold_keeps_the_top_entry(self, monkeypatch):
+        """Keyed by the n vertex counts, the fold has one entry: the first
+        in (-welfare, coords) order of the fold keyed by the point. It
+        matches no more splits than that fold, which matches no more than
+        there are."""
         calls = []
         assign = demand._assign
 
@@ -331,7 +333,7 @@ class TestOptimalCe:
 
         monkeypatch.setattr(demand, "_assign", counted)
         rng = random.Random(7)
-        plain_calls = top_calls = 0
+        point_calls = vertex_calls = 0
         for _ in range(40):
             n, m = rng.randint(2, 4), rng.randint(2, 4)
             g = ValueGraph.from_edges(
@@ -339,19 +341,19 @@ class TestOptimalCe:
             )
             vs = [random_valuation(rng, g, -3, 3) for _ in range(m)]
             supply = tuple(rng.randint(0, min(2, m)) for _ in range(n))
+            items = list(enumerate_aggregates(g, supply, m))
             runs = []
-            for top_only in (False, True):
+            for priced in (g.d, g.n):
                 calls.clear()
-                _, splits = demand._best_splits(
-                    vs, enumerate_aggregates(g, supply, m), top_only=top_only
-                )
-                first = min(splits.items(), key=lambda item: (-item[1][0], item[0]))
-                runs.append((first, len(calls)))
-            (plain, plain_n), (top, top_n) = runs
-            assert top == plain and top_n <= plain_n
-            plain_calls += plain_n
-            top_calls += top_n
-        assert top_calls < plain_calls
+                _, splits = demand._best_splits(vs, items, priced)
+                runs.append((splits, len(calls)))
+            (per_point, point_n), (per_vertex, vertex_n) = runs
+            first = min(per_point.values(), key=lambda entry: (-entry[0], entry[2]))
+            assert per_vertex == {supply: first}
+            assert vertex_n <= point_n <= len(items)
+            point_calls += point_n
+            vertex_calls += vertex_n
+        assert vertex_calls < point_calls
 
     def test_dominates_every_candidate_point(self):
         from gpauction.demand import candidate_points
