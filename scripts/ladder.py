@@ -6,7 +6,10 @@ integer weights drawn uniformly from [-3, 3], and the uniform supply r of
 every item. Every rung is solved for each seed in both modes, quadratic
 and Walrasian, and each run prints one JSON line: rung, mode, seed,
 status, revenue, seconds and "matched", the number of splits matched to
-the agents (calls of demand._assign, counted by wrapping it here). Then
+the agents (calls of demand._assign, counted by wrapping it here). In
+quadratic mode only the splits of the points that optimal_ce folds are
+matched: it folds a point only when the point's welfare bound is not
+below the best revenue found, so "matched" counts just those. Then
 the seller's revenue search runs at a price with integer entries drawn
 from [-3, 3] and at the zero price, where every point ties; each prints
 one line with mode "seller": rung, seed, price, the number of

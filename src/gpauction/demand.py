@@ -212,48 +212,70 @@ def _rank_key(alloc: Sequence[int], rank: Sequence[int]) -> list[int]:
     return sorted([rank[s] for s in alloc])
 
 
+class _Fold:
+    """The one fold rule: the best split per priced aggregate, over one
+    column table of the valuations. best maps a key to (welfare, alloc,
+    coords), the integer welfare in units of 1 / scale (NEG_INF for
+    -inf), one bitmask per agent and the split's point. Per key the
+    higher welfare wins, ties going to the least (coords, _rank_key).
+
+    add matches the first split of a key with _assign. A later split is
+    skipped when its bound (see bound) is strictly below the key's best,
+    as it can neither win nor tie, and gets that best as floor otherwise;
+    so every entry is exact. _assign is looked up in this module on each
+    call, so a wrapper set there sees every split matched."""
+
+    __slots__ = ("scale", "low", "cols", "rank", "tops", "best")
+
+    def __init__(self, vs: Sequence[Valuation]):
+        self.scale, tables = common_tables(vs)
+        self.low, self.cols = _columns(tables)
+        self.rank = _ranks(vs[0].graph.n)
+        self.tops: Optional[list[int]] = None
+        self.best: dict[tuple[int, ...], tuple[Union[int, float], tuple[int, ...], tuple]] = {}
+
+    def bound(self, masks: Sequence[int]) -> int:
+        """sum_j max_b v_b(S_j), at least the welfare of every matching of
+        the split (below every finite welfare when no agent values some
+        part finitely). The table of tops[mask] = max_b v_b(mask) is built
+        on the first call."""
+        if self.tops is None:
+            self.tops = [max(col) for col in self.cols]
+        tops = self.tops
+        return sum([tops[s] for s in masks])
+
+    def add(self, key: tuple[int, ...], coords: tuple[int, ...], masks: Sequence[int]) -> None:
+        """Fold the split (coords, masks) into key's entry."""
+        cur = self.best.get(key)
+        if cur is None:
+            self.best[key] = (*_assign(masks, self.cols, self.rank, self.low), coords)
+            return
+        if self.bound(masks) < cur[0]:
+            return
+        rank = self.rank
+        welfare, alloc = _assign(masks, self.cols, rank, self.low, cur[0])
+        if alloc is not None and (
+            welfare > cur[0]
+            or (coords, _rank_key(alloc, rank)) < (cur[2], _rank_key(cur[1], rank))
+        ):
+            self.best[key] = (welfare, alloc, coords)
+
+
 def _best_splits(
     vs: Sequence[Valuation],
     items: Iterable[tuple[tuple[int, ...], Sequence[int]]],
     priced: int,
 ) -> tuple[int, dict[tuple[int, ...], tuple[Union[int, float], tuple[int, ...], tuple]]]:
     """The best split per priced aggregate among the (coords, masks)
-    items, as (L, best): best maps coords[:priced] to (welfare, alloc,
-    coords), the integer welfare in units of 1 / L (NEG_INF for -inf),
-    one bitmask per agent and the split's point. priced counts the
-    coordinates a price tells apart: d under quadratic prices (a key per
-    point), n under linear ones (one key per supply). Per key the higher
-    welfare wins, ties going to the least (coords, _rank_key).
-
-    _assign matches each split on one column table built here. A split
-    meeting a filled key is skipped when its bound sum_j max_b v_b(S_j)
-    (below every finite welfare when no agent values some part finitely)
-    is strictly below the key's best, as it can neither win nor tie, and
-    gets that best as floor otherwise; so every entry is exact. The bound
-    table is built for the first such split. Callers create the items
-    first, so the enumerators' cap checks raise before any table here."""
-    scale, tables = common_tables(vs)
-    low, cols = _columns(tables)
-    rank = _ranks(vs[0].graph.n)
-    tops: Optional[list[int]] = None
-    best: dict[tuple[int, ...], tuple[Union[int, float], tuple[int, ...], tuple]] = {}
+    items, folded as they stream in, as (L, best) of a _Fold. The key is
+    coords[:priced]: priced counts the coordinates a price tells apart,
+    d under quadratic prices (a key per point), n under linear ones (one
+    key per supply). Callers create the items first, so the enumerators'
+    cap checks raise before any table here."""
+    fold = _Fold(vs)
     for coords, masks in items:
-        key = coords[:priced]
-        cur = best.get(key)
-        if cur is None:
-            best[key] = (*_assign(masks, cols, rank, low), coords)
-            continue
-        if tops is None:
-            tops = [max(col) for col in cols]
-        if sum([tops[s] for s in masks]) < cur[0]:
-            continue
-        welfare, alloc = _assign(masks, cols, rank, low, cur[0])
-        if alloc is not None and (
-            welfare > cur[0]
-            or (coords, _rank_key(alloc, rank)) < (cur[2], _rank_key(cur[1], rank))
-        ):
-            best[key] = (welfare, alloc, coords)
-    return scale, best
+        fold.add(coords[:priced], coords, masks)
+    return fold.scale, fold.best
 
 
 def _common_graph(vs: Sequence[Valuation], graph: Optional[ValueGraph] = None) -> ValueGraph:

@@ -236,7 +236,7 @@ def parse_instance(doc: dict, caps: Caps = DEFAULT_CAPS) -> InstanceFile:
 def print_instance(inst: InstanceFile) -> dict:
     g = inst.graph
     doc: dict[str, Any] = {}
-    if inst.name:
+    if inst.name is not None:
         doc["name"] = inst.name
     doc["n"] = g.n
     if not g.is_complete():

@@ -16,13 +16,14 @@ demand's one utility scan, the same one verify_ce runs.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
 from typing import Optional, Sequence
 
 from .caps import DEFAULT_CAPS, Caps
-from .demand import _best_splits, _common_graph, _utilities, max_welfare, verify_ce
+from .demand import _Fold, _common_graph, _utilities, max_welfare, verify_ce
 from .linprog import InternalError, LinearProgram, OPTIMAL, UNBOUNDED, lp_solve
 from .model import (
     Allocation,
@@ -62,11 +63,21 @@ def _price_at(
     alloc: Optional[Allocation],
     walrasian: bool,
     caps: Caps,
+    best: Optional[CEResult] = None,
 ) -> CEResult:
     """Revenue-maximal CE price for the welfare-maximal split `alloc` of
     `point` (None when no split has finite welfare), by column generation
     on the dual of the revenue LP, certified against the full demand-set
     scan.
+
+    Given best, a FOUND result at another point, the point is priced only
+    while it can still beat best: a higher revenue, or an equal one at
+    smaller coordinates. Each round's LP has a subset of the full LP's
+    columns, so its optimum is at most the full one's, and minus it is L
+    times an upper bound on the point's revenue (exact at the last
+    round). Once that bound rules the point out, best itself is returned,
+    with no further round and no verification; a FOUND result returned
+    for a point that stayed in beats best.
 
     The revenue LP maximizes <p, a> over prices p such that, for every
     agent b and every bundle T of finite value,
@@ -128,6 +139,9 @@ def _price_at(
             raise InternalError(
                 f"dual pricing LP ended {res.status} although its seed columns are feasible"
             )
+        # Loses when below best, or equal to it at coordinates after best's.
+        if best is not None and (-res.value, best.point.coords) < (best.revenue * L, point.coords):
+            return best
         prices = dual_table(g, res.y, L)
         new = []
         for b in range(m):
@@ -180,16 +194,32 @@ def optimal_ce(
     one).
 
     The points come from one enumeration of the multisets of m bundles
-    that sell the supply, folded by max_welfare's fold to the best split
-    per priced aggregate: per point under quadratic prices, one entry for
-    the supply under linear ones. They are priced in decreasing max
-    welfare (compared as integers), ties by point coordinates. Revenue
-    never exceeds the welfare at its point (revenue = welfare - sum of
-    utilities, each utility >= 0), so the search stops at the first point
-    whose welfare is below the best revenue found; points whose welfare
-    equals it are still priced, since they may win the tie on coordinates.
+    that sell the supply, folded by max_welfare's fold rule to the best
+    split per priced aggregate: per point under quadratic prices, one
+    entry for the supply under linear ones. They are priced in decreasing
+    max welfare (compared as integers), ties by point coordinates.
+    Revenue never exceeds the welfare at its point (revenue = welfare -
+    sum of utilities, each utility >= 0), so the search stops at the
+    first point whose welfare is below the best revenue found; points
+    whose welfare equals it are still priced, since they may win the tie
+    on coordinates.
 
-    Walrasian mode prices that one entry: the least point of maximal
+    Under quadratic prices the search is best-first, so a point that
+    cannot win is never folded. The splits are grouped by point, and
+    each point enters a heap keyed by (-value, coords), its value being
+    the bound max over its splits of sum_j max_b v_b(S_j) (see _Fold),
+    which no split's welfare exceeds. The top entry is taken: if its
+    value is below the best revenue the search stops; if the point is
+    not yet folded, its splits are folded and it goes back with its
+    exact welfare as value; otherwise it is priced. A bound is never
+    below its welfare, so the points are priced in the same (-welfare,
+    coords) order, and the search stops at the same point, as if every
+    point had been folded first. Each point is priced against the best
+    result so far, and its LP rounds stop once they rule it out (see
+    _price_at), which leaves the sequence of best results unchanged.
+
+    Walrasian mode folds its splits as they stream in (one key needs no
+    grouping) and prices that one entry: the least point of maximal
     welfare, at its least welfare-maximal split. Linear prices charge p.s
     for every allocation of the supply, so:
     - any Walrasian CE (p, T) has T efficient: every agent's utility at T
@@ -212,24 +242,33 @@ def optimal_ce(
     if not all(v.is_finite() for v in vs):
         raise ValueError("weights must be finite for optimal_ce")
 
-    scale, splits = _best_splits(
-        vs, enumerate_aggregates(g, supply, m, caps), g.n if walrasian else g.d
-    )
-    order = sorted(splits.values(), key=lambda entry: (-entry[0], entry[2]))
+    items = enumerate_aggregates(g, supply, m, caps)
+    fold = _Fold(vs)
+    # The splits of each point not yet folded.
+    unfolded: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    if walrasian:
+        for coords, masks in items:
+            fold.add(supply, coords, masks)
+        heap = [(-welfare, coords) for welfare, _, coords in fold.best.values()]
+    else:
+        for coords, masks in items:
+            unfolded.setdefault(coords, []).append(masks)
+        heap = [(-max(map(fold.bound, splits)), coords) for coords, splits in unfolded.items()]
+    heapq.heapify(heap)
+    priced = g.n if walrasian else g.d
     bundles = bundle_table(g)
     best: Optional[CEResult] = None
-    for welfare, masks, coords in order:
-        if best is not None and welfare < best.revenue * scale:
-            break
-        alloc = tuple([bundles[s] for s in masks])
-        res = _price_at(vs, GPoint(g, coords), alloc, walrasian, caps)
-        if res.status != FOUND:
+    while heap and (best is None or -heap[0][0] >= best.revenue * fold.scale):
+        coords = heapq.heappop(heap)[1]
+        splits = unfolded.pop(coords, None)
+        if splits is not None:
+            for masks in splits:
+                fold.add(coords, coords, masks)
+            heapq.heappush(heap, (-fold.best[coords][0], coords))
             continue
-        if (
-            best is None
-            or res.revenue > best.revenue
-            or (res.revenue == best.revenue and coords < best.point.coords)
-        ):
+        alloc = tuple([bundles[s] for s in fold.best[coords[:priced]][1]])
+        res = _price_at(vs, GPoint(g, coords), alloc, walrasian, caps, best)
+        if res.status == FOUND:
             best = res
     if best is None:
         if g.is_complete() and not walrasian:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction as F
 
@@ -48,9 +49,11 @@ class TestCorpus:
         with pytest.raises(ParseError):
             corpus_instance("nope")
 
-    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    @pytest.mark.parametrize("name", [*CORPUS_NAMES, ""])
     def test_round_trip_identity(self, name):
-        inst = corpus_instance(name)
+        """Every corpus instance, and one named "": an empty name is a
+        name, written back and read back as it is."""
+        inst = dataclasses.replace(corpus_instance(name or "cutlery"), name=name)
         once = parse_instance(json.loads(json.dumps(print_instance(inst))))
         assert once == inst
         twice = parse_instance(json.loads(json.dumps(print_instance(once))))

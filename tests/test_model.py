@@ -302,3 +302,43 @@ class TestAllocation:
         alloc = (frozenset({0, 1}), frozenset({item}))
         with pytest.raises(ValueError, match="out of range"):
             aggregate(K3, alloc)
+
+
+K2 = ValueGraph.complete(2)
+
+
+class TestConstructorGuards:
+    """Each constructor refuses input of the wrong shape with its own
+    message, so a dropped check fails here and not somewhere downstream."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: ValueGraph(0, ()), "at least one vertex"),
+            (lambda: GPoint(K3, (1, 1, 1)), "expected 6 coordinates, got 3"),
+            (lambda: GPoint(K3, (1,) * 7), "expected 6 coordinates, got 7"),
+            (lambda: GPoint(K2, (1, 1, 1.0)), "coordinates must be integers"),
+            (lambda: GPoint(K2, (1, F(1), 1)), "coordinates must be integers"),
+            (lambda: GPoint.zero(K3) + GPoint.zero(ValueGraph(3, ())), "different graphs"),
+            (lambda: Valuation(K3, (F(0),) * 5), "expected 6 weights, got 5"),
+            (lambda: PriceVector(K3, (F(0),) * 7), "expected 6 entries, got 7"),
+            (lambda: shift(Valuation.zero(K3), (0,) * 3), "expected 6 entries, got 3"),
+        ],
+        ids=[
+            "graph-no-vertex", "point-short", "point-long", "point-float",
+            "point-fraction", "point-sum-two-graphs", "valuation-length",
+            "price-length", "shift-length",
+        ],
+    )
+    def test_rejects(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    @pytest.mark.parametrize(
+        "coords",
+        [(2, 0, 0), (1, 1, 0), (0, 1, 1)],
+        ids=["count-two", "edge-missing", "edge-without-vertex"],
+    )
+    def test_as_bundle_needs_a_characteristic_vector(self, coords):
+        with pytest.raises(ValueError, match="not a characteristic vector"):
+            GPoint(K2, coords).as_bundle()

@@ -171,6 +171,41 @@ class TestCePriceAtPoint:
             ce_price_at_point([Valuation.zero(g)], GPoint.zero(g))
 
 
+def eager_priced(vs, supply, walrasian):
+    """The coordinates of the points an eager search prices, in order:
+    every point folded first, then priced in (-welfare, coords) order,
+    each to the end, until the welfare falls below the best revenue."""
+    g = vs[0].graph
+    items = enumerate_aggregates(g, supply, len(vs))
+    scale, splits = demand._best_splits(vs, items, g.n if walrasian else g.d)
+    best, order = None, []
+    for welfare, _, coords in sorted(splits.values(), key=lambda e: (-e[0], e[2])):
+        if best is not None and welfare < best.revenue * scale:
+            break
+        order.append(coords)
+        res = ce_price_at_point(vs, GPoint(g, coords), walrasian=walrasian)
+        if res.status == FOUND and (
+            best is None
+            or res.revenue > best.revenue
+            or (res.revenue == best.revenue and coords < best.point.coords)
+        ):
+            best = res
+    return order
+
+
+def spy_priced(monkeypatch) -> list:
+    """Record the coordinates of every point pricing._price_at is called
+    on, in order, in the list returned."""
+    priced, price_at = [], pricing._price_at
+
+    def spy(vs, point, *args):
+        priced.append(point.coords)
+        return price_at(vs, point, *args)
+
+    monkeypatch.setattr(pricing, "_price_at", spy)
+    return priced
+
+
 class TestOptimalCe:
     def test_cutlery_revenue_one(self):
         res = optimal_ce(CUTLERY, (1, 1, 1))
@@ -269,9 +304,11 @@ class TestOptimalCe:
     @settings(max_examples=40, deadline=None)
     def test_equals_box_search(self, g, data):
         """The welfare-ordered search returns what pricing every point of
-        the candidate box returns: status, point, revenue and allocation,
-        including the lexicographic tie-breaks (all-zero valuations tie
-        everywhere)."""
+        the candidate box returns: status, point, revenue, allocation and
+        price, including the lexicographic tie-breaks (all-zero
+        valuations tie everywhere). It prices exactly the points that
+        folding every point first and pricing in (-welfare, coords)
+        order does, in that order (a spy on _price_at)."""
         m = data.draw(st.integers(1, 3))
         if data.draw(st.booleans()):
             vs = [Valuation.zero(g)] * m
@@ -279,21 +316,44 @@ class TestOptimalCe:
             vs = [data.draw(valuations(g)) for _ in range(m)]
         supply = tuple(data.draw(st.integers(0, m)) for _ in range(g.n))
         for walrasian in (False, True):
-            ours = optimal_ce(vs, supply, walrasian=walrasian)
-            ref = box_optimal_ce(vs, supply, walrasian)
-            assert (ours.status, ours.point, ours.revenue, ours.allocation) == (
-                ref.status, ref.point, ref.revenue, ref.allocation
-            )
+            expected = eager_priced(vs, supply, walrasian)
+            with pytest.MonkeyPatch.context() as mp:
+                priced = spy_priced(mp)
+                ours = optimal_ce(vs, supply, walrasian=walrasian)
+            assert priced == expected
+            assert ours == box_optimal_ce(vs, supply, walrasian)
+
+    def test_loose_bound_is_folded_not_priced(self, monkeypatch):
+        """On K2 with supply (1, 1), both points have bound 4: the split
+        ({0}, {1}) can give agent 0 both of its tops, 1 and 3. The point
+        (1, 1, 0) comes first on coordinates, but its welfare is 1, so it
+        goes back behind (1, 1, 1), whose welfare is 4, and is never
+        priced: the revenue found there beats 1."""
+        vs = [Valuation(K2, (F(1), F(3), F(0))), Valuation(K2, (F(-3), F(0), F(-3)))]
+        assert eager_priced(vs, (1, 1), False) == [(1, 1, 1)]
+        priced = spy_priced(monkeypatch)
+        res = optimal_ce(vs, (1, 1))
+        assert priced == [(1, 1, 1)]
+        assert res.revenue > 1
+
+    def test_cutlery_rules_out_losing_points_after_one_round(self, monkeypatch):
+        """Quadratic cutlery prices four points. The first wins, at
+        revenue 1, in two LP rounds; the first round of each of the other
+        three already bounds its revenue below 1, so it stops there,
+        unverified. Pricing every point to the end takes 9 LPs."""
+        lps, verified = [], []
+        solve, verify = pricing.lp_solve, pricing.verify_ce
+        monkeypatch.setattr(pricing, "lp_solve", lambda lp: lps.append(lp) or solve(lp))
+        monkeypatch.setattr(
+            pricing, "verify_ce", lambda *args: verified.append(args) or verify(*args)
+        )
+        res = optimal_ce(CUTLERY, (1, 1, 1))
+        assert (len(lps), len(verified)) == (5, 1)
+        monkeypatch.undo()
+        assert res == box_optimal_ce(CUTLERY, (1, 1, 1))
 
     def test_walrasian_prices_one_point(self, monkeypatch):
-        priced = []
-        price_at = pricing._price_at
-
-        def spy(vs, point, *args):
-            priced.append(point)
-            return price_at(vs, point, *args)
-
-        monkeypatch.setattr(pricing, "_price_at", spy)
+        priced = spy_priced(monkeypatch)
         assert optimal_ce(CUTLERY, (1, 1, 1), walrasian=True).status == NO_POINT_FOUND
         assert len(priced) == 1
         assert optimal_ce(SHIFTED, (1, 1, 1), walrasian=True).status == FOUND
