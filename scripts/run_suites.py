@@ -5,6 +5,7 @@ Each suite draws instances from one generator and checks the matching
 guarantee: disjoint-clique and nested-chain points over complete graphs
 always admit a CE price, covering clique bids stay inside their supports,
 and demand sets are invariant under simultaneous weight/price shifts.
+A failed check exits non-zero, naming the suite and the instance.
 """
 import argparse
 import random
@@ -21,40 +22,51 @@ from gpauction.randgen import (
 )
 
 
+def check(ok, suite, k, what):
+    """Exit non-zero naming the suite and instance unless ok. An explicit
+    check, not an assert, so the suites check under python -O too."""
+    if not ok:
+        raise SystemExit(f"{suite}: instance {k}: {what}")
+
+
 def run_clique(rng, count):
-    for _ in range(count):
+    for k in range(count):
         vs, supply, point = disjoint_clique_instance(rng)
         res = ce_price_at_point(vs, point)
-        assert res.status == FOUND and verify_ce(vs, res.allocation, res.price).ok
+        check(res.status == FOUND and verify_ce(vs, res.allocation, res.price).ok,
+              "clique", k, f"no verified CE price at the point ({res.status})")
     return count
 
 
 def run_nested(rng, count):
-    for _ in range(count):
+    for k in range(count):
         vs, supply, point = arbitrary_supply_instance(rng)
-        assert ce_price_at_point(vs, point).status == FOUND
+        res = ce_price_at_point(vs, point)
+        check(res.status == FOUND, "nested", k, f"no CE price at the point ({res.status})")
     return count
 
 
 def run_covering(rng, count):
-    for _ in range(count):
+    for k in range(count):
         vs, supply, point = covering_instance(rng)
         res = ce_for_covering(vs, supply, point)
-        assert res.status == FOUND
+        check(res.status == FOUND, "covering", k, f"no CE price at the point ({res.status})")
         supports = [v.support for v in vs]
-        assert all(S <= supports[b] for b, S in enumerate(res.allocation))
+        check(all(S <= supports[b] for b, S in enumerate(res.allocation)),
+              "covering", k, "a bundle leaves its agent's support")
     return count
 
 
 def run_shift(rng, count):
-    for _ in range(count):
+    for k in range(count):
         v, p, c = shift_triple(rng)
         g = v.graph
         before = demand_set(v, PriceVector(g, p))
         after = demand_set(
             shift(v, c), PriceVector(g, tuple(a + b for a, b in zip(p, c)))
         )
-        assert before.bundles == after.bundles
+        check(before.bundles == after.bundles, "shift", k,
+              "the demand set moved under a joint weight and price shift")
     return count
 
 

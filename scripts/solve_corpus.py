@@ -5,7 +5,11 @@ Solves both triangle auctions (quadratic and linear pricing), checks the
 pricing-equilibrium verdicts, and runs the two geometry counterexamples:
 the house-graph faces whose Minkowski sum traps a point away from every
 vertex sum, and the K4 point that no four bundles can assemble.
+
+The results go to stdout, the same on every run; each solve's time goes
+to stderr.
 """
+import sys
 import time
 
 from gpauction.demand import verify_pe
@@ -19,8 +23,8 @@ def solve_auction(name):
     start = time.monotonic()
     res = optimal_ce(inst.valuations, inst.supply)
     elapsed = time.monotonic() - start
-    print(f"{name}: optimal CE revenue {res.revenue} "
-          f"({elapsed * 1000:.0f} ms), point {res.point.coords}")
+    print(f"{name}: optimal CE revenue {res.revenue}, point {res.point.coords}")
+    print(f"{name}: solved in {elapsed * 1000:.0f} ms", file=sys.stderr)
     pe = verify_pe(inst.valuations, res.allocation, res.price, inst.supply)
     print(f"  seller optimum at this price: {pe.seller_best_revenue} "
           f"-> {'PE' if pe.ok else 'not a PE'}")

@@ -8,9 +8,11 @@ fraction-free (Edmonds 1967, Bareiss 1968): every entry of the LP is
 an int, the tableau holds integers over one common denominator D (the
 determinant of the current basis), and each pivot divides exactly by
 the previous pivot. No rational number is formed until the answer is
-read off. Every pivot is positive, so D > 0 throughout:
-Bland's ratio test picks a positive entry, and pivoting a basic
-artificial out after phase 1 on a negative entry negates its row first.
+read off, and the answer keeps its integers too (LPResult's scale, cx
+and Y) for callers that work in integers. Every pivot is positive, so
+D > 0 throughout: Bland's ratio test picks a positive entry, and
+pivoting a basic artificial out after phase 1 on a negative entry
+negates its row first.
 
 The pricing LPs are nearly unimodular (their columns are 0/+-1
 differences of characteristic vectors), so almost every pivot p equals
@@ -28,7 +30,7 @@ exactness of every integer division is itself checked.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, compress
 from operator import mul
@@ -67,15 +69,31 @@ class LinearProgram:
             )
             raise TypeError(f"refusing LP entry {bad!r} of type {type(bad).__name__}; use int")
 
+    @classmethod
+    def _of_ints(cls, objective: tuple, rows: tuple, rhs: tuple) -> "LinearProgram":
+        """The LP of entries its caller built as ints of matching lengths,
+        taken without __post_init__'s pass over them."""
+        lp = object.__new__(cls)
+        object.__setattr__(lp, "objective", objective)
+        object.__setattr__(lp, "rows", rows)
+        object.__setattr__(lp, "rhs", rhs)
+        return lp
+
 
 @dataclass(frozen=True)
 class LPResult:
-    """``value``, ``x`` and the row duals ``y`` are set when OPTIMAL."""
+    """``value``, ``x`` and the row duals ``y`` are set when OPTIMAL. So is
+    the integer form lp_solve certified them in: ``scale`` the common
+    denominator D > 0, ``cx`` D times the value and ``Y`` D times y. Those
+    three are keyword-only and left out of equality."""
 
     status: str
     value: Optional[Fraction] = None
     x: Optional[tuple[Fraction, ...]] = None
     y: Optional[tuple[Fraction, ...]] = None
+    scale: Optional[int] = field(default=None, compare=False, repr=False, kw_only=True)
+    cx: Optional[int] = field(default=None, compare=False, repr=False, kw_only=True)
+    Y: Optional[tuple[int, ...]] = field(default=None, compare=False, repr=False, kw_only=True)
 
 
 def _pivot(rows: list[list[int]], D: int, r: int, s: int) -> int:
@@ -241,4 +259,7 @@ def lp_solve(lp: LinearProgram) -> LPResult:
         shared_fraction(cx, D),
         tuple([shared_fraction(x, D) if x else zero for x in X]),
         tuple(shared_fraction(yi, D) for yi in Y),
+        scale=D,
+        cx=cx,
+        Y=tuple(Y),
     )

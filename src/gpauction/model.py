@@ -178,7 +178,7 @@ class GPoint:
             raise ValueError(
                 f"expected {self.graph.d} coordinates, got {len(self.coords)}"
             )
-        if not all(isinstance(c, int) for c in self.coords):
+        if any(type(c) is not int for c in self.coords):
             raise ValueError("coordinates must be integers")
 
     @classmethod
@@ -341,15 +341,12 @@ def bundle_sums(graph: ValueGraph, w: Sequence[Optional[int]]) -> list[Optional[
     return t
 
 
-def dual_table(graph: ValueGraph, y: Sequence[Fraction], L: int) -> tuple[int, list[int]]:
-    """The table of the price whose entries are y / L, padded with zeros
-    to the graph's d entries, as PriceVector.table gives it: (D, t) with
-    D the common denominator of those entries and t[mask] D times the
-    price of the bundle with that bitmask. No Fraction is formed: the
-    entries are Y / M over M = L * lcm of y's denominators, and the
-    least common denominator is M over gcd(M, Y)."""
-    M, Y = scaled_ints(y)
-    M *= L
+def dual_table(graph: ValueGraph, Y: Sequence[int], M: int) -> tuple[int, list[int]]:
+    """The table of the price whose entries are the integers Y over the
+    scale M > 0, padded with zeros to the graph's d entries, as
+    PriceVector.table gives it: (D, t) with D the least common
+    denominator of those entries, M over gcd(M, *Y), and t[mask] D times
+    the price of the bundle with that bitmask. No Fraction is formed."""
     g = gcd(M, *Y)
     P = [x // g for x in Y]
     P += [0] * (graph.d - len(P))
@@ -430,4 +427,5 @@ class PriceVector:
         """(D, t): D is the common denominator of the entries and t[mask]
         is D times the price of the bundle with that bitmask. Built per
         call; a price keeps no table."""
-        return dual_table(self.graph, self.entries, 1)
+        D, P = self.scaled()
+        return dual_table(self.graph, P, D)

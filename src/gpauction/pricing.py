@@ -105,8 +105,10 @@ def _price_at(
     The costs are the values scaled by L, the common scale of the
     valuation tables, so the row duals are L times the prices and the
     optimum is -L times the revenue; a positive scale of the costs leaves
-    the pivot path unchanged. Each round's price is the row duals over L,
-    and the scan reads its table."""
+    the pivot path unchanged. Each round's LP is built from ints, so it is
+    taken unchecked, and it is read in integers: lp_solve's duals Y over
+    D * L (D its scale) are the round's price, whose table the scan reads,
+    and the final price and revenue are the only Fractions formed."""
     if alloc is None:
         return CEResult(INFEASIBLE_AT_POINT, point=point)
     g = point.graph
@@ -132,17 +134,22 @@ def _price_at(
         columns = [cols[key] for key in sorted(cols)]
         costs = tuple(cost for _, cost in columns)
         rows = tuple(zip(*[col for col, _ in columns])) if columns else ((),) * k
-        res = lp_solve(LinearProgram(costs, rows, rhs))
+        res = lp_solve(LinearProgram._of_ints(costs, rows, rhs))
         if res.status == UNBOUNDED:
             return CEResult(INFEASIBLE_AT_POINT, point=point)
         if res.status != OPTIMAL:
             raise InternalError(
                 f"dual pricing LP ended {res.status} although its seed columns are feasible"
             )
-        # Loses when below best, or equal to it at coordinates after best's.
-        if best is not None and (-res.value, best.point.coords) < (best.revenue * L, point.coords):
+        # -cx / DL is at least the revenue. The point loses when that
+        # bound is below best's revenue r / q, or equal to it at
+        # coordinates after best's: compared as -cx * q against r * DL.
+        DL = res.scale * L
+        if best is not None and (-res.cx * best.revenue.denominator, best.point.coords) < (
+            best.revenue.numerator * DL, point.coords
+        ):
             return best
-        prices = dual_table(g, res.y, L)
+        prices = dual_table(g, res.Y, DL)
         new = []
         for b in range(m):
             _, u = _utilities((L, vals[b]), prices)
@@ -151,9 +158,9 @@ def _price_at(
             new += [(b, mask) for mask, x in enumerate(u) if x > own_u and (b, mask) not in cols]
         if not new:
             break
-    entries = tuple(shared_fraction(y.numerator, y.denominator * L) for y in res.y)
+    entries = tuple(shared_fraction(y, DL) for y in res.Y)
     entries += (shared_fraction(0),) * (g.d - k)
-    revenue = shared_fraction(-res.value.numerator, res.value.denominator * L)
+    revenue = shared_fraction(-res.cx, DL)
     price = PriceVector(g, entries, linear_only=walrasian)
     if not verify_ce(vs, alloc, price, caps).ok:
         raise InternalError("constructed price fails the exact CE verification")

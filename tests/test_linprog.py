@@ -261,24 +261,53 @@ def test_failed_phase_raises(monkeypatch, ends, message):
         lp_solve(NEGATED)
 
 
+def draw_lp(data) -> LinearProgram:
+    """Up to 4 rows and 5 columns of small ints, or of -2..2."""
+    ncols = data.draw(st.integers(0, 5))
+    nrows = data.draw(st.integers(0, 4))
+    entry = data.draw(st.sampled_from((st.integers(-16, 16), st.integers(-2, 2))))
+    return standard(
+        [data.draw(entry) for _ in range(ncols)],
+        [[data.draw(entry) for _ in range(ncols)] for _ in range(nrows)],
+        [data.draw(entry) for _ in range(nrows)],
+    )
+
+
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_core_matches_reference(data):
     """Status and value equal the reference solver's; every optimum
     carries duals that pass the certificate."""
-    ncols = data.draw(st.integers(0, 5))
-    nrows = data.draw(st.integers(0, 4))
-    entry = data.draw(st.sampled_from((st.integers(-16, 16), st.integers(-2, 2))))
-    lp = standard(
-        [data.draw(entry) for _ in range(ncols)],
-        [[data.draw(entry) for _ in range(ncols)] for _ in range(nrows)],
-        [data.draw(entry) for _ in range(nrows)],
-    )
+    lp = draw_lp(data)
     res = lp_solve(lp)
     ref = reference_lp_solve(as_reference(lp))
     assert (res.status, res.value) == (ref.status, ref.value)
     if res.status == OPTIMAL:
         assert_certified(lp, res)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_integer_result_is_the_fractions_scaled(data):
+    """An optimum's scale, cx and Y are D, D times the value and D times
+    y; an LP taken unchecked by _of_ints solves to the same result."""
+    lp = draw_lp(data)
+    res = lp_solve(lp)
+    if res.status == OPTIMAL:
+        assert res.scale > 0
+        assert res.value == F(res.cx, res.scale)
+        assert res.y == tuple(F(v, res.scale) for v in res.Y)
+    else:
+        assert (res.scale, res.cx, res.Y) == (None, None, None)
+    raw = lp_solve(LinearProgram._of_ints(lp.objective, lp.rows, lp.rhs))
+    assert raw == res
+    assert (raw.scale, raw.cx, raw.Y) == (res.scale, res.cx, res.Y)
+
+
+def test_integer_fields_stay_out_of_equality():
+    assert LPResult(OPTIMAL, F(1), (F(1),), (F(1),), scale=2, cx=2, Y=(2,)) == LPResult(
+        OPTIMAL, F(1), (F(1),), (F(1),)
+    )
 
 
 @pytest.mark.parametrize("bad", [0.5, "1", float("inf"), F(1, 2), True])

@@ -163,17 +163,19 @@ class TestTables:
 
     @given(graphs(), st.data())
     def test_price_table_is_scaled_price(self, g, data):
-        """Also the table dual_table gives for the duals y at scale L: the
-        price y / L, padded with zero edge prices when y has n entries."""
+        """Also the table dual_table gives for integer duals Y over a scale
+        M: the price Y / M, padded with zero edge prices when Y has n
+        entries. All-zero Y is drawn too: its table is (1, zeros)."""
         k = data.draw(st.sampled_from((g.n, g.d)))
-        y = [data.draw(small_fractions()) for _ in range(k)]
-        L = data.draw(st.integers(1, 12))
-        p = PriceVector(g, tuple(x / L for x in y) + (F(0),) * (g.d - k))
+        entry = st.just(0) if data.draw(st.booleans()) else st.integers(-60, 60)
+        Y = [data.draw(entry) for _ in range(k)]
+        M = data.draw(st.integers(1, 360))
+        p = PriceVector(g, tuple(F(y, M) for y in Y) + (F(0),) * (g.d - k))
         D, t = p.table()
         assert D == math.lcm(*(e.denominator for e in p.entries))
         for mask in range(1 << g.n):
             assert t[mask] == D * p.of_bundle(bundle_of(mask, g.n))
-        assert dual_table(g, y, L) == (D, t)
+        assert dual_table(g, Y, M) == (D, t)
 
 
 class TestShift:
@@ -319,6 +321,7 @@ class TestConstructorGuards:
             (lambda: GPoint(K3, (1,) * 7), "expected 6 coordinates, got 7"),
             (lambda: GPoint(K2, (1, 1, 1.0)), "coordinates must be integers"),
             (lambda: GPoint(K2, (1, F(1), 1)), "coordinates must be integers"),
+            (lambda: GPoint(K2, (True, True, True)), "coordinates must be integers"),
             (lambda: GPoint.zero(K3) + GPoint.zero(ValueGraph(3, ())), "different graphs"),
             (lambda: Valuation(K3, (F(0),) * 5), "expected 6 weights, got 5"),
             (lambda: PriceVector(K3, (F(0),) * 7), "expected 6 entries, got 7"),
@@ -326,7 +329,7 @@ class TestConstructorGuards:
         ],
         ids=[
             "graph-no-vertex", "point-short", "point-long", "point-float",
-            "point-fraction", "point-sum-two-graphs", "valuation-length",
+            "point-fraction", "point-bool", "point-sum-two-graphs", "valuation-length",
             "price-length", "shift-length",
         ],
     )

@@ -4,10 +4,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gpauction import demand, polytope, pricing
+from gpauction import demand, model, polytope, pricing
 from gpauction.caps import CapExceededError, Caps
 from gpauction.demand import CEVerdict, demand_set, max_welfare, verify_ce
-from gpauction.linprog import INFEASIBLE, OPTIMAL, InternalError, LPResult
+from gpauction.linprog import INFEASIBLE, OPTIMAL, InternalError, LinearProgram, LPResult
 from gpauction.model import (
     GPoint,
     NEG_INF,
@@ -38,6 +38,7 @@ from gpauction.randgen import (
 from gpauction.instances import corpus_instance
 
 from .oracle import GE, box_optimal_ce, build_ce_lp, reference_lp_solve
+from .test_golden import golden_cases
 from .strategies import bundles, graphs, small_fractions, valuations
 
 K2 = ValueGraph.complete(2)
@@ -585,6 +586,51 @@ class TestVerificationGuard:
         monkeypatch.setattr(pricing, "lp_solve", lambda lp: LPResult(INFEASIBLE))
         with pytest.raises(InternalError, match="ended infeasible"):
             ce_price_at_point(CUTLERY, GPoint(K3, (1, 1, 1, 1, 0, 0)))
+
+
+class TestIntegerRounds:
+    """The pricing rounds build their LPs from ints and read the duals as
+    ints: no LP passes the checked constructor, and the only scaled_ints
+    is the one of the final verify_ce of each FOUND result."""
+
+    CASES = {
+        key: run
+        for key, run in golden_cases()
+        if key.startswith(("optimal/cutlery/", "point/0/"))
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_no_checked_lp_and_one_scaled_ints_per_found(self, monkeypatch, case):
+        counts = {"checked": 0, "scaled": 0, "found": 0}
+        post_init, scaled_ints, price_at = (
+            LinearProgram.__post_init__, model.scaled_ints, pricing._price_at
+        )
+
+        def checked(lp):
+            counts["checked"] += 1
+            post_init(lp)
+
+        def scaled(xs):
+            counts["scaled"] += 1
+            return scaled_ints(xs)
+
+        def priced(*args, **kwargs):
+            best = args[5] if len(args) > 5 else kwargs.get("best")
+            res = price_at(*args, **kwargs)
+            counts["found"] += res.status == FOUND and res is not best
+            return res
+
+        monkeypatch.setattr(LinearProgram, "__post_init__", checked)
+        monkeypatch.setattr(model, "scaled_ints", scaled)
+        monkeypatch.setattr(pricing, "_price_at", priced)
+        res = self.CASES[case]()
+        assert counts["checked"] == 0
+        assert counts["scaled"] == counts["found"]
+        assert (counts["found"] > 0) == (res.status == FOUND)
+
+    def test_public_constructor_still_checks_types(self):
+        with pytest.raises(TypeError):
+            LinearProgram((F(1, 2),), ((1,),), (1,))
 
 
 class TestExistenceSuitesMini:

@@ -4,7 +4,6 @@ here rather than at the next manual run."""
 import importlib.util
 import json
 import os
-import re
 import shutil
 import subprocess
 import sys
@@ -14,12 +13,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# The paper's four corpus results, with the timings masked as (N ms).
+# The paper's four corpus results; the timings go to stderr.
 SOLVE_CORPUS_STDOUT = """\
-cutlery: optimal CE revenue 1 (N ms), point (1, 1, 1, 0, 0, 1)
+cutlery: optimal CE revenue 1, point (1, 1, 1, 0, 0, 1)
   seller optimum at this price: 3 -> not a PE
   no Walrasian equilibrium
-cutlery-shifted: optimal CE revenue 7 (N ms), point (1, 1, 1, 1, 1, 1)
+cutlery-shifted: optimal CE revenue 7, point (1, 1, 1, 1, 1, 1)
   seller optimum at this price: 7 -> PE
   Walrasian price ('3', '1', '3', '0', '0', '0')
 house: point (1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0)
@@ -50,7 +49,7 @@ def test_script_runs(argv):
     )
     assert proc.returncode == 0, proc.stderr
     if argv[0] == "scripts/solve_corpus.py":
-        assert re.sub(r"\(\d+ ms\)", "(N ms)", proc.stdout) == SOLVE_CORPUS_STDOUT
+        assert proc.stdout == SOLVE_CORPUS_STDOUT
     if argv[0] == "scripts/ladder.py":
         lines = [json.loads(line) for line in proc.stdout.splitlines()]
         solved = [line for line in lines if line["mode"] in ("quadratic", "walrasian")]
@@ -65,6 +64,34 @@ def test_script_runs(argv):
         assert check[1]["optimal"] and check[1]["revenue"] == "0"
         best = {line["price"]: line["revenue"] for line in seller}
         assert [line["revenue"] for line in check] == [best["random"], best["zero"]]
+
+
+# Runs scripts/run_suites.py with ce_price_at_point made to fail at
+# every point, so the nested suite's verdict is a failure.
+FAILING_SUITE = """
+import runpy, sys
+from gpauction import pricing
+pricing.ce_price_at_point = lambda vs, point, **kw: pricing.CEResult(
+    pricing.INFEASIBLE_AT_POINT, point=point)
+sys.argv = ["run_suites.py", "--suite", "nested", "--count", "1"]
+runpy.run_path("scripts/run_suites.py", run_name="__main__")
+"""
+
+
+def test_suite_failure_exits_under_python_O():
+    """The suites' verdicts are explicit checks: a failed one exits
+    non-zero and names the suite, under python -O too."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", FAILING_SUITE],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
+    )
+    assert proc.returncode != 0
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("nested: instance 0: no CE price at the point"), proc.stderr
 
 
 def test_bench_pairs_the_repo_with_itself(tmp_path):
