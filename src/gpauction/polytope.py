@@ -13,7 +13,6 @@ coordinate.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, mul
@@ -138,23 +137,6 @@ def _supply_tuple(graph: ValueGraph, supply: Sequence[int]) -> tuple[int, ...]:
     return supply
 
 
-# Frames a consumer may stack between creating a search and resuming it.
-_DEPTH_MARGIN = 50
-
-
-def _check_depth(supply: Sequence[int], m: int) -> None:
-    """Raise ValueError when the search over these m parts could pass the
-    interpreter's recursion limit. It recurses once per nonempty part, so
-    its depth is at most min(m, sum(supply)); that depth plus the margin
-    must stay within the limit."""
-    depth = min(m, sum(supply))
-    limit = sys.getrecursionlimit()
-    if depth + _DEPTH_MARGIN > limit:
-        raise ValueError(
-            f"a search over {depth} nonempty parts would pass the recursion limit {limit}"
-        )
-
-
 def _splits(
     graph: ValueGraph,
     supply: tuple[int, ...],
@@ -169,21 +151,27 @@ def _splits(
     for edge ij at coordinate e with count c. coords is the tuple of the
     bundles' characteristic-vector sum, masks their bitmasks in decreasing
     order, empties (0) last, so equal bundles are adjacent; the items come
-    in decreasing order of the masks tuples. A search too deep for the
-    recursion limit raises ValueError when called (_check_depth).
+    in decreasing order of the masks tuples.
 
-    Depth-first search on the vertex residuals: a vertex needing more than
-    the k bundles left prunes the branch, a bundle using a vertex with no
-    residual is skipped (a node carries the bitmask of those vertices, all
-    of them at a leaf), and once the bitmasks fall below the highest
-    vertex still needed no later bundle can cover it. An edge in x bundles
-    so far, with end residuals r_i and r_j, lies in at least
-    max(0, r_i + r_j - k) and at most min(r_i, r_j) of the bundles left; a
-    pinned edge's branch dies once c - x leaves that range, which at a
-    leaf (r_i = r_j = 0) leaves x = c.
-    An edge that is not pinned needs no check: its count is at most the
-    uses of either end, so it stays in 0..min(s_i, s_j), which are all the
-    counts a split of the supply can give it.
+    Depth-first search on the vertex residuals, kept on an explicit stack
+    of self-contained nodes: top mask, k bundles left, residuals, spent
+    mask, coordinates, score and the masks so far. The masks are a linked
+    list (last mask, the masks before it), so a child copies no path and a
+    deep search keeps memory linear in its depth. A node is popped and
+    checked, and its children are pushed in increasing mask order, so they
+    pop in decreasing order and the leaves come out in the order above. No
+    node shares mutable state with another, and the depth is bounded by
+    the caps alone. A vertex needing more than the k bundles left prunes
+    the branch, a bundle using a vertex with no residual is skipped (a
+    node carries the bitmask of those vertices, all of them at a leaf),
+    and once the bitmasks fall below the highest vertex still needed no
+    later bundle can cover it. An edge in x bundles so far, with end
+    residuals r_i and r_j, lies in at least max(0, r_i + r_j - k) and at
+    most min(r_i, r_j) of the bundles left; a pinned edge's branch dies
+    once c - x leaves that range, which at a leaf (r_i = r_j = 0) leaves
+    x = c. An edge that is not pinned needs no check: its count is at most
+    the uses of either end, so it stays in 0..min(s_i, s_j), which are all
+    the counts a split of the supply can give it.
 
     One rule scores the splits: a bundle scores its edge coordinates
     dotted with edge_prices, the integer prices P_e of the graph's edges
@@ -200,7 +188,6 @@ def _splits(
     scoring more than s (scores are integers); with every edge price zero
     the root's bound, 0, is below a floor of 1 and the search ends there.
     """
-    _check_depth(supply, m)
     n = graph.n
     bits = bundle_table(graph)
     rows = _vertex_table(graph)
@@ -211,22 +198,30 @@ def _splits(
     pos = [(i, j, w) for (i, j), w in zip(graph.edges, edge_prices) if w > 0]
     neg = [(i, j, w) for (i, j), w in zip(graph.edges, edge_prices) if w < 0]
     best = floor
-
-    def rec(
-        top: int, k: int, res: list[int], spent: int, acc: tuple, paid: int, path: list
-    ):
-        nonlocal best
+    full = (1 << n) - 1
+    spent = sum(1 << i for i in range(n) if not supply[i])
+    stack = [(full, m, supply, spent, (0,) * graph.d, 0, ())]
+    while stack:
+        top, k, res, spent, acc, paid, path = stack.pop()
+        dead = False
         for i, j, e, c in pins:
             ri, rj = res[i], res[j]
             if not max(0, ri + rj - k) <= c - acc[e] <= min(ri, rj):
-                return
+                dead = True
+                break
+        if dead:
+            continue
         if spent == full:
             if paid >= best:
                 best = paid
-                yield acc, tuple(path) + (0,) * k
-            return
+                masks = [0] * k  # empties, then the masks last first: reversed below
+                while path:
+                    mask, path = path
+                    masks.append(mask)
+                yield acc, tuple(reversed(masks))
+            continue
         if max(res) > k:
-            return
+            continue
         bound = paid
         for i, j, w in pos:
             bound += w * min(res[i], res[j])
@@ -235,26 +230,19 @@ def _splits(
             if x > 0:
                 bound += w * x
         if bound < best:
-            return
+            continue
         high = (full ^ spent).bit_length() - 1
-        for mask in range(top, (1 << high) - 1, -1):
+        for mask in range(1 << high, top + 1):
             if mask & spent:
                 continue
             sub = spent
+            left = list(res)
             for i in bits[mask]:
-                res[i] -= 1
-                if not res[i]:
+                left[i] -= 1
+                if not left[i]:
                     sub |= 1 << i
-            path.append(mask)
             acc_sub = tuple(map(add, acc, rows[mask]))
-            yield from rec(mask, k - 1, res, sub, acc_sub, paid + score[mask], path)
-            path.pop()
-            for i in bits[mask]:
-                res[i] += 1
-
-    full = (1 << n) - 1
-    spent = sum(1 << i for i in range(n) if not supply[i])
-    return rec(full, m, list(supply), spent, (0,) * graph.d, 0, [])
+            stack.append((mask, k - 1, left, sub, acc_sub, paid + score[mask], (mask, path)))
 
 
 @dataclass(frozen=True)
@@ -300,7 +288,8 @@ def minkowski_contains(faces: list[Face], a: GPoint) -> bool:
 
 def vertex_sum_contains(faces: list[Face], a: GPoint) -> Optional[tuple[GPoint, ...]]:
     """Search for one vertex per face summing to a; None if impossible.
-    Depth-first with residual pruning; deterministic in face/vertex order."""
+    Depth-first on an explicit stack with residual pruning; deterministic
+    in face/vertex order."""
     g = a.graph
     if any(f.graph != g for f in faces):
         raise ValueError("faces and point must share one graph")
@@ -311,22 +300,20 @@ def vertex_sum_contains(faces: list[Face], a: GPoint) -> Optional[tuple[GPoint, 
             raise CapExceededError(f"face vertex product exceeds cap {VERTEX_PRODUCT_CAP}")
 
     mfaces = len(faces)
-
-    def rec(idx: int, res: tuple[int, ...], picked: list[GPoint]):
+    # A node: (face index, residual, vertices picked so far). Each face's
+    # vertices are pushed reversed, so they pop in face/vertex order and
+    # the first witness in that order is the one returned.
+    stack = [(0, a.coords, ())]
+    while stack:
+        idx, res, picked = stack.pop()
         if idx == mfaces:
-            return list(picked) if not any(res) else None
+            if not any(res):
+                return picked
+            continue
         if any(c > mfaces - idx for c in res):
-            return None
-        for q in faces[idx].vertices:
+            continue
+        for q in reversed(faces[idx].vertices):
             nxt = tuple(x - y for x, y in zip(res, q.coords))
-            if any(x < 0 for x in nxt):
-                continue
-            picked.append(q)
-            found = rec(idx + 1, nxt, picked)
-            if found is not None:
-                return found
-            picked.pop()
-        return None
-
-    found = rec(0, a.coords, [])
-    return tuple(found) if found is not None else None
+            if not any(x < 0 for x in nxt):
+                stack.append((idx + 1, nxt, picked + (q,)))
+    return None

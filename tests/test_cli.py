@@ -276,18 +276,17 @@ class TestDecompose:
         assert err.startswith("error: ")
 
 
-    def test_search_past_the_recursion_limit_is_input_error(self, tmp_path, capsys):
-        """1,200 nonempty parts would recurse past the interpreter's limit,
-        so the search refuses them before any work: one error line, no
-        traceback."""
+    def test_search_past_the_recursion_limit_runs(self, tmp_path, capsys):
+        """1,200 nonempty parts, above the interpreter's default recursion
+        limit, are searched on the search's own stack: exit 0 with the one
+        split and no traceback."""
         doc = {"n": 2, "agents": [], "supply": [1200, 1200], "m": 1200,
                "point": [1200, 1200, 1200]}
         path = tmp_path / "deep.json"
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, ["decompose", str(path), "--max-m", "2000"])
-        assert code == 1 and out == ""
-        errors = [line for line in err.splitlines() if line.startswith("error:")]
-        assert len(errors) == 1 and "recursion limit" in errors[0]
+        assert code == 0
+        assert json.loads(out)["decompositions"] == [[[1, 2]] * 1200]
         assert "Traceback" not in err
 
 

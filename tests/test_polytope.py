@@ -1,11 +1,21 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gpauction.caps import Caps, CapExceededError
-from gpauction.model import GPoint, ValueGraph, aggregate, bundle_mask, char_vector, project
+from gpauction.demand import seller_demand
+from gpauction.model import (
+    GPoint,
+    PriceVector,
+    ValueGraph,
+    aggregate,
+    bundle_mask,
+    char_vector,
+    project,
+)
 from gpauction.polytope import (
     Face,
     bundle_table,
@@ -217,17 +227,41 @@ class TestEnumerateDecompositions:
 
 
 class TestSearchDepth:
-    """The search recurses once per nonempty part; one too deep for the
-    recursion limit is refused when it is created, before any work."""
+    """The search keeps its own stack, so its depth is bounded by the caps
+    alone: 1,200 nonempty parts, above the interpreter's default recursion
+    limit of 1,000, run without a frame per part."""
 
     K2 = ValueGraph.complete(2)
     CAPS = Caps(max_m=2000)
 
-    def test_too_deep_raises_value_error(self):
-        with pytest.raises(ValueError, match="recursion limit"):
-            enumerate_decompositions(GPoint(self.K2, (1200, 1200, 1200)), 1200, self.CAPS)
-        with pytest.raises(ValueError, match="recursion limit"):
-            enumerate_aggregates(self.K2, (1200, 0), 1200, self.CAPS)
+    def test_deep_search_yields_its_one_split(self):
+        ((coords, masks),) = enumerate_decompositions(
+            GPoint(self.K2, (1200, 1200, 1200)), 1200, self.CAPS
+        )
+        assert coords == (1200, 1200, 1200)
+        assert masks == (0b11,) * 1200
+        assert list(enumerate_aggregates(self.K2, (1200, 0), 1200, self.CAPS)) == [
+            ((1200, 0, 0), (0b01,) * 1200)
+        ]
+        p = PriceVector(self.K2, (Fraction(1), Fraction(2), Fraction(-1)))
+        assert seller_demand(p, (1200, 1200), 1200, self.CAPS) == {
+            GPoint(self.K2, (1200, 1200, 1200))
+        }
+
+    def test_memory_is_linear_in_depth(self):
+        """A child links to its parent's masks instead of copying them.
+        With 3,000 parts, copied paths would hold about 4.5 million entries
+        at once (36 MB): a dead sibling per level, each with its own path."""
+        tracemalloc.start()
+        try:
+            ((_, masks),) = enumerate_decompositions(
+                GPoint(self.K2, (3000, 3000, 3000)), 3000, Caps(max_m=3000)
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert masks == (0b11,) * 3000
+        assert peak < 8 * 2**20
 
     def test_depth_is_the_fewer_of_parts_and_supply(self):
         """1,200 parts over a supply of 300 units reach depth 300 at most."""
@@ -417,6 +451,23 @@ class TestMinkowskiOracles:
         faces = [Face.from_bundles(K3, [[0], [1]])] * 27
         with pytest.raises(CapExceededError, match="vertex product"):
             vertex_sum_contains(faces, GPoint.zero(K3))
+
+    def test_many_faces_need_no_frame_each(self):
+        """1,200 one-vertex faces: a vertex product of 1, far under the cap,
+        searched past the interpreter's default recursion limit of 1,000."""
+        g = ValueGraph(1, ())
+        face = Face.from_bundles(g, [[0]])
+        picked = vertex_sum_contains([face] * 1200, GPoint(g, (1200,)))
+        assert picked == face.vertices * 1200
+
+    def test_first_witness_in_face_and_vertex_order(self):
+        """Both orders of a_0 and a_1 sum to (1, 1); the search returns the
+        one that takes each face's vertices in their listed order first."""
+        g = ValueGraph(2, ())
+        faces = [Face.from_bundles(g, [[0], [1]]), Face.from_bundles(g, [[1], [0]])]
+        a0, a1 = char_vector([0], g), char_vector([1], g)
+        assert vertex_sum_contains(faces, GPoint(g, (1, 1))) == (a0, a1)
+        assert vertex_sum_contains(faces[::-1], GPoint(g, (1, 1))) == (a1, a0)
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)

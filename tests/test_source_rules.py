@@ -75,6 +75,32 @@ def test_one_item_shape():
     assert len(found) == 1, f"_splits yields at lines {found}"
 
 
+def test_no_self_calls():
+    """No function calls itself, nested defs included, so no search depth
+    is tied to the interpreter's recursion limit: a search keeps its own
+    stack. A method calls itself through self or cls; its bare-name call
+    reaches the module function of that name (Valuation.is_finite calls
+    is_finite), so that is no self-call."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for f in ast.walk(tree):
+            if not isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for n in ast.walk(f):
+                if not isinstance(n, ast.Call):
+                    continue
+                if id(f) in methods:
+                    owner = getattr(n.func, "value", None)
+                    hit = getattr(owner, "id", None) in ("self", "cls")
+                else:
+                    hit = isinstance(n.func, ast.Name)
+                if hit and called_name(n) == f.name:
+                    found.append(f"{path.name}:{n.lineno} {f.name}")
+    assert not found, f"functions calling themselves in src/gpauction: {found}"
+
+
 def test_no_gmpy2():
     """The LP core pivots on plain integers; gmpy2 is no dependency."""
     found = []
