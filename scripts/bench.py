@@ -16,6 +16,10 @@ sides alike. The result goes to ``BENCH_<label>.json``:
 - per workload, under ``layers.parent`` and ``layers.change``, the
   per-layer metrics of one ``--trace 1`` run per side at the first pair's
   seed, run after the pairs, so a change in time can be read in counts;
+  under ``count_diffs``, each per-layer metric of unit ``count`` whose
+  two values differ by more than 1e-9 relative, with both values (see
+  ``count_diffs``), so an empty map reads "every count equals the
+  parent's";
 - the Python version, ``os.cpu_count()`` and a digest of each tree's
   ``src/``, so a file can be matched to the program it measured.
 
@@ -40,6 +44,29 @@ def metric_rules() -> dict:
     """Each end-to-end metric's direction and regression bound."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     return {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
+
+
+def count_metrics() -> list:
+    """The names of the per-layer metrics of unit count."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return [m["name"] for m in spec["per_layer"] if m["unit"] == "count"]
+
+
+def count_diffs(parent: dict, change: dict, names: list) -> dict:
+    """{name: {"parent": p, "change": c}} for each of the names whose two
+    values differ by more than 1e-9 of the larger one, or that one side
+    lacks. The traced counts are sums of floats, so the same 180 calls
+    can read 180.00000000000003 on one side and 180.0 on the other."""
+    out = {}
+    for name in names:
+        p, c = parent.get(name), change.get(name)
+        if p is None or c is None:
+            same = p is c
+        else:
+            same = abs(p - c) <= 1e-9 * max(abs(p), abs(c))
+        if not same:
+            out[name] = {"parent": p, "change": c}
+    return out
 
 
 def src_digest(tree: Path) -> str:
@@ -122,7 +149,7 @@ def main(argv=None) -> int:
     ap.add_argument("--out-dir", type=Path, default=ROOT)
     args = ap.parse_args(argv)
 
-    rules = metric_rules()
+    rules, counts = metric_rules(), count_metrics()
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     workloads = {}
     for workload in args.workload:
@@ -139,8 +166,10 @@ def main(argv=None) -> int:
                       file=sys.stderr, flush=True)
         layers = {side: run_once(tree, workload, args.seed, args.seconds, trace=1)["metrics"]
                   for side, tree in trees.items()}
-        workloads[workload] = {"runs": runs, "summary": summarize(runs, rules),
-                               "layers": layers}
+        workloads[workload] = {
+            "runs": runs, "summary": summarize(runs, rules), "layers": layers,
+            "count_diffs": count_diffs(layers["parent"], layers["change"], counts),
+        }
 
     doc = {
         "label": args.label,

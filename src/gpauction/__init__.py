@@ -14,7 +14,6 @@ from .model import (
     char_vector,
     project,
     shift,
-    value,
 )
 from .polytope import (
     Face,

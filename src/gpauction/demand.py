@@ -213,26 +213,21 @@ def _rank_key(alloc: Sequence[int], rank: Sequence[int]) -> list[int]:
 
 
 class _Fold:
-    """The one fold rule: the best split per priced aggregate, over one
-    column table of the valuations. best maps a key to (welfare, alloc,
-    coords), the integer welfare in units of 1 / scale (NEG_INF for
-    -inf), one bitmask per agent and the split's point. Per key the
-    higher welfare wins, ties going to the least (coords, _rank_key).
+    """The one fold rule over one column table of the valuations: best
+    folds a stream of splits to its best one.
 
-    add matches the first split of a key with _assign. A later split is
-    skipped when its bound (see bound) is strictly below the key's best,
-    as it can neither win nor tie, and gets that best as floor otherwise;
-    so every entry is exact. _assign is looked up in this module on each
-    call, so a wrapper set there sees every split matched."""
+    The caller says what it folds: the splits of one point (max_welfare,
+    or a quadratic optimal_ce point), or every split of a supply
+    (Walrasian optimal_ce). Callers create the items before the fold, so
+    the enumerators' cap checks raise before any table here."""
 
-    __slots__ = ("scale", "low", "cols", "rank", "tops", "best")
+    __slots__ = ("scale", "low", "cols", "rank", "tops")
 
     def __init__(self, vs: Sequence[Valuation]):
         self.scale, tables = common_tables(vs)
         self.low, self.cols = _columns(tables)
         self.rank = _ranks(vs[0].graph.n)
         self.tops: Optional[list[int]] = None
-        self.best: dict[tuple[int, ...], tuple[Union[int, float], tuple[int, ...], tuple]] = {}
 
     def bound(self, masks: Sequence[int]) -> int:
         """sum_j max_b v_b(S_j), at least the welfare of every matching of
@@ -244,38 +239,33 @@ class _Fold:
         tops = self.tops
         return sum([tops[s] for s in masks])
 
-    def add(self, key: tuple[int, ...], coords: tuple[int, ...], masks: Sequence[int]) -> None:
-        """Fold the split (coords, masks) into key's entry."""
-        cur = self.best.get(key)
-        if cur is None:
-            self.best[key] = (*_assign(masks, self.cols, self.rank, self.low), coords)
-            return
-        if self.bound(masks) < cur[0]:
-            return
-        rank = self.rank
-        welfare, alloc = _assign(masks, self.cols, rank, self.low, cur[0])
-        if alloc is not None and (
-            welfare > cur[0]
-            or (coords, _rank_key(alloc, rank)) < (cur[2], _rank_key(cur[1], rank))
-        ):
-            self.best[key] = (welfare, alloc, coords)
+    def best(
+        self, items: Iterable[tuple[tuple[int, ...], Sequence[int]]]
+    ) -> Optional[tuple[Union[int, float], tuple[int, ...], tuple[int, ...]]]:
+        """The best of the (coords, masks) items as (welfare, alloc,
+        coords): the integer welfare in units of 1 / scale (NEG_INF for
+        -inf), one bitmask per agent and the split's point; None when
+        there is no item. The higher welfare wins, ties going to the least
+        (coords, _rank_key).
 
-
-def _best_splits(
-    vs: Sequence[Valuation],
-    items: Iterable[tuple[tuple[int, ...], Sequence[int]]],
-    priced: int,
-) -> tuple[int, dict[tuple[int, ...], tuple[Union[int, float], tuple[int, ...], tuple]]]:
-    """The best split per priced aggregate among the (coords, masks)
-    items, folded as they stream in, as (L, best) of a _Fold. The key is
-    coords[:priced]: priced counts the coordinates a price tells apart,
-    d under quadratic prices (a key per point), n under linear ones (one
-    key per supply). Callers create the items first, so the enumerators'
-    cap checks raise before any table here."""
-    fold = _Fold(vs)
-    for coords, masks in items:
-        fold.add(coords[:priced], coords, masks)
-    return fold.scale, fold.best
+        The first split is matched with _assign. A later split is skipped
+        when its bound (see bound) is strictly below the best so far, as
+        it can neither win nor tie, and gets that best as floor otherwise;
+        so the result is exact. _assign is looked up in this module on
+        each call, so a wrapper set there sees every split matched."""
+        cols, rank, low = self.cols, self.rank, self.low
+        cur = None
+        for coords, masks in items:
+            if cur is None:
+                cur = (*_assign(masks, cols, rank, low), coords)
+            elif self.bound(masks) >= cur[0]:
+                welfare, alloc = _assign(masks, cols, rank, low, cur[0])
+                if alloc is not None and (
+                    welfare > cur[0]
+                    or (coords, _rank_key(alloc, rank)) < (cur[2], _rank_key(cur[1], rank))
+                ):
+                    cur = (welfare, alloc, coords)
+        return cur
 
 
 def _common_graph(vs: Sequence[Valuation], graph: Optional[ValueGraph] = None) -> ValueGraph:
@@ -305,12 +295,13 @@ def max_welfare(
     revenue of any CE selling a: revenue = welfare - sum of utilities, and
     each utility is >= 0 because the empty bundle costs nothing."""
     _common_graph(vs, a.graph)
-    scale, best = _best_splits(vs, enumerate_decompositions(a, len(vs), caps), a.graph.d)
-    if a.coords not in best:
+    items = enumerate_decompositions(a, len(vs), caps)
+    fold = _Fold(vs)
+    best = fold.best(items)
+    if best is None:
         return NEG_INF, None
-    welfare, alloc, _ = best[a.coords]
     bundles = bundle_table(a.graph)
-    return _exact(welfare, scale), tuple([bundles[s] for s in alloc])
+    return _exact(best[0], fold.scale), tuple([bundles[s] for s in best[1]])
 
 
 @dataclass(frozen=True)

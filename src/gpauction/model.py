@@ -353,26 +353,6 @@ def dual_table(graph: ValueGraph, Y: Sequence[int], M: int) -> tuple[int, list[i
     return M // g, bundle_sums(graph, P)
 
 
-def value(v: Valuation, S: Iterable[int]) -> Weight:
-    """Bundle value: sum of vertex weights over S plus edge weights internal
-    to S; NEG_INF as soon as any touched weight is NEG_INF. The reference
-    definition: the solvers read Valuation.table instead."""
-    bundle = frozenset(S)
-    total = Fraction(0)
-    for i in bundle:
-        w = v.weights[i]
-        if not is_finite(w):
-            return NEG_INF
-        total += w
-    for i, j in v.graph.edges:
-        if i in bundle and j in bundle:
-            w = v.weights[v.graph.edge_coord(i, j)]
-            if not is_finite(w):
-                return NEG_INF
-            total += w
-    return total
-
-
 def shift(v: Valuation, c: Sequence[Union[Fraction, int, str]]) -> Valuation:
     """Add a finite vector to the weights entrywise; NEG_INF entries stay."""
     if len(c) != v.graph.d:

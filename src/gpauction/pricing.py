@@ -19,6 +19,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from operator import sub
 from typing import Optional, Sequence
 
@@ -201,15 +202,14 @@ def optimal_ce(
     one).
 
     The points come from one enumeration of the multisets of m bundles
-    that sell the supply, folded by max_welfare's fold rule to the best
-    split per priced aggregate: per point under quadratic prices, one
-    entry for the supply under linear ones. They are priced in decreasing
-    max welfare (compared as integers), ties by point coordinates.
-    Revenue never exceeds the welfare at its point (revenue = welfare -
-    sum of utilities, each utility >= 0), so the search stops at the
-    first point whose welfare is below the best revenue found; points
-    whose welfare equals it are still priced, since they may win the tie
-    on coordinates.
+    that sell the supply, and each point is priced at its best split,
+    from max_welfare's fold rule (_Fold.best). Under quadratic prices the
+    points are priced in decreasing max welfare (compared as integers),
+    ties by point coordinates. Revenue never exceeds the welfare at its
+    point (revenue = welfare - sum of utilities, each utility >= 0), so
+    the search stops at the first point whose welfare is below the best
+    revenue found; points whose welfare equals it are still priced,
+    since they may win the tie on coordinates.
 
     Under quadratic prices the search is best-first, so a point that
     cannot win is never folded. The splits are grouped by point, and
@@ -218,17 +218,18 @@ def optimal_ce(
     which no split's welfare exceeds. The top entry is taken: if its
     value is below the best revenue the search stops; if the point is
     not yet folded, its splits are folded and it goes back with its
-    exact welfare as value; otherwise it is priced. A bound is never
-    below its welfare, so the points are priced in the same (-welfare,
-    coords) order, and the search stops at the same point, as if every
-    point had been folded first. Each point is priced against the best
+    exact welfare as value and its best split; otherwise it is priced at
+    that split. A bound is never below its welfare, so the points are
+    priced in the same (-welfare, coords) order, and the search stops at
+    the same point, as if every point had been folded first. Each point is priced against the best
     result so far, and its LP rounds stop once they rule it out (see
     _price_at), which leaves the sequence of best results unchanged.
 
-    Walrasian mode folds its splits as they stream in (one key needs no
-    grouping) and prices that one entry: the least point of maximal
-    welfare, at its least welfare-maximal split. Linear prices charge p.s
-    for every allocation of the supply, so:
+    Walrasian mode folds the whole stream of splits in one call, with no
+    grouping by point and no heap, and prices the one split it returns:
+    the least point of maximal welfare, at its least welfare-maximal
+    split. Linear prices charge p.s for every allocation of the supply,
+    so:
     - any Walrasian CE (p, T) has T efficient: every agent's utility at T
       is maximal, so the value of T minus p.s is at least the value of
       any other allocation of the supply minus the same p.s;
@@ -251,34 +252,32 @@ def optimal_ce(
 
     items = enumerate_aggregates(g, supply, m, caps)
     fold = _Fold(vs)
-    # The splits of each point not yet folded.
-    unfolded: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    if walrasian:
-        for coords, masks in items:
-            fold.add(supply, coords, masks)
-        heap = [(-welfare, coords) for welfare, _, coords in fold.best.values()]
-    else:
-        for coords, masks in items:
-            unfolded.setdefault(coords, []).append(masks)
-        heap = [(-max(map(fold.bound, splits)), coords) for coords, splits in unfolded.items()]
-    heapq.heapify(heap)
-    priced = g.n if walrasian else g.d
     bundles = bundle_table(g)
+    if walrasian:
+        _, alloc, coords = fold.best(items)
+        res = _price_at(vs, GPoint(g, coords), tuple([bundles[s] for s in alloc]), True, caps)
+        return res if res.status == FOUND else CEResult(NO_POINT_FOUND)
+    # The splits of each point not yet folded.
+    splits: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for coords, masks in items:
+        splits.setdefault(coords, []).append(masks)
+    heap = [(-max(map(fold.bound, group)), coords) for coords, group in splits.items()]
+    heapq.heapify(heap)
     best: Optional[CEResult] = None
+    # A point is in the heap once, so no two entries tie on (value, coords).
     while heap and (best is None or -heap[0][0] >= best.revenue * fold.scale):
-        coords = heapq.heappop(heap)[1]
-        splits = unfolded.pop(coords, None)
-        if splits is not None:
-            for masks in splits:
-                fold.add(coords, coords, masks)
-            heapq.heappush(heap, (-fold.best[coords][0], coords))
+        top = heapq.heappop(heap)
+        coords = top[1]
+        if coords in splits:
+            welfare, alloc, _ = fold.best(zip(repeat(coords), splits.pop(coords)))
+            heapq.heappush(heap, (-welfare, coords, alloc))
             continue
-        alloc = tuple([bundles[s] for s in fold.best[coords[:priced]][1]])
-        res = _price_at(vs, GPoint(g, coords), alloc, walrasian, caps, best)
+        alloc = tuple([bundles[s] for s in top[2]])
+        res = _price_at(vs, GPoint(g, coords), alloc, False, caps, best)
         if res.status == FOUND:
             best = res
     if best is None:
-        if g.is_complete() and not walrasian:
+        if g.is_complete():
             raise InternalError(
                 "no CE point over a complete graph: contradicts the nested-chain guarantee"
             )

@@ -18,7 +18,9 @@ welfare-ordered search of ``optimal_ce``. ``dense_pivot`` is the
 production core's pivot without its sparse path, the reference for it.
 ``reference_best_splits`` is the split fold on bundles (frozensets),
 each split's distinct bundles counted and sorted by ``bundle_key``, the
-reference for the fold of ``gpauction.demand`` on bitmasks.
+reference for the fold of ``gpauction.demand`` on bitmasks. ``value`` is
+a bundle's value summed from the weights, the reference for the integer
+tables the solvers read (``Valuation.table``).
 """
 import itertools
 from dataclasses import dataclass
@@ -38,10 +40,29 @@ from gpauction.model import (
     common_tables,
     is_finite,
     project,
-    value,
 )
 from gpauction.polytope import vertices_P
 from gpauction.pricing import FOUND, NO_POINT_FOUND, CEResult, ce_price_at_point
+
+
+def value(v: Valuation, S: Iterable[int]) -> Union[Fraction, float]:
+    """Bundle value: sum of vertex weights over S plus edge weights internal
+    to S; NEG_INF as soon as any touched weight is NEG_INF."""
+    bundle = frozenset(S)
+    total = Fraction(0)
+    for i in bundle:
+        w = v.weights[i]
+        if not is_finite(w):
+            return NEG_INF
+        total += w
+    for i, j in v.graph.edges:
+        if i in bundle and j in bundle:
+            w = v.weights[v.graph.edge_coord(i, j)]
+            if not is_finite(w):
+                return NEG_INF
+            total += w
+    return total
+
 
 LE, GE, EQ = "<=", ">=", "=="
 _RELATIONS = (LE, GE, EQ)

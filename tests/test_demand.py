@@ -24,7 +24,6 @@ from gpauction.model import (
     char_vector,
     is_finite,
     shift,
-    value,
 )
 from gpauction import demand, model, polytope
 from gpauction.caps import CapExceededError
@@ -32,7 +31,8 @@ from gpauction.polytope import enumerate_aggregates, enumerate_decompositions, v
 from gpauction.pricing import FOUND, NO_POINT_FOUND, optimal_ce
 from gpauction.instances import corpus_instance
 
-from .oracle import alloc_key, reference_best_splits
+from .oracle import alloc_key, reference_best_splits, value
+from .test_pricing import fold_points
 from .strategies import graphs, small_fractions, thinned, valuations
 
 K3 = ValueGraph.complete(3)
@@ -293,23 +293,32 @@ def as_bundles(g, masks):
 class TestMaskFold:
     """The fold on bitmasks, which skips splits by a bound, against the
     fold on bundles of tests/oracle.py, which matches every split: the
-    same (welfare, allocation, coords) for every key."""
+    same (welfare, allocation, coords) for every point, and for the whole
+    stream."""
 
     @given(fold_cases(), st.sampled_from(["point", "vertices"]))
     @settings(max_examples=150, deadline=None)
     def test_matches_the_bundle_fold(self, case, key):
-        """Keyed by the point (quadratic prices) or by its vertex counts
-        (linear prices)."""
+        """_Fold.best over each point's splits (quadratic prices), against
+        the reference keyed by the point; over the whole stream (linear
+        prices), against the one entry of the reference keyed by the n
+        vertex counts, which every split shares."""
         vs, supply, m = case
         g = vs[0].graph
-        priced = g.d if key == "point" else g.n
         items = list(enumerate_aggregates(g, supply, m))
-        scale, best = demand._best_splits(vs, items, priced)
+        fold = demand._Fold(vs)
+        if key == "point":
+            best = {entry[2]: entry for entry in fold_points(fold, items)}
+            priced = g.d
+        else:
+            best = {supply: fold.best(items)}
+            priced = g.n
         ref = reference_best_splits(
             vs, [(c, as_bundles(g, masks)) for c, masks in items], priced
         )
         got = {k: (w, as_bundles(g, alloc), c) for k, (w, alloc, c) in best.items()}
-        assert (scale, got) == ref
+        assert (fold.scale, got) == ref
+        assert fold.best(iter(())) is None
 
     @given(fold_cases(allow_neg_inf=True))
     @settings(max_examples=100, deadline=None)

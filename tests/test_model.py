@@ -19,11 +19,11 @@ from gpauction.model import (
     is_finite,
     project,
     shift,
-    value,
 )
 from gpauction.demand import seller_demand
 from gpauction.instances import corpus_instance
 
+from .oracle import value
 from .strategies import bundles, graphs, small_fractions
 
 K3 = ValueGraph.complete(3)

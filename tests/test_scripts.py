@@ -121,6 +121,7 @@ def test_bench_pairs_the_repo_with_itself(tmp_path):
     # One pair is too few to judge a gain or a regression.
     assert not any(m["gain"] or m["regressed"] for m in bench["summary"].values())
     assert all("linprog.lp_solve.calls" in bench["layers"][side] for side in ("parent", "change"))
+    assert bench["count_diffs"] == {}
 
 
 def load_bench():
@@ -128,6 +129,21 @@ def load_bench():
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     return bench
+
+
+def test_bench_count_diffs():
+    """A count differs when its values are apart by more than 1e-9
+    relative or one side lacks it; the float sums of one count do not."""
+    bench = load_bench()
+    names = bench.count_metrics()
+    assert "linprog.lp_solve.calls" in names and "linprog.lp_solve.busy_s" not in names
+    parent = {"a": 180.00000000000003, "b": 61.0, "c": 0.0, "d": 3.0, "e": 5.0}
+    change = {"a": 180.0, "b": 62.0, "c": 0.0, "d": 3.0, "f": 1.0}
+    assert bench.count_diffs(parent, change, ["a", "b", "c", "d", "e", "f", "g"]) == {
+        "b": {"parent": 61.0, "change": 62.0},
+        "e": {"parent": 5.0, "change": None},
+        "f": {"parent": None, "change": 1.0},
+    }
 
 
 def paired(parent: list, change: list) -> list:

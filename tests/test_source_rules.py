@@ -117,13 +117,35 @@ def test_no_gmpy2():
 
 def test_one_valuation_path():
     """Bundles are valued through the integer tables of model; the direct
-    model.value stays as the reference, called from model.py alone."""
+    sum of weights over a bundle, value, is the reference in tests/oracle.py
+    and is neither defined nor called in src/gpauction."""
     found = [
         f"{name}:{node.lineno}"
         for name, node in nodes()
-        if name != "model.py" and isinstance(node, ast.Call) and called_name(node) == "value"
+        if (isinstance(node, ast.Call) and called_name(node) == "value")
+        or (isinstance(node, ast.FunctionDef) and node.name == "value")
     ]
-    assert not found, f"calls of value outside model.py: {found}"
+    assert not found, f"value defined or called in src/gpauction: {found}"
+
+
+def test_one_fold():
+    """Splits are matched to agents in one place: every call of _assign
+    sits inside demand._Fold, so no second fold can come back."""
+    found, folds = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inside = set()
+        for c in ast.walk(tree):
+            if isinstance(c, ast.ClassDef) and c.name == "_Fold":
+                folds.append(path.name)
+                inside |= {id(n) for n in ast.walk(c)}
+        found += [
+            f"{path.name}:{n.lineno}"
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and called_name(n) == "_assign" and id(n) not in inside
+        ]
+    assert folds == ["demand.py"], f"_Fold defined in {folds}"
+    assert not found, f"_assign called outside _Fold: {found}"
 
 
 def test_one_utility_scan():
