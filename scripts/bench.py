@@ -20,8 +20,9 @@ sides alike. The result goes to ``BENCH_<label>.json``:
   two values differ by more than 1e-9 relative, with both values (see
   ``count_diffs``), so an empty map reads "every count equals the
   parent's";
-- the Python version, ``os.cpu_count()`` and a digest of each tree's
-  ``src/``, so a file can be matched to the program it measured.
+- the Python version, ``os.cpu_count()``, a digest of each tree's
+  ``src/``, so a file can be matched to the program it measured, and the
+  line count of each tree's ``src/gpauction/*.py``.
 
     python scripts/bench.py --parent ../parent --change . --label lp-pivot \\
         --workload point-pricing --pairs 10 --seconds 25 --seed 1
@@ -76,6 +77,12 @@ def src_digest(tree: Path) -> str:
     for path in sorted(src.rglob("*.py")):
         h.update(str(path.relative_to(src)).encode() + b"\0" + path.read_bytes() + b"\0")
     return h.hexdigest()
+
+
+def src_lines(tree: Path) -> int:
+    """The number of lines of the tree's src/gpauction/*.py."""
+    paths = (tree / "src" / "gpauction").glob("*.py")
+    return sum(len(path.read_bytes().splitlines()) for path in paths)
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -177,6 +184,7 @@ def main(argv=None) -> int:
         "cpu_count": os.cpu_count(),
         "seconds": args.seconds,
         "src_sha256": {side: src_digest(tree) for side, tree in trees.items()},
+        "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
         "workloads": workloads,
     }
     path = args.out_dir / f"BENCH_{args.label}.json"

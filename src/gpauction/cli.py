@@ -37,6 +37,7 @@ from .polytope import bundle_table, enumerate_decompositions
 from .pricing import (
     CEResult,
     FOUND,
+    _covering_level,
     ce_for_covering,
     ce_price_at_point,
     check_covering,
@@ -123,8 +124,7 @@ def _covering_point(inst: InstanceFile) -> GPoint:
     supply multiplicity."""
     g = inst.graph
     supports = check_covering(inst.valuations)
-    levels = {s for s in inst.supply if s}
-    r = levels.pop() if levels else 0
+    r = _covering_level(inst.supply)
     blocks: list[set[int]] = [set() for _ in inst.valuations]
     for i in range(g.n):
         if inst.supply[i] == 0:

@@ -7,9 +7,10 @@ choice, so it terminates; there is no tolerance anywhere. The tableau is
 fraction-free (Edmonds 1967, Bareiss 1968): every entry of the LP is
 an int, the tableau holds integers over one common denominator D (the
 determinant of the current basis), and each pivot divides exactly by
-the previous pivot. No rational number is formed until the answer is
-read off, and the answer keeps its integers too (LPResult's scale, cx
-and Y) for callers that work in integers. Every pivot is positive, so
+the previous pivot. No rational number is formed at all: the answer
+is the integers the certificates check (LPResult's scale D, cx = D
+times the value, X = D times x and Y = D times y), and a caller that
+wants Fractions divides by D itself. Every pivot is positive, so
 D > 0 throughout: Bland's ratio test picks a positive entry, and
 pivoting a basic artificial out after phase 1 on a negative entry
 negates its row first.
@@ -30,13 +31,10 @@ exactness of every integer division is itself checked.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from itertools import chain, compress
 from operator import mul
 from typing import Optional
-
-from .model import shared_fraction
 
 OPTIMAL, INFEASIBLE, UNBOUNDED = "optimal", "infeasible", "unbounded"
 
@@ -70,30 +68,29 @@ class LinearProgram:
             raise TypeError(f"refusing LP entry {bad!r} of type {type(bad).__name__}; use int")
 
     @classmethod
-    def _of_ints(cls, objective: tuple, rows: tuple, rhs: tuple) -> "LinearProgram":
-        """The LP of entries its caller built as ints of matching lengths,
-        taken without __post_init__'s pass over them."""
+    def _of_columns(cls, objective: tuple, columns: list, rhs: tuple) -> "LinearProgram":
+        """The LP whose j-th column is columns[j], one entry per row of
+        rhs, from ints its caller built in matching lengths: taken without
+        __post_init__'s pass over them. No column gives len(rhs) empty
+        rows."""
         lp = object.__new__(cls)
         object.__setattr__(lp, "objective", objective)
-        object.__setattr__(lp, "rows", rows)
+        object.__setattr__(lp, "rows", tuple(zip(*columns)) if columns else ((),) * len(rhs))
         object.__setattr__(lp, "rhs", rhs)
         return lp
 
 
 @dataclass(frozen=True)
 class LPResult:
-    """``value``, ``x`` and the row duals ``y`` are set when OPTIMAL. So is
-    the integer form lp_solve certified them in: ``scale`` the common
-    denominator D > 0, ``cx`` D times the value and ``Y`` D times y. Those
-    three are keyword-only and left out of equality."""
+    """What lp_solve certified, in integers. When OPTIMAL, ``scale`` is
+    the common denominator D > 0, ``cx`` D times the value, ``X`` D times
+    x and ``Y`` D times the row duals y; otherwise all four are None."""
 
     status: str
-    value: Optional[Fraction] = None
-    x: Optional[tuple[Fraction, ...]] = None
-    y: Optional[tuple[Fraction, ...]] = None
-    scale: Optional[int] = field(default=None, compare=False, repr=False, kw_only=True)
-    cx: Optional[int] = field(default=None, compare=False, repr=False, kw_only=True)
-    Y: Optional[tuple[int, ...]] = field(default=None, compare=False, repr=False, kw_only=True)
+    scale: Optional[int] = None
+    cx: Optional[int] = None
+    X: Optional[tuple[int, ...]] = None
+    Y: Optional[tuple[int, ...]] = None
 
 
 def _pivot(rows: list[list[int]], D: int, r: int, s: int) -> int:
@@ -157,8 +154,8 @@ def _dot(u, v) -> int:
 
 
 def lp_solve(lp: LinearProgram) -> LPResult:
-    """Solve exactly; OPTIMAL comes with x, the value and the row duals y.
-    Every status is certified (see the module docstring)."""
+    """Solve exactly; OPTIMAL comes with x, the value and the row duals y,
+    each times D. Every status is certified (see the module docstring)."""
     ncols, nrows = len(lp.objective), len(lp.rows)
     c = lp.objective
 
@@ -253,13 +250,4 @@ def lp_solve(lp: LinearProgram) -> LPResult:
     cx = _dot(c, X)
     if any(a < cj * D for a, cj in zip(ATy, c)) or cx != _dot(lp.rhs, Y):
         raise InternalError("the duals fail A^T y >= c or c.x = b.y")
-    zero = shared_fraction(0)
-    return LPResult(
-        OPTIMAL,
-        shared_fraction(cx, D),
-        tuple([shared_fraction(x, D) if x else zero for x in X]),
-        tuple(shared_fraction(yi, D) for yi in Y),
-        scale=D,
-        cx=cx,
-        Y=tuple(Y),
-    )
+    return LPResult(OPTIMAL, D, cx, tuple(X), tuple(Y))

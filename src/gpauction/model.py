@@ -10,7 +10,7 @@ are plain equality tests.
 A valuation and a price are the same quadratic form on bundles, so both
 are tabulated the same way: bundle_sums scales a vector to integers and
 sums it over every bundle bitmask, and the solvers compare those
-integers. `value` is the direct definition, kept as the reference.
+integers.
 """
 from __future__ import annotations
 

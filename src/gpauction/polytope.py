@@ -281,9 +281,8 @@ def minkowski_contains(faces: list[Face], a: GPoint) -> bool:
         for t, f in enumerate(faces)
         for q in f.vertices
     ]
-    rows = tuple(zip(*columns)) if columns else ((),) * (len(faces) + g.d)
     rhs = (1,) * len(faces) + a.coords
-    return lp_solve(LinearProgram._of_ints((0,) * len(columns), rows, rhs)).status == OPTIMAL
+    return lp_solve(LinearProgram._of_columns((0,) * len(columns), columns, rhs)).status == OPTIMAL
 
 
 def vertex_sum_contains(faces: list[Face], a: GPoint) -> Optional[tuple[GPoint, ...]]:

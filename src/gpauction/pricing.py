@@ -134,8 +134,7 @@ def _price_at(
                 cols[b, mask] = tuple(map(sub, verts[mask], base[b])), vb[mask] - vb[own[b]]
         columns = [cols[key] for key in sorted(cols)]
         costs = tuple(cost for _, cost in columns)
-        rows = tuple(zip(*[col for col, _ in columns])) if columns else ((),) * k
-        res = lp_solve(LinearProgram._of_ints(costs, rows, rhs))
+        res = lp_solve(LinearProgram._of_columns(costs, [col for col, _ in columns], rhs))
         if res.status == UNBOUNDED:
             return CEResult(INFEASIBLE_AT_POINT, point=point)
         if res.status != OPTIMAL:
@@ -314,6 +313,15 @@ def is_compatible(a: GPoint, supports: Sequence[Bundle]) -> bool:
     )
 
 
+def _covering_level(supply: Sequence[int]) -> int:
+    """The one nonzero level r of a covering supply in {0, r}^n, or 0
+    when nothing is supplied; ValueError on two or more levels."""
+    levels = {s for s in supply if s != 0}
+    if len(levels) > 1:
+        raise ValueError(f"supply must lie in {{0, r}}^n, got levels {sorted(levels)}")
+    return levels.pop() if levels else 0
+
+
 def ce_for_covering(
     vs: Sequence[Valuation],
     supply: Sequence[int],
@@ -336,9 +344,7 @@ def ce_for_covering(
     supports = check_covering(vs)
     if a.coords[: g.n] != supply:
         raise ValueError(f"point projects to {a.coords[:g.n]}, not the supply {supply}")
-    levels = {s for s in supply if s != 0}
-    if len(levels) > 1:
-        raise ValueError(f"supply must lie in {{0, r}}^n, got levels {sorted(levels)}")
+    _covering_level(supply)
     if not is_compatible(a, supports):
         raise ValueError(
             "point has a positive edge coordinate outside every agent's support"

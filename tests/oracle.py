@@ -25,10 +25,10 @@ tables the solvers read (``Valuation.table``).
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from gpauction.demand import candidate_points
-from gpauction.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, InternalError, LPResult
+from gpauction.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, InternalError
 from gpauction.model import (
     NEG_INF,
     Allocation,
@@ -163,7 +163,16 @@ def dense_pivot(rows: list[list[int]], D: int, r: int, s: int) -> int:
     return p
 
 
-def reference_lp_solve(lp: ReferenceLP) -> LPResult:
+class ReferenceResult(NamedTuple):
+    """reference_lp_solve's answer in Fractions: the value and x are set
+    when OPTIMAL. It shares no type with the integer core it checks."""
+
+    status: str
+    value: Optional[Fraction] = None
+    x: Optional[tuple[Fraction, ...]] = None
+
+
+def reference_lp_solve(lp: ReferenceLP) -> ReferenceResult:
     """Solve exactly; returns OPTIMAL with value and a witness, or a
     certified INFEASIBLE / UNBOUNDED status."""
     nvars = len(lp.objective)
@@ -210,7 +219,7 @@ def reference_lp_solve(lp: ReferenceLP) -> LPResult:
         if not any(body):
             sat = (b >= 0) if rel == LE else (b <= 0) if rel == GE else (b == 0)
             if not sat:
-                return LPResult(INFEASIBLE)
+                return ReferenceResult(INFEASIBLE)
             continue
         if b < 0:
             body = [-a for a in body]
@@ -262,7 +271,7 @@ def reference_lp_solve(lp: ReferenceLP) -> LPResult:
         if _ref_bland(rows, obj, basis, allowed) != OPTIMAL:
             raise InternalError("phase 1 unbounded although its objective is at most 0")
         if obj[-1] != 0:
-            return LPResult(INFEASIBLE)
+            return ReferenceResult(INFEASIBLE)
         # Drive leftover zero-valued artificials out of the basis.
         for i in range(len(rows) - 1, -1, -1):
             if basis[i] in art_set:
@@ -292,7 +301,7 @@ def reference_lp_solve(lp: ReferenceLP) -> LPResult:
             obj[:] = [a - cb * b if b else a for a, b in zip(obj, rows[i])]
     status = _ref_bland(rows, obj, basis, allowed)
     if status == UNBOUNDED:
-        return LPResult(UNBOUNDED)
+        return ReferenceResult(UNBOUNDED)
 
     colval = {bj: rows[i][-1] for i, bj in enumerate(basis)}
     x = []
@@ -306,7 +315,7 @@ def reference_lp_solve(lp: ReferenceLP) -> LPResult:
             v = v - colval.get(neg, zero)
         x.append(Fraction(v))
     value = Fraction(-obj[-1] + const)
-    return LPResult(OPTIMAL, value, tuple(x))
+    return ReferenceResult(OPTIMAL, value, tuple(x))
 
 
 def build_ce_lp(

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -155,6 +156,18 @@ class TestSolve:
         code, out, _ = run(capsys, ["solve", str(path)])
         assert code == 0
         assert json.loads(out)["status"] == "found"
+
+    @pytest.mark.parametrize("point", [[], ["--point", "1,2,0"]])
+    def test_covering_supply_of_two_levels(self, tmp_path, capsys, point):
+        """Two nonzero supply levels are refused by name, with or without
+        a point: the canonical point is not built from one of them."""
+        doc = {"n": 2, "agents": [{"vertex_weights": [1, "-inf"]},
+                                  {"vertex_weights": ["-inf", 1]}], "supply": [1, 2]}
+        path = tmp_path / "levels.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["solve", str(path), *point])
+        assert (code, out) == (1, "")
+        assert err == "error: supply must lie in {0, r}^n, got levels [1, 2]\n"
 
 
     def test_values_past_the_float_range(self, tmp_path, capsys):
@@ -747,6 +760,15 @@ def test_console_script_exits_with_mains_code(tmp_path, capsys, monkeypatch, arg
         entrypoint()
     assert exc.value.code == code
     assert capsys.readouterr() == (out, err)
+
+
+def test_console_script_target_is_entrypoint():
+    """pyproject.toml's gpauction script names the entrypoint above."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["gpauction"]
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is entrypoint
 
 
 def module_env():

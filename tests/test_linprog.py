@@ -16,7 +16,7 @@ from gpauction.linprog import (
     lp_solve,
 )
 
-from .oracle import EQ, GE, LE, ReferenceLP, dense_pivot, reference_lp_solve
+from .oracle import EQ, GE, LE, ReferenceLP, ReferenceResult, dense_pivot, reference_lp_solve
 
 # The reference solver of tests/oracle.py: general rows, free variables,
 # fixings.
@@ -25,7 +25,7 @@ from .oracle import EQ, GE, LE, ReferenceLP, dense_pivot, reference_lp_solve
 def test_single_bound():
     lp = ReferenceLP((F(1),), (((F(1),), LE, F(3)),))
     res = reference_lp_solve(lp)
-    assert res == LPResult(OPTIMAL, F(3), (F(3),))
+    assert res == ReferenceResult(OPTIMAL, F(3), (F(3),))
 
 
 def test_infeasible_pair():
@@ -143,23 +143,31 @@ def as_reference(lp: LinearProgram) -> ReferenceLP:
     return ReferenceLP(lp.objective, rows, nonneg=(True,) * len(lp.objective))
 
 
+def fractions(res: LPResult) -> tuple:
+    """(value, x, y) of an optimum: its integers cx, X and Y over its
+    scale D."""
+    D = res.scale
+    return F(res.cx, D), tuple(F(v, D) for v in res.X), tuple(F(v, D) for v in res.Y)
+
+
 def assert_certified(lp: LinearProgram, res: LPResult) -> None:
     """x feasible, y dual feasible, equal objective values."""
     cols = list(zip(*lp.rows)) if lp.rows else [()] * len(lp.objective)
-    assert all(x >= 0 for x in res.x)
+    value, x, y = fractions(res)
+    assert all(xj >= 0 for xj in x)
     for coeffs, b in zip(lp.rows, lp.rhs):
-        assert sum(a * x for a, x in zip(coeffs, res.x)) == b
+        assert sum(a * xj for a, xj in zip(coeffs, x)) == b
     for col, c in zip(cols, lp.objective):
-        assert sum(a * y for a, y in zip(col, res.y)) >= c
-    assert sum(c * x for c, x in zip(lp.objective, res.x)) == res.value
-    assert sum(b * y for b, y in zip(lp.rhs, res.y)) == res.value
+        assert sum(a * yi for a, yi in zip(col, y)) >= c
+    assert sum(c * xj for c, xj in zip(lp.objective, x)) == value
+    assert sum(b * yi for b, yi in zip(lp.rhs, y)) == value
 
 
 def test_core_optimum_with_duals():
     lp = standard((3, 2), [(1, 3), (1, -1)], (6, 1))
     res = lp_solve(lp)
-    assert (res.status, res.value, res.x) == (OPTIMAL, F(37, 4), (F(9, 4), F(5, 4)))
-    assert res.y == (F(5, 4), F(7, 4))
+    assert res.status == OPTIMAL
+    assert fractions(res) == (F(37, 4), (F(9, 4), F(5, 4)), (F(5, 4), F(7, 4)))
     assert_certified(lp, res)
 
 
@@ -169,7 +177,7 @@ def test_core_negative_rhs_and_redundant_rows():
     assert lp_solve(lp).status == INFEASIBLE
     lp = standard((-1, -2, 0), [(1, 1, 1), (-1, -1, -1), (0, 0, 0)], (3, -3, 0))
     res = lp_solve(lp)
-    assert (res.status, res.value) == (OPTIMAL, 0)
+    assert (res.status, fractions(res)[0]) == (OPTIMAL, 0)
     assert_certified(lp, res)
 
 
@@ -177,9 +185,9 @@ def test_core_unbounded_and_empty_shapes():
     assert lp_solve(standard((1, 0), [(1, -1)], (1,))).status == UNBOUNDED
     assert lp_solve(standard((1,), [], [])).status == UNBOUNDED
     res = lp_solve(standard((-1,), [], []))
-    assert (res.status, res.x, res.y) == (OPTIMAL, (0,), ())
+    assert (res.status, fractions(res)[1:]) == (OPTIMAL, ((0,), ()))
     assert lp_solve(standard((), [()], (1,))).status == INFEASIBLE
-    assert lp_solve(standard((), [()], (0,))).y == (0,)
+    assert fractions(lp_solve(standard((), [()], (0,))))[2] == (0,)
 
 
 def test_core_degenerate_cycling_guard():
@@ -192,14 +200,8 @@ def test_core_degenerate_cycling_guard():
     ]
     lp = standard((3, -80, 2, -24, 0, 0, 0), rows, (0, 0, 1))
     res = lp_solve(lp)
-    assert (res.status, res.value) == (OPTIMAL, 5)
+    assert (res.status, fractions(res)[0]) == (OPTIMAL, 5)
     assert_certified(lp, res)
-
-
-def test_core_shares_small_integral_outputs():
-    res = lp_solve(standard((1, 1), [(1, 1)], (2,)))
-    again = lp_solve(standard((3, 3), [(3, 3)], (6,)))
-    assert res.x[0] is again.x[0] and res.y[0] is again.y[0] and res.value is again.x[0]
 
 
 def test_core_rejects_bad_shapes():
@@ -255,7 +257,8 @@ NEGATED = standard((0, 1), [(-1, -1)], (-1,))
 def test_failed_phase_raises(monkeypatch, ends, message):
     """A phase that ends early, or reports the wrong status, fails the
     certificate check of what it returned."""
-    assert lp_solve(NEGATED) == LPResult(OPTIMAL, F(1), (F(0), F(1)), (F(-1),))
+    res = lp_solve(NEGATED)
+    assert (res.status, fractions(res)) == (OPTIMAL, (F(1), (F(0), F(1)), (F(-1),)))
     phases(monkeypatch, *ends)
     with pytest.raises(InternalError, match=message):
         lp_solve(NEGATED)
@@ -281,33 +284,28 @@ def test_core_matches_reference(data):
     lp = draw_lp(data)
     res = lp_solve(lp)
     ref = reference_lp_solve(as_reference(lp))
-    assert (res.status, res.value) == (ref.status, ref.value)
+    assert res.status == ref.status
     if res.status == OPTIMAL:
+        assert fractions(res)[0] == ref.value
         assert_certified(lp, res)
 
 
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_integer_result_is_the_fractions_scaled(data):
-    """An optimum's scale, cx and Y are D, D times the value and D times
-    y; an LP taken unchecked by _of_ints solves to the same result."""
+    """An optimum's cx over its scale D > 0 is the reference solver's
+    value, and any other status sets no integer. The same LP given by
+    its columns to _of_columns, unchecked, solves to an equal result."""
     lp = draw_lp(data)
     res = lp_solve(lp)
     if res.status == OPTIMAL:
         assert res.scale > 0
-        assert res.value == F(res.cx, res.scale)
-        assert res.y == tuple(F(v, res.scale) for v in res.Y)
+        assert F(res.cx, res.scale) == reference_lp_solve(as_reference(lp)).value
     else:
-        assert (res.scale, res.cx, res.Y) == (None, None, None)
-    raw = lp_solve(LinearProgram._of_ints(lp.objective, lp.rows, lp.rhs))
-    assert raw == res
-    assert (raw.scale, raw.cx, raw.Y) == (res.scale, res.cx, res.Y)
-
-
-def test_integer_fields_stay_out_of_equality():
-    assert LPResult(OPTIMAL, F(1), (F(1),), (F(1),), scale=2, cx=2, Y=(2,)) == LPResult(
-        OPTIMAL, F(1), (F(1),), (F(1),)
-    )
+        assert res == LPResult(res.status)
+    raw = LinearProgram._of_columns(lp.objective, list(zip(*lp.rows)), lp.rhs)
+    assert raw == lp
+    assert lp_solve(raw) == res
 
 
 @pytest.mark.parametrize("bad", [0.5, "1", float("inf"), F(1, 2), True])
@@ -359,8 +357,8 @@ def pivots_taken(lp: LinearProgram) -> list[tuple[int, int, list[int]]]:
 @settings(max_examples=200, deadline=None)
 def test_sparse_pivot_matches_dense(data):
     """Every tableau the shipped pivot leaves equals the dense pivot's, so
-    the status, value, x and y do too. Unit entries take the sparse path;
-    larger integers take the dense one as well."""
+    does every integer of the result: D, cx, X and Y. Unit entries take
+    the sparse path; larger integers take the dense one as well."""
     ncols = data.draw(st.integers(1, 5))
     nrows = data.draw(st.integers(1, 4))
     entry = data.draw(st.sampled_from((st.integers(-1, 1), st.integers(-3, 3), st.integers(-9, 9))))
@@ -379,7 +377,7 @@ def test_pivot_off_unit_keeps_the_dense_update():
     assert any(p not in (D, -D) for p, D, _ in pivots_taken(lp))
     res = solve_with(checked_pivot, lp)
     assert res == solve_with(dense_pivot, lp)
-    assert (res.status, res.value, res.x) == (OPTIMAL, 3, (0, 3))
+    assert (res.status, fractions(res)[:2]) == (OPTIMAL, (3, (0, 3)))
 
 
 def test_pivot_equal_to_d_updates_only_divisible_rows_sparsely():
@@ -389,7 +387,8 @@ def test_pivot_equal_to_d_updates_only_divisible_rows_sparsely():
     assert (2, 2, [1, 2]) in pivots_taken(lp)
     res = solve_with(checked_pivot, lp)
     assert res == solve_with(dense_pivot, lp)
-    assert (res.status, res.value, res.y) == (OPTIMAL, 1, (F(1, 2), F(-1, 2)))
+    value, _, y = fractions(res)
+    assert (res.status, value, y) == (OPTIMAL, 1, (F(1, 2), F(-1, 2)))
 
 
 def test_pivot_out_on_a_negative_entry_negates_its_row_first():
@@ -402,4 +401,4 @@ def test_pivot_out_on_a_negative_entry_negates_its_row_first():
     assert taken[-1] == (1, 1, [0])
     res = solve_with(checked_pivot, lp)
     assert res == solve_with(dense_pivot, lp)
-    assert (res.status, res.value, res.x) == (OPTIMAL, 1, (1, 0))
+    assert (res.status, fractions(res)[:2]) == (OPTIMAL, (1, (1, 0)))

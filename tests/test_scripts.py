@@ -112,6 +112,9 @@ def test_bench_pairs_the_repo_with_itself(tmp_path):
     assert proc.returncode == 0, proc.stderr
     doc = json.loads((tmp_path / "BENCH_smoke.json").read_text())
     assert doc["src_sha256"]["parent"] == doc["src_sha256"]["change"]
+    paths = (ROOT / "src" / "gpauction").glob("*.py")
+    lines = sum(len(path.read_text().splitlines()) for path in paths)
+    assert doc["src_lines"] == {"parent": lines, "change": lines}
     bench = doc["workloads"]["verify-pe"]
     assert [(r["side"], r["first"]) for r in bench["runs"]] == [("parent", True), ("change", False)]
     assert all(r["attempted"] > 0 and r["failed"] == 0 for r in bench["runs"])

@@ -115,6 +115,27 @@ def test_no_gmpy2():
     assert not found, f"gmpy2 imported in src/gpauction: {found}"
 
 
+def test_linprog_is_a_leaf():
+    """The LP core returns the integers it certified: linprog imports
+    nothing from the package and names no Fraction."""
+    found = []
+    for node in ast.walk(ast.parse((SRC / "linprog.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            mods = ["." * node.level + (node.module or "")]
+        elif isinstance(node, ast.Import):
+            mods = [a.name for a in node.names]
+        else:
+            mods = []
+        found += [f"{node.lineno} imports {mod}" for mod in mods
+                  if mod.startswith(".") or mod.split(".")[0] == "gpauction"]
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if isinstance(node, ast.alias):
+            name = node.asname or node.name
+        if name == "Fraction":
+            found.append(f"{node.lineno} names Fraction")
+    assert not found, f"linprog.py is not a leaf: {found}"
+
+
 def test_one_valuation_path():
     """Bundles are valued through the integer tables of model; the direct
     sum of weights over a bundle, value, is the reference in tests/oracle.py
