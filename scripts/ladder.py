@@ -27,13 +27,18 @@ more), the best revenue (the split's own when it is) and seconds.
 import argparse
 import json
 import random
+import sys
 import time
+from pathlib import Path
 
 from gpauction import demand
 from gpauction.demand import seller_demand
 from gpauction.model import PriceVector, ValueGraph, aggregate
 from gpauction.pricing import optimal_ce
-from gpauction.randgen import random_valuation
+
+# The generators live beside the tests, in the checkout's tests package.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.randgen import random_valuation  # noqa: E402
 
 RUNGS = ((4, 4, 2), (5, 5, 2), (6, 6, 2))
 

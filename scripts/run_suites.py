@@ -9,12 +9,17 @@ A failed check exits non-zero, naming the suite and the instance.
 """
 import argparse
 import random
+import sys
 import time
+from pathlib import Path
 
 from gpauction.demand import demand_set, verify_ce
 from gpauction.model import PriceVector, shift
 from gpauction.pricing import FOUND, ce_for_covering, ce_price_at_point
-from gpauction.randgen import (
+
+# The generators live beside the tests, in the checkout's tests package.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.randgen import (  # noqa: E402
     arbitrary_supply_instance,
     covering_instance,
     disjoint_clique_instance,

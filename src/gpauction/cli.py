@@ -79,7 +79,10 @@ def _parse_point(text: str, graph: ValueGraph) -> GPoint:
     bad = [x for x in parts if not _COORD.fullmatch(x)]
     if bad:
         raise ParseError(f"--point: bad coordinate {bad[0]!r}, need digits 0-9")
-    coords = tuple(int(x) for x in parts)
+    try:
+        coords = tuple(int(x) for x in parts)
+    except ValueError as exc:  # beyond Python's digit limit
+        raise ParseError(f"--point: {exc}") from exc
     if len(coords) != graph.d:
         raise ParseError(f"--point: need {graph.d} comma-separated integers")
     return GPoint(graph, coords)

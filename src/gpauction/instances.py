@@ -91,8 +91,10 @@ def _parse_edge_key(key: str, n: int, where: str) -> tuple[int, int]:
         i, j = int(match[1]) - 1, int(match[2]) - 1
     except ValueError as exc:  # beyond Python's digit limit
         raise ParseError(f"{where}: bad edge key {key!r}, expected 'i-j'") from exc
-    if not (0 <= i < j < n):
+    if not (i < n and j < n):
         raise ParseError(f"{where}: edge {key!r} out of range for n={n}")
+    if i >= j:
+        raise ParseError(f"{where}: bad edge key {key!r}, need i < j")
     return (i, j)
 
 

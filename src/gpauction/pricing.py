@@ -245,7 +245,9 @@ def optimal_ce(
     m = len(vs)
     supply = _checked_supply(g, supply, m, caps)
     if any(s > m for s in supply):
-        raise ValueError("supply entries must lie in 0..m")
+        raise ValueError(
+            f"supply entries must lie in 0..m, the agent count m = {m}; got {list(supply)}"
+        )
     if not all(v.is_finite() for v in vs):
         raise ValueError("weights must be finite for optimal_ce")
 

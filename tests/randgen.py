@@ -7,8 +7,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .model import NEG_INF, Valuation, ValueGraph, char_vector, GPoint
-from .polytope import nested_chain_point
+from gpauction.model import NEG_INF, Valuation, ValueGraph, char_vector, GPoint
+from gpauction.polytope import nested_chain_point
 
 
 def random_valuation(

@@ -28,14 +28,13 @@ from gpauction.pricing import (
     ce_price_at_point,
     optimal_ce,
 )
-from gpauction.randgen import (
+from .oracle import oracle_optimal_revenue
+from .randgen import (
     arbitrary_supply_instance,
     covering_instance,
     disjoint_clique_instance,
     shift_triple,
 )
-
-from .oracle import oracle_optimal_revenue
 
 CUTLERY = corpus_instance("cutlery")
 SHIFTED = corpus_instance("cutlery-shifted")

@@ -384,6 +384,12 @@ VALID_AGENT = {"vertex_weights": ["1", "2"], "edge_weights": {}}
         ({"name": {"x": [1]}}, "field 'name': need a string"),
         ({"edges": ["1" * 5000 + "-2"]}, "field 'edges': bad edge key"),
         ({"agents": [{"vertex_weights": ["1"]}]}, "agents[0].vertex_weights: need a list of 2"),
+        # Both ends are items, so a reversed or looped key is no range error.
+        ({"edges": ["2-1"]}, "field 'edges': bad edge key '2-1', need i < j"),
+        ({"edges": ["1-1"]}, "field 'edges': bad edge key '1-1', need i < j"),
+        ({"agents": [{**VALID_AGENT, "edge_weights": {"2-1": "1"}}]},
+         "agents[0].edge_weights: bad edge key '2-1', need i < j"),
+        ({"edges": ["3-1"]}, "field 'edges': edge '3-1' out of range for n=2"),
     ],
 )
 def test_malformed_instance_is_input_error(tmp_path, capsys, patch, field):
@@ -516,6 +522,10 @@ def test_repeated_item_is_input_error(tmp_path, capsys, argv, doc, message):
          "covering instances support quadratic pricing only"),
         (["decompose", "{path}"], {"n": 2, "agents": [VALID_AGENT], "supply": [1, 1]},
          "no point: pass --point or use an instance file with one"),
+        # The file's m bounds the supply when parsed; optimal_ce's bound is
+        # the agent count.
+        (["solve", "{path}"], {"n": 2, "m": 3, "agents": [VALID_AGENT], "supply": [2, 1]},
+         "supply entries must lie in 0..m, the agent count m = 1; got [2, 1]"),
     ],
 )
 def test_request_the_instance_cannot_serve_is_input_error(tmp_path, capsys, argv, doc, message):
@@ -563,10 +573,13 @@ def test_duplicate_key_is_input_error(tmp_path, capsys, kind):
     assert err == f"error: {bad}: duplicate key {key!r}\n"
 
 
-@pytest.mark.skipif(
+needs_digit_limit = pytest.mark.skipif(
     not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
     reason="this Python has no integer digit limit",
 )
+
+
+@needs_digit_limit
 def test_integer_past_the_digit_limit_names_the_file(tmp_path, capsys):
     """json raises a plain ValueError on an integer longer than Python's
     digit limit; it is an input error naming the file."""
@@ -578,6 +591,18 @@ def test_integer_past_the_digit_limit_names_the_file(tmp_path, capsys):
     code, out, err = run(capsys, ["solve", str(bad)])
     assert code == 1 and out == ""
     assert err.startswith(f"error: {bad}: ") and len(err.splitlines()) == 1
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("command", ["solve", "decompose"])
+def test_point_past_the_digit_limit_names_the_flag(tmp_path, capsys, command):
+    """int() raises a plain ValueError on a coordinate longer than Python's
+    digit limit; it is an input error naming --point."""
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    path = write_corpus(tmp_path, "cutlery")
+    code, out, err = run(capsys, [command, path, "--point", f"1,1,{digits},0,0,0"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: --point: ") and len(err.splitlines()) == 1
 
 
 def test_deeply_nested_json_is_input_error(tmp_path, capsys):

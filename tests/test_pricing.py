@@ -30,15 +30,15 @@ from gpauction.pricing import (
     check_covering,
     optimal_ce,
 )
-from gpauction.randgen import (
+from gpauction.instances import corpus_instance
+
+from .oracle import GE, box_optimal_ce, build_ce_lp, reference_lp_solve
+from .randgen import (
     arbitrary_supply_instance,
     covering_instance,
     disjoint_clique_instance,
     random_valuation,
 )
-from gpauction.instances import corpus_instance
-
-from .oracle import GE, box_optimal_ce, build_ce_lp, reference_lp_solve
 from .test_golden import golden_cases
 from .strategies import bundles, graphs, small_fractions, valuations
 

@@ -66,6 +66,21 @@ def test_script_runs(argv):
         assert [line["revenue"] for line in check] == [best["random"], best["zero"]]
 
 
+def test_suites_run_outside_the_checkout(tmp_path):
+    """The scripts import the generators from tests/ through their own
+    path, so they run from any working directory."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_suites.py"), "--count", "1"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 4
+
+
 # Runs scripts/run_suites.py with ce_price_at_point made to fail at
 # every point, so the nested suite's verdict is a failure.
 FAILING_SUITE = """

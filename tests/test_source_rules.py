@@ -202,6 +202,24 @@ def test_one_reader_per_input():
     assert not built, f"corpus_instance builds {sorted(built)}"
 
 
+def test_every_module_serves_the_cli():
+    """Every module of the package serves a solve or verify path: starting
+    at cli.py and following each `from .x import` edge reaches all of
+    them. Generators and references for tests live under tests/."""
+    seen, stack = set(), ["cli"]
+    while stack:
+        name = stack.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        tree = ast.parse((SRC / f"{name}.py").read_text())
+        stack += [n.module for n in ast.walk(tree)
+                  if isinstance(n, ast.ImportFrom) and n.level == 1 and n.module]
+    modules = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+    unreached = sorted(modules - seen)
+    assert not unreached, f"modules no CLI path imports: {unreached}"
+
+
 # Imports every module of the package, then prints the size of each
 # functools cache defined at module level, keyed "module.name".
 CACHE_SIZES = """
